@@ -14,8 +14,10 @@ from .errors import (
     BackendMismatch,
     EmptyState,
     ImpossibleOutcome,
+    InputFileError,
     KetSyntaxError,
     MixedArity,
+    NonFinite,
     NotSeparable,
     ResidualNonzero,
     TritangleError,
@@ -43,6 +45,7 @@ from .separability import (
 )
 from .states import (
     AXIS_OUTCOME_ORDER,
+    SLICE_INDEX,
     Axis,
     BipartiteState,
     TripartiteState,
@@ -71,11 +74,14 @@ __all__ = [
     "Factorization",
     "GaussianRational",
     "ImpossibleOutcome",
+    "InputFileError",
     "KetExpr",
     "KetSyntaxError",
     "MixedArity",
+    "NonFinite",
     "NotSeparable",
     "ResidualNonzero",
+    "SLICE_INDEX",
     "TripartiteState",
     "TritangleError",
     "Unitary2",

@@ -6,9 +6,10 @@ random.  States are given as ket expressions (see
 ``--json-state``.  Results go to stdout (``--json`` for machine-readable
 records); diagnostics go to stderr.
 
-Exit codes: 0 success; 2 expression/JSON parse error; 3 precondition
-failure (wrong qubit count for the command, impossible measurement
-outcome, factoring a non-separable state); 4 exact/double backend
+Exit codes: 0 success; 2 expression/JSON parse error, unreadable state
+file or bad option value; 3 precondition failure (wrong qubit count for
+the command, impossible measurement outcome, factoring a non-separable
+state, NaN or infinite double-backend values); 4 exact/double backend
 mismatch.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random as _random
 import sys
 from fractions import Fraction
@@ -25,7 +27,9 @@ from .errors import (
     BackendMismatch,
     EmptyState,
     ImpossibleOutcome,
+    InputFileError,
     KetSyntaxError,
+    NonFinite,
     NotSeparable,
     TritangleError,
     UnsupportedIrrational,
@@ -57,6 +61,19 @@ def _enc_scalar(value):
     return [z.real, z.imag]
 
 
+def _nonnegative(kind):
+    """argparse type: a finite number of ``kind`` that is at least 0."""
+
+    def parse(text):
+        value = kind(text)
+        if not 0 <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _fmt_display(display) -> str:
     head = f"{display[0]:g}"
     rest = ", ".join(f"{v:g}" for v in display[1:])
@@ -65,10 +82,15 @@ def _fmt_display(display) -> str:
 
 def _load_tripartite(args) -> TripartiteState:
     if getattr(args, "json_state", None):
-        with open(args.json_state, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.json_state, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFileError(f"cannot read state file {args.json_state!r}: {exc}") from exc
         try:
             state = state_from_json(raw)
+        except NonFinite:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise KetSyntaxError(f"bad state JSON: {exc}", 0) from exc
     else:
@@ -136,7 +158,7 @@ def cmd_classify(args) -> int:
     state = _load_tripartite(args)
     vec, display, record = _classification_record(state, args.eps)
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
         return 0
     print(f"|Det|^2            : {_enc(vec.det_abs2)}")
     print(f"sub-concurrences^2 : {[_enc(v) for v in vec.sub2]}  (order x0 x1 y0 y1 z0 z1)")
@@ -176,7 +198,7 @@ def cmd_table(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps(rows))
+        print(json.dumps(rows, allow_nan=False))
         return 0
     width = max(len(r["name"]) for r in rows)
     for r in rows:
@@ -199,7 +221,7 @@ def cmd_measure(args) -> int:
         record["concurrence2_exact"] = _enc(result.concurrence2)
         record["post_ket"] = state_to_ket(result.post_state)
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
         return 0
     print(f"prob        : {float(result.prob):g}" + (
         f"  (exact {result.prob})" if state.backend == "exact" else ""))
@@ -228,7 +250,7 @@ def cmd_transform(args) -> int:
     if out.backend == "exact":
         record["ket"] = state_to_ket(out)
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
         return 0
     if out.backend == "exact":
         print(state_to_ket(out))
@@ -248,17 +270,17 @@ def _factors_record(fact):
 def cmd_check_sep(args) -> int:
     state = _load_tripartite(args)
     separable = is_separable(state, args.eps)
+    fact = extract_factors(state, args.eps) if separable else None
     record = {
         "separable": separable,
-        "factors": _factors_record(extract_factors(state, args.eps)) if separable else None,
+        "factors": _factors_record(fact) if separable else None,
         "oracle_agrees": rank1_oracle(state, args.eps) == separable,
     }
     if args.json:
-        print(json.dumps(record))
+        print(json.dumps(record, allow_nan=False))
         return 0
     print(f"separable     : {'yes' if separable else 'no'}")
     if separable:
-        fact = extract_factors(state, args.eps)
         print(f"factors       : x={tuple(map(str, fact.fx))} y={tuple(map(str, fact.fy))} z={tuple(map(str, fact.fz))}")
     print(f"oracle agrees : {'yes' if record['oracle_agrees'] else 'no'}")
     return 0
@@ -268,7 +290,7 @@ def cmd_factor(args) -> int:
     state = _load_tripartite(args)
     fact = extract_factors(state, args.eps)
     if args.json:
-        print(json.dumps({"factors": _factors_record(fact)}))
+        print(json.dumps({"factors": _factors_record(fact)}, allow_nan=False))
         return 0
     print(f"x : ({fact.fx[0]}, {fact.fx[1]})")
     print(f"y : ({fact.fy[0]}, {fact.fy[1]})")
@@ -300,7 +322,7 @@ def cmd_random(args) -> int:
         "states": records,
     }
     if args.json:
-        print(json.dumps(summary))
+        print(json.dumps(summary, allow_nan=False))
     else:
         n_sep = sum(1 for r in records if r["separable"])
         print(
@@ -318,7 +340,7 @@ def _add_state_flags(sub, with_eps=True):
     mode.add_argument("--exact", action="store_true", help="exact rational arithmetic (default)")
     mode.add_argument("--float", action="store_true", help="convert the state to doubles")
     if with_eps:
-        sub.add_argument("--eps", type=float, default=DEFAULT_EPS,
+        sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS,
                          help="zero threshold for squared double-backend quantities")
 
 
@@ -336,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("table", help="classify the canonical catalog states")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)
     sub.set_defaults(func=cmd_table)
 
     sub = subs.add_parser("measure", help="projective single-qubit measurement")
@@ -361,10 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_factor)
 
     sub = subs.add_parser("random", help="generate random states and cross-check separability")
-    sub.add_argument("--count", type=int, default=100)
+    sub.add_argument("--count", type=_nonnegative(int), default=100)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--kind", choices=KINDS, default="mixed")
-    sub.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_random)
     return parser
@@ -374,7 +396,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KetSyntaxError, EmptyState, UnsupportedIrrational, json.JSONDecodeError) as exc:
+    except (
+        KetSyntaxError, EmptyState, UnsupportedIrrational, InputFileError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except BackendMismatch as exc:

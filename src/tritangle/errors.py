@@ -9,6 +9,10 @@ class ZeroScale(TritangleError, ValueError):
     """Scaling a state by zero would produce the (invalid) zero vector."""
 
 
+class NonFinite(TritangleError, ValueError):
+    """A double-backend value is NaN or infinite."""
+
+
 class BackendMismatch(TritangleError, TypeError):
     """Exact and floating-point values were combined in one operation."""
 
@@ -48,6 +52,10 @@ class KetSyntaxError(TritangleError):
 
 class MixedArity(KetSyntaxError):
     """Two- and three-qubit kets were mixed in one expression."""
+
+
+class InputFileError(TritangleError):
+    """A state file named on the command line could not be read."""
 
 
 class EmptyState(TritangleError):

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, abs2
-from .states import AXIS_OUTCOME_ORDER, Axis, BipartiteState, TripartiteState, _check_outcome
+from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul
+from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
 def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteState:
@@ -38,25 +38,63 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     impossible measurement outcome.
     """
     _check_outcome(outcome)
-    a = state.amp
-    if axis is Axis.X:
-        amps = (a(outcome, 0, 0), a(outcome, 0, 1), a(outcome, 1, 0), a(outcome, 1, 1))
-    elif axis is Axis.Y:
-        amps = (a(0, outcome, 0), a(0, outcome, 1), a(1, outcome, 0), a(1, outcome, 1))
-    else:
-        amps = (a(0, 0, outcome), a(0, 1, outcome), a(1, 0, outcome), a(1, 1, outcome))
-    return BipartiteState(amps, state.scale2)
+    amps = state.amps
+    return BipartiteState(
+        tuple(amps[n] for n in SLICE_INDEX[2 * axis.value + outcome]), state.scale2
+    )
 
 
-def _sub_amps(state, axis, outcome):
-    # Same slicing as submatrix() without constructing a (possibly invalid,
-    # all-zero) BipartiteState.
-    a = state.amp
-    if axis is Axis.X:
-        return (a(outcome, 0, 0), a(outcome, 0, 1), a(outcome, 1, 0), a(outcome, 1, 1))
-    if axis is Axis.Y:
-        return (a(0, outcome, 0), a(0, outcome, 1), a(1, outcome, 0), a(1, outcome, 1))
-    return (a(0, 0, outcome), a(0, 1, outcome), a(1, 0, outcome), a(1, 1, outcome))
+# -- exact kernel on the integer form ---------------------------------------
+#
+# Gaussian integers are (re, im) pairs of Python ints.  Every quantity below
+# is a homogeneous polynomial in the amplitudes, so it is evaluated on the
+# integer numerators g of :attr:`TripartiteState.integer_form` and the common
+# denominator is put back, or cancels, only in the final rationals.
+
+
+def _cayley_g(g):
+    """Cayley's hyperdeterminant formula (see :func:`cayley_det`) on ints."""
+    a000, a001, a010, a011, a100, a101, a110, a111 = g
+    p = (
+        gauss_mul(a000, a111),
+        gauss_mul(a001, a110),
+        gauss_mul(a010, a101),
+        gauss_mul(a011, a100),
+    )
+    re = im = 0
+    for n, pn in enumerate(p):
+        sr, si = gauss_mul(pn, pn)
+        re += sr
+        im += si
+        for pm in p[n + 1 :]:
+            tr, ti = gauss_mul(pn, pm)
+            re -= 2 * tr
+            im -= 2 * ti
+    q0 = gauss_mul(gauss_mul(a000, a011), gauss_mul(a101, a110))
+    q1 = gauss_mul(gauss_mul(a001, a010), gauss_mul(a100, a111))
+    return re + 4 * (q0[0] + q1[0]), im + 4 * (q0[1] + q1[1])
+
+
+def _sub_abs2_g(g) -> tuple:
+    """|c00 c11 - c01 c10|^2 of the six integer slices, as ints."""
+    out = []
+    for i00, i01, i10, i11 in SLICE_INDEX:
+        (ar, ai), (br, bi) = gauss_mul(g[i00], g[i11]), gauss_mul(g[i01], g[i10])
+        re, im = ar - br, ai - bi
+        out.append(re * re + im * im)
+    return tuple(out)
+
+
+def _degree2_scale(state) -> tuple:
+    """(num, den) = scale2^2 / d^4 as two ints.
+
+    A degree-2 polynomial of the physical amplitudes is scale2 / d^2 times
+    its value on g, so its squared modulus carries scale2^2 / d^4; a
+    degree-4 one (the hyperdeterminant) carries the square of that.
+    """
+    s2 = state.scale2
+    d = state.integer_form[1]
+    return s2.numerator ** 2, s2.denominator ** 2 * d ** 4
 
 
 def cayley_det(state: TripartiteState):
@@ -72,7 +110,13 @@ def cayley_det(state: TripartiteState):
     normalized so that amplitudes a000 = a111 = 1 give +1.  The value is
     for the raw amplitudes; the hyperdeterminant of the physical state is
     scale2^2 times this (degree 4), and callers normalize by norm2^2.
+    Exact states evaluate it on the integer form and divide by d^4.
     """
+    if state.backend == "exact":
+        g, d = state.integer_form
+        re, im = _cayley_g(g)
+        d4 = d ** 4
+        return GaussianRational(Fraction(re, d4), Fraction(im, d4))
     a000, a001, a010, a011, a100, a101, a110, a111 = state.amps
     p0 = a000 * a111
     p1 = a001 * a110
@@ -90,7 +134,9 @@ def cayley_det_schlafli(state: TripartiteState):
     Writes q(z0, z1) = det(z0 * A_z0 + z1 * A_z1) = alpha z0^2 +
     beta z0 z1 + gamma z1^2 and returns the discriminant
     beta^2 - 4 alpha gamma, which equals :func:`cayley_det` identically
-    (same sign convention: amplitudes a000 = a111 = 1 give +1).
+    (same sign convention: amplitudes a000 = a111 = 1 give +1).  It works
+    on the amplitudes themselves in both backends, so it shares no
+    arithmetic with the integer kernel.
     """
     a000, a001, a010, a011, a100, a101, a110, a111 = state.amps
     alpha = a000 * a110 - a010 * a100
@@ -105,11 +151,14 @@ def sub_concurrences2(state: TripartiteState) -> tuple:
     Ordered x0, x1, y0, y1, z0, z1.  The degree-2 scale2 factor is applied;
     division by norm2 (normalization) is left to :func:`classify`.
     """
+    if state.backend == "exact":
+        num, den = _degree2_scale(state)
+        return tuple(Fraction(v * num, den) for v in _sub_abs2_g(state.integer_form[0]))
     s2 = state.scale2 * state.scale2
+    amps = state.amps
     out = []
-    for axis, outcome in AXIS_OUTCOME_ORDER:
-        c00, c01, c10, c11 = _sub_amps(state, axis, outcome)
-        out.append(s2 * abs2(c00 * c11 - c01 * c10))
+    for i00, i01, i10, i11 in SLICE_INDEX:
+        out.append(s2 * abs2(amps[i00] * amps[i11] - amps[i01] * amps[i10]))
     return tuple(out)
 
 
@@ -149,7 +198,27 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
     unit-norm state: the degree-4 hyperdeterminant is divided by norm2^2
     and each degree-2 sub-determinant by norm2, i.e. the squared entries
     by norm2^4 and norm2^2 respectively.
+
+    Exact states are classified on their integer form g.  There scale2 and
+    the denominator cancel from the normalized entries, which are
+    |Det_g|^2 / N^4 and |sub_g|^2 / N^2 with N = sum |g|^2.
     """
+    if state.backend == "exact":
+        g = state.integer_form[0]
+        re, im = _cayley_g(g)
+        det2, sub2 = re * re + im * im, _sub_abs2_g(g)
+        if normalized:
+            n = sum(gr * gr + gi * gi for gr, gi in g)
+            n2 = n * n
+            return ClassificationVector(
+                Fraction(det2, n2 * n2), tuple(Fraction(v, n2) for v in sub2)
+            )
+        num, den = _degree2_scale(state)
+        return ClassificationVector(
+            Fraction(det2 * num * num, den * den),
+            tuple(Fraction(v * num, den) for v in sub2),
+            computed_on_normalized=False,
+        )
     s2 = state.scale2
     det_abs2 = abs2(cayley_det(state)) * s2 * s2 * s2 * s2
     sub2 = sub_concurrences2(state)

@@ -18,9 +18,8 @@ from fractions import Fraction
 
 from .bipartite import concurrence2
 from .errors import ImpossibleOutcome
-from .hyperdet import _sub_amps
 from .scalars import DEFAULT_EPS, abs2
-from .states import Axis, BipartiteState, TripartiteState, _check_outcome
+from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
 @dataclass(frozen=True)
@@ -49,16 +48,21 @@ def collapse(
     approx backend): the residual would be the zero vector.
     """
     _check_outcome(outcome)
-    amps = _sub_amps(state, axis, outcome)
-    n2 = state.norm2()
-    slice_norm2 = state.scale2 * sum(abs2(a) for a in amps)
+    index = SLICE_INDEX[2 * axis.value + outcome]
     if state.backend == "exact":
-        impossible = slice_norm2 == 0
+        # scale2 / d^2 cancels from the probability on the integer form.
+        g = state.integer_form[0]
+        weight = sum(g[n][0] * g[n][0] + g[n][1] * g[n][1] for n in index)
+        impossible = weight == 0
+        prob = Fraction(weight, sum(re * re + im * im for re, im in g))
     else:
+        n2 = state.norm2()
+        slice_norm2 = state.scale2 * sum(abs2(state.amps[n]) for n in index)
         impossible = slice_norm2 <= eps * n2
+        prob = slice_norm2 / n2
     if impossible:
         raise ImpossibleOutcome(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
-    post = BipartiteState(amps, state.scale2)
-    return CollapseResult(slice_norm2 / n2, post, concurrence2(post))
+    post = BipartiteState(tuple(state.amps[n] for n in index), state.scale2)
+    return CollapseResult(prob, post, concurrence2(post))

@@ -176,6 +176,13 @@ def abs2(value):
     return z.real * z.real + z.imag * z.imag
 
 
+def gauss_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two Gaussian integers given as (re, im) pairs of ints."""
+    ar, ai = a
+    br, bi = b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into a Fraction (used by JSON and CLI input)."""
     return Fraction(text.strip())

@@ -12,11 +12,12 @@ for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import DEFAULT_EPS, abs2
-from .states import TripartiteState
+from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul
+from .states import SLICE_INDEX, TripartiteState
 
 
 def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
@@ -60,77 +61,87 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
         fx[i] = a(i, j*, k*),   fy[j] = a(i*, j, k*) / a*,
         fz[k] = a(i*, j*, k) / a*.
 
-    The outer product is then verified against all eight amplitudes.
+    The outer product is then verified against all eight amplitudes; in
+    the exact backend on the integer form g, as
+    g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g(i, j, k) g*^2.
     Raises :class:`NotSeparable` when the state fails the separability
     test and :class:`ResidualNonzero` if verification fails (impossible
     for states that pass the test; kept as an internal-consistency guard).
     """
     if not is_separable(state, eps):
         raise NotSeparable("state is not a product of one-qubit factors")
-    exact = state.backend == "exact"
+    if state.backend == "exact":
+        return _extract_exact(state)
     triples = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
-    if exact:
-        anchor_idx = next(t for t in triples if state.amp(*t))
-    else:
-        anchor_idx = max(triples, key=lambda t: abs2(state.amp(*t)))
-    ai, aj, ak = anchor_idx
+    ai, aj, ak = max(triples, key=lambda t: abs2(state.amp(*t)))
     anchor = state.amp(ai, aj, ak)
     fx = (state.amp(0, aj, ak), state.amp(1, aj, ak))
     fy = (state.amp(ai, 0, ak) / anchor, state.amp(ai, 1, ak) / anchor)
     fz = (state.amp(ai, aj, 0) / anchor, state.amp(ai, aj, 1) / anchor)
     fact = Factorization(fx, fy, fz)
     rebuilt = fact.amplitudes()
-    if exact:
-        ok = all(rebuilt[n] == state.amps[n] for n in range(8))
-    else:
-        biggest = max(abs(a) for a in state.amps)
-        ok = all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * max(1.0, biggest) for n in range(8))
-    if not ok:
+    biggest = max(abs(a) for a in state.amps)
+    if not all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * max(1.0, biggest) for n in range(8)):
         raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
     return fact
+
+
+def _extract_exact(state: TripartiteState) -> Factorization:
+    g = state.integer_form[0]
+    star = next(n for n in range(8) if g[n] != (0, 0))
+    ai, aj, ak = star >> 2, (star >> 1) & 1, star & 1
+    anchor2 = gauss_mul(g[star], g[star])
+    for n in range(8):
+        x = g[4 * (n >> 2) + 2 * aj + ak]
+        y = g[4 * ai + (n & 2) + ak]
+        z = g[4 * ai + 2 * aj + (n & 1)]
+        if gauss_mul(gauss_mul(x, y), z) != gauss_mul(g[n], anchor2):
+            raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
+    # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
+    sr, si = g[star]
+    norm = sr * sr + si * si
+
+    def ratio(n):
+        re, im = gauss_mul(g[n], (sr, -si))
+        return GaussianRational(Fraction(re, norm), Fraction(im, norm))
+
+    amps = state.amps
+    fx = (amps[2 * aj + ak], amps[4 + 2 * aj + ak])
+    fy = (ratio(4 * ai + ak), ratio(4 * ai + 2 + ak))
+    fz = (ratio(4 * ai + 2 * aj), ratio(4 * ai + 2 * aj + 1))
+    return Factorization(fx, fy, fz)
 
 
 #: Column index pairs of a 2x4 matrix, for minor enumeration.
 _COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _flattenings(state):
-    a = state.amp
-    rows_x = (
-        (a(0, 0, 0), a(0, 0, 1), a(0, 1, 0), a(0, 1, 1)),
-        (a(1, 0, 0), a(1, 0, 1), a(1, 1, 0), a(1, 1, 1)),
-    )
-    rows_y = (
-        (a(0, 0, 0), a(0, 0, 1), a(1, 0, 0), a(1, 0, 1)),
-        (a(0, 1, 0), a(0, 1, 1), a(1, 1, 0), a(1, 1, 1)),
-    )
-    rows_z = (
-        (a(0, 0, 0), a(0, 1, 0), a(1, 0, 0), a(1, 1, 0)),
-        (a(0, 0, 1), a(0, 1, 1), a(1, 0, 1), a(1, 1, 1)),
-    )
-    return rows_x, rows_y, rows_z
-
-
 def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     """Brute-force separability check: all 18 flattening minors vanish.
 
     Reshapes the hypermatrix into a 2x4 matrix along each of the three
-    axes and requires every 2x2 minor (6 per flattening) to be zero, i.e.
-    each flattening to have rank 1.  Evaluates nothing shared with the
+    axes (its rows are the two slices of that axis in ``SLICE_INDEX``) and
+    requires every 2x2 minor (6 per flattening) to be zero, i.e. each
+    flattening to have rank 1.  Evaluates nothing shared with the
     hyperdeterminant/sub-determinant path, so the two tests cross-check
-    each other.
+    each other; exact states compare the two products of each minor as
+    Gaussian integers on the integer form.
     """
-    exact = state.backend == "exact"
-    if not exact:
-        n2 = state.norm2()
-        bound = eps * n2 * n2 / (state.scale2 * state.scale2)
-    for top, bottom in _flattenings(state):
-        for p, q in _COLUMN_PAIRS:
-            minor = top[p] * bottom[q] - top[q] * bottom[p]
-            if exact:
-                if minor:
+    if state.backend == "exact":
+        g = state.integer_form[0]
+        for axis in range(3):
+            top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
+            for p, q in _COLUMN_PAIRS:
+                if gauss_mul(g[top[p]], g[bottom[q]]) != gauss_mul(g[top[q]], g[bottom[p]]):
                     return False
-            elif abs2(minor) > bound:
+        return True
+    n2 = state.norm2()
+    bound = eps * n2 * n2 / (state.scale2 * state.scale2)
+    a = state.amps
+    for axis in range(3):
+        top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
+        for p, q in _COLUMN_PAIRS:
+            if abs2(a[top[p]] * a[bottom[q]] - a[top[q]] * a[bottom[p]]) > bound:
                 return False
     return True
 

@@ -7,16 +7,25 @@ prefactors such as 1/sqrt(2) are carried exactly through ``scale2``, the
 with ``scale2=1/2``.  Every classification quantity used downstream is
 homogeneous, so this rational bookkeeping suffices for exact zero tests.
 
+For the same reason an exact state's amplitudes can be brought to one
+common denominator d once, as Gaussian integers g_n with a_n = g_n / d
+(:attr:`_StateOps.integer_form`).  The exact kernels in ``hyperdet`` and
+``separability`` decide on these Python ints and build rationals only for
+what they return.
+
 States are immutable; all operations return new values.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import BackendMismatch, ZeroScale
+from .errors import BackendMismatch, NonFinite, ZeroScale
 from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
 
 
@@ -54,6 +63,16 @@ AXIS_OUTCOME_ORDER = (
     (Axis.Z, 1),
 )
 
+#: Amplitude positions (into ``amps``, a_ijk = amps[4i + 2j + k]) of the 2x2
+#: slice for each (axis, outcome) of AXIS_OUTCOME_ORDER, so that slot
+#: ``2 * axis.value + outcome`` lists c00, c01, c10, c11 with the first
+#: remaining index as the row.  The slices of one axis are also the two rows
+#: of that axis's 2x4 flattening.
+SLICE_INDEX = tuple(
+    tuple(n for n in range(8) if (n >> (2 - axis.value)) & 1 == outcome)
+    for axis, outcome in AXIS_OUTCOME_ORDER
+)
+
 
 def _check_outcome(outcome: int) -> int:
     if outcome not in (0, 1):
@@ -74,6 +93,8 @@ def _validate(amps, scale2, n):
     else:
         if isinstance(scale2, Fraction):
             raise BackendMismatch("double states need a float scale2")
+        if not (math.isfinite(scale2) and all(map(cmath.isfinite, amps))):
+            raise NonFinite("double states need finite amplitudes and scale2")
     if scale2 <= 0:
         raise ValueError("scale2 must be positive")
     if not any(bool(a) if exact else a != 0 for a in amps):
@@ -95,8 +116,32 @@ class _StateOps:
     def backend(self) -> str:
         return "exact" if is_exact_scalar(self.amps[0]) else "approx"
 
+    @cached_property
+    def integer_form(self) -> tuple:
+        """Exact amplitudes as Gaussian integers over one denominator.
+
+        Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per
+        amplitude and ``d`` is the least common denominator of all their
+        parts, so that a_n = (g_n[0] + i g_n[1]) / d.  Computed on first use
+        and kept on the instance.  Exact backend only.
+        """
+        if self.backend != "exact":
+            raise BackendMismatch("only exact states have an integer form")
+        parts = [(a.re, a.im) for a in self.amps]
+        d = math.lcm(*(p.denominator for pair in parts for p in pair))
+        g = tuple(
+            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+            for re, im in parts
+        )
+        return g, d
+
     def norm2(self):
         """Squared norm, scale2 * sum of squared amplitude moduli."""
+        if self.backend == "exact":
+            g, d = self.integer_form
+            s2 = self.scale2
+            total = sum(re * re + im * im for re, im in g)
+            return Fraction(s2.numerator * total, s2.denominator * d * d)
         total = abs2(self.amps[0])
         for a in self.amps[1:]:
             total = total + abs2(a)

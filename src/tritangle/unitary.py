@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BackendMismatch
+from .errors import BackendMismatch, NonFinite
 from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
 from .states import BipartiteState, TripartiteState
 
@@ -51,6 +51,10 @@ class Unitary2:
                 raise BackendMismatch("matrix entries mix backends")
         if exact != isinstance(self.scale2, Fraction):
             raise BackendMismatch("scale2 backend must match the entries")
+        if not exact and not (
+            math.isfinite(self.scale2) and all(map(cmath.isfinite, self.entries))
+        ):
+            raise NonFinite("double matrices need finite entries and scale2")
         if self.scale2 <= 0:
             raise ValueError("scale2 must be positive")
         self._check_unitarity()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tritangle import parse_state, state_from_json
+from tritangle import extract_factors, parse_state, state_from_json
 from tritangle.cli import main
 from _util import same_physical_state
 
@@ -192,3 +192,81 @@ def test_json_state_malformed_exit2(tmp_path, capsys):
 def test_no_expression_exit2(capsys):
     code, _, err = run(capsys, ["classify"])
     assert code == 2
+
+
+def test_json_state_missing_file_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, ["classify", "--json-state", str(tmp_path / "absent.json")])
+    assert code == 2 and out == "" and "cannot read state file" in err
+
+
+def test_json_state_unreadable_file_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, ["classify", "--json-state", str(tmp_path)])
+    assert code == 2 and out == "" and "cannot read state file" in err
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, ["classify", "--json-state", str(binary)])
+    assert code == 2 and out == "" and "cannot read state file" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", GHZ, "--eps", "-1"],
+        ["classify", GHZ, "--eps", "nan"],
+        ["table", "--eps=-1e-9"],
+        ["random", "--count", "-3"],
+        ["random", "--eps", "inf"],
+    ],
+)
+def test_negative_or_nonfinite_option_exit2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "amps, scale2",
+    [
+        ([[float("nan"), 0]] + [[0, 0]] * 6 + [[1, 0]], 1.0),
+        ([[1, 0]] + [[0, 0]] * 6 + [[0, float("inf")]], 1.0),
+        ([[1, 0]] + [[0, 0]] * 6 + [[1, 0]], float("nan")),
+        ([[1, 0]] + [[0, 0]] * 6 + [[1, 0]], float("-inf")),
+    ],
+)
+def test_nonfinite_state_json_exit3(tmp_path, capsys, amps, scale2):
+    path = tmp_path / "approx.json"
+    path.write_text(json.dumps({"amps": amps, "scale2": scale2, "backend": "approx"}))
+    code, out, err = run(capsys, ["classify", "--json-state", str(path), "--json"])
+    assert code == 3 and out == "" and "finite" in err
+
+
+def test_nonfinite_unitary_exit3(capsys):
+    nan_rot = '{"matrix": [[NaN, 0], [0, 1]]}'
+    code, out, err = run(capsys, ["transform", GHZ, "--float", "--u1", nan_rot, "--json"])
+    assert code == 3 and out == "" and "finite" in err
+
+
+def test_json_output_never_carries_nan(capsys):
+    # Amplitudes near 1e200 overflow the double backend's |Det|^2 and norm,
+    # so the normalized entries are NaN: strict JSON refuses to print them.
+    huge = "1" + "0" * 200
+    code, out, err = run(capsys, ["classify", f"{huge}|000> + |111>", "--float", "--json"])
+    assert code == 3 and out == "" and "JSON" in err
+
+
+def test_check_sep_text_extracts_once(monkeypatch, capsys):
+    import tritangle.cli as cli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return extract_factors(*args)
+
+    monkeypatch.setattr(cli, "extract_factors", counting)
+    code, out, _ = run(capsys, ["check-sep", "3|000> + 3|001> - |010> - |011> + 6|100> + 6|101> - 2|110> - 2|111>"])
+    assert code == 0 and len(calls) == 1
+    assert "factors       : x=('3', '6') y=('1', '-1/3') z=('1', '1')" in out
+    assert "oracle agrees : yes" in out

@@ -1,0 +1,155 @@
+"""The exact integer kernel against independent references.
+
+Exact states are classified on their integer form (Gaussian-integer
+numerators over one common denominator).  These properties compare every
+exact path that runs on it with a reference that does not: the z-pencil
+discriminant ``cayley_det_schlafli``, the raw-index sub-determinants of
+``_util.brute_subdet2``, Gaussian-rational flattening minors, and the
+``Factorization.amplitudes()`` rebuild.  Inputs have large coprime
+denominators, mixed real and imaginary parts, sparse supports and
+``scale2 != 1``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tritangle import (
+    AXIS_OUTCOME_ORDER,
+    GaussianRational,
+    NotSeparable,
+    TripartiteState,
+    cayley_det,
+    cayley_det_schlafli,
+    classify,
+    collapse,
+    extract_factors,
+    is_separable,
+    rank1_oracle,
+    sub_concurrences2,
+)
+
+from _util import _SLICE_INDEX, brute_subdet2
+
+BIG = 10**6
+
+big_fracs = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+# Real, imaginary or fully complex entries.
+scalars = st.one_of(
+    st.builds(GaussianRational, big_fracs),
+    st.builds(lambda im: GaussianRational(0, im), big_fracs),
+    st.builds(GaussianRational, big_fracs, big_fracs),
+)
+nonzero_scalars = scalars.filter(bool)
+scale2s = st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG))
+
+
+@st.composite
+def sparse_states(draw):
+    """1..8 nonzero amplitudes on a drawn support (one-nonzero included)."""
+    support = draw(st.sets(st.integers(0, 7), min_size=1, max_size=8))
+    amps = [GaussianRational(0)] * 8
+    for n in support:
+        amps[n] = draw(nonzero_scalars)
+    return TripartiteState(tuple(amps), draw(scale2s))
+
+
+@st.composite
+def product_states(draw):
+    def qubit():
+        return draw(st.tuples(scalars, scalars).filter(lambda v: v[0] or v[1]))
+
+    x, y, z = qubit(), qubit(), qubit()
+    amps = tuple(x[i] * y[j] * z[k] for i in range(2) for j in range(2) for k in range(2))
+    return TripartiteState(amps, draw(scale2s))
+
+
+states = st.one_of(sparse_states(), product_states())
+
+
+def reference_norm2(state):
+    return state.scale2 * sum((a.abs2() for a in state.amps), Fraction(0))
+
+
+def reference_rank1(state) -> bool:
+    """All 18 flattening minors vanish, in Gaussian-rational arithmetic."""
+    a = state.amps
+    for axis in "xyz":
+        top, bottom = _SLICE_INDEX[(axis, 0)], _SLICE_INDEX[(axis, 1)]
+        for p in range(4):
+            for q in range(p + 1, 4):
+                if a[top[p]] * a[bottom[q]] - a[top[q]] * a[bottom[p]]:
+                    return False
+    return True
+
+
+@settings(deadline=None)
+@given(states)
+def test_cayley_det_matches_schlafli(state):
+    assert cayley_det(state) == cayley_det_schlafli(state)
+
+
+@settings(deadline=None)
+@given(states)
+def test_normalized_classification_matches_references(state):
+    assert state.norm2() == reference_norm2(state)
+    vec = classify(state)
+    n2 = reference_norm2(state)
+    s2 = state.scale2
+    assert vec.det_abs2 == cayley_det_schlafli(state).abs2() * s2**4 / n2**4
+    assert vec.sub2 == tuple(
+        brute_subdet2(state, axis.name.lower(), outcome) for axis, outcome in AXIS_OUTCOME_ORDER
+    )
+    assert all(isinstance(v, Fraction) for v in vec.values2())
+
+
+@settings(deadline=None)
+@given(states)
+def test_unnormalized_classification_matches_references(state):
+    vec = classify(state, normalized=False)
+    s2 = state.scale2
+    n2 = reference_norm2(state)
+    assert not vec.computed_on_normalized
+    assert vec.det_abs2 == cayley_det_schlafli(state).abs2() * s2**4
+    # brute_subdet2 divides by norm2^2; undo that to get the raw entry.
+    assert vec.sub2 == tuple(
+        brute_subdet2(state, axis.name.lower(), outcome) * n2 * n2
+        for axis, outcome in AXIS_OUTCOME_ORDER
+    )
+    assert sub_concurrences2(state) == vec.sub2
+
+
+@settings(deadline=None)
+@given(states)
+def test_decision_oracle_and_factors_agree(state):
+    separable = is_separable(state)
+    assert separable == reference_rank1(state) == rank1_oracle(state)
+    if separable:
+        fact = extract_factors(state)
+        assert fact.amplitudes() == state.amps
+    else:
+        with pytest.raises(NotSeparable):
+            extract_factors(state)
+
+
+@settings(deadline=None)
+@given(product_states())
+def test_products_factor_exactly(state):
+    assert is_separable(state) and rank1_oracle(state)
+    assert extract_factors(state).amplitudes() == state.amps
+
+
+@settings(deadline=None)
+@given(states)
+def test_collapse_probabilities_match_slice_weights(state):
+    n2 = reference_norm2(state)
+    for axis, outcome in AXIS_OUTCOME_ORDER:
+        index = _SLICE_INDEX[(axis.name.lower(), outcome)]
+        weight = state.scale2 * sum((state.amps[n].abs2() for n in index), Fraction(0))
+        if weight == 0:
+            continue
+        result = collapse(state, axis, outcome)
+        assert result.prob == weight / n2
+        assert result.post_state.amps == tuple(state.amps[n] for n in index)

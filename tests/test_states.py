@@ -8,15 +8,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritangle import (
+    AXIS_OUTCOME_ORDER,
+    SLICE_INDEX,
     Axis,
     BackendMismatch,
     BipartiteState,
     GaussianRational,
+    NonFinite,
     TripartiteState,
     ZeroScale,
     state_from_json,
     state_to_json,
 )
+
+from _util import _SLICE_INDEX
 
 GHZ_AMPS = (1, 0, 0, 0, 0, 0, 0, 1)
 W_AMPS = (0, 1, 1, 0, 1, 0, 0, 0)
@@ -145,3 +150,38 @@ small_scalars = st.builds(GaussianRational, small_fracs, small_fracs)
 def test_scaling_homogeneity_exact(amps, scale2, k):
     s = TripartiteState(tuple(amps), scale2)
     assert s.scale(k).norm2() == k.abs2() * s.norm2()
+
+
+def test_slice_index_matches_the_index_definition():
+    for slot, (axis, outcome) in enumerate(AXIS_OUTCOME_ORDER):
+        assert SLICE_INDEX[slot] == _SLICE_INDEX[(axis.name.lower(), outcome)]
+
+
+@pytest.mark.parametrize(
+    "amps, scale2",
+    [
+        ((float("nan"),) + (0,) * 7, 1.0),
+        ((1,) + (0,) * 6 + (complex(0, float("inf")),), 1.0),
+        ((1,) + (0,) * 7, float("nan")),
+        ((1,) + (0,) * 7, float("inf")),
+    ],
+)
+def test_nonfinite_double_state_rejected(amps, scale2):
+    with pytest.raises(NonFinite):
+        TripartiteState.approx(amps, scale2)
+    with pytest.raises(ValueError):
+        BipartiteState.approx(amps[:3] + amps[-1:], scale2)
+
+
+def test_integer_form_clears_denominators_once():
+    s = TripartiteState.exact(
+        ((Fraction(1, 2), Fraction(-1, 3)), 0, 0, 0, 0, 0, 0, Fraction(5, 4)), scale2="7/3"
+    )
+    g, d = s.integer_form
+    assert d == 12
+    assert g == ((6, -4),) + ((0, 0),) * 6 + ((15, 0),)
+    assert s.integer_form is s.integer_form  # kept on the instance
+    assert s == TripartiteState(s.amps, s.scale2)  # not part of equality
+    assert s.norm2() == Fraction(7, 3) * (Fraction(1, 4) + Fraction(1, 9) + Fraction(25, 16))
+    with pytest.raises(BackendMismatch):
+        s.to_approx().integer_form

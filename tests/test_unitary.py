@@ -158,3 +158,16 @@ def test_backend_mismatch_rejected():
             Unitary2.identity("approx"),
             Unitary2.identity("approx"),
         )
+
+
+@pytest.mark.parametrize(
+    "rows, scale2",
+    [
+        ([[float("nan"), 0.0], [0.0, 1.0]], 1.0),
+        ([[1.0, 0.0], [0.0, complex(float("inf"), 0)]], 1.0),
+        ([[1.0, 0.0], [0.0, 1.0]], float("nan")),
+    ],
+)
+def test_nonfinite_double_unitary_rejected(rows, scale2):
+    with pytest.raises(ValueError, match="finite"):
+        Unitary2.approx(rows, scale2)
