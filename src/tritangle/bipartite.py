@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import DEFAULT_EPS, abs2
+from .scalars import DEFAULT_EPS, abs2, require_finite
 from .states import BipartiteState
 
 
@@ -36,7 +36,8 @@ def concurrence2(state: BipartiteState):
     4 * scale2^2 * |det|^2 / norm2^2.  Approx backend: a float.
     """
     n2 = state.norm2()
-    return 4 * state.scale2 * state.scale2 * abs2(det2(state)) / (n2 * n2)
+    c2 = 4 * state.scale2 * state.scale2 * abs2(det2(state)) / (n2 * n2)
+    return c2 if state.backend == "exact" else require_finite(c2, "concurrence^2")
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -54,4 +55,4 @@ def is_separable_bipartite(state: BipartiteState, eps: float = DEFAULT_EPS) -> b
     if state.backend == "exact":
         return not bool(d)
     n2 = state.norm2()
-    return abs2(d) * state.scale2 * state.scale2 / (n2 * n2) <= eps
+    return require_finite(abs2(d) * state.scale2 * state.scale2 / (n2 * n2), "|det|^2") <= eps

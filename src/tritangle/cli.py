@@ -91,7 +91,7 @@ def _load_tripartite(args) -> TripartiteState:
             state = state_from_json(raw)
         except NonFinite:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise KetSyntaxError(f"bad state JSON: {exc}", 0) from exc
     else:
         if args.expr is None:
@@ -136,11 +136,14 @@ def _unitary_from_json(text: str) -> Unitary2:
                 GaussianRational(Fraction(str(re)), Fraction(str(im)))
                 for re, im in entries
             ]
-            return Unitary2(tuple(amps), Fraction(1) / Fraction(str(root)))
-        amps = [complex(float(re), float(im)) for re, im in entries]
-        return Unitary2(tuple(amps), 1.0 / float(root))
-    except (KeyError, IndexError, TypeError, ZeroDivisionError) as exc:
+            scale2 = Fraction(1) / Fraction(str(root))
+        else:
+            amps = [complex(float(re), float(im)) for re, im in entries]
+            scale2 = 1.0 / float(root)
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
+    # Built outside the try: a matrix that is not unitary or not finite exits 3.
+    return Unitary2(tuple(amps), scale2)
 
 
 def _classification_record(state, eps):
@@ -404,6 +407,9 @@ def main(argv=None) -> int:
     except BackendMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BACKEND_ERROR
+    except NonFinite as exc:
+        print(f"error: {exc}; no text or JSON result is printed", file=sys.stderr)
+        return PRECONDITION_ERROR
     except (_ArityError, ImpossibleOutcome, NotSeparable, ZeroScale, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR

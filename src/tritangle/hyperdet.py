@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul
+from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul, require_finite
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
@@ -227,6 +227,8 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
         n4 = n2 * n2
         det_abs2 = det_abs2 / (n4 * n4)
         sub2 = tuple(v / n4 for v in sub2)
+    for v in (det_abs2,) + sub2:
+        require_finite(v, "classification entry")
     return ClassificationVector(det_abs2, sub2, computed_on_normalized=normalized)
 
 

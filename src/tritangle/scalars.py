@@ -14,7 +14,10 @@ one-way via :meth:`GaussianRational.to_complex`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import NonFinite
 
 #: Default zero threshold for squared moduli of normalized double-precision
 #: quantities.  Determinant-like values of unit-norm states carry roughly
@@ -129,8 +132,14 @@ class GaussianRational:
     # -- conversion and display -------------------------------------------
 
     def to_complex(self) -> complex:
-        """Explicit one-way conversion to the double backend."""
-        return complex(float(self.re), float(self.im))
+        """Explicit one-way conversion to the double backend.
+
+        Raises :class:`NonFinite` when a part lies beyond the double range.
+        """
+        try:
+            return complex(float(self.re), float(self.im))
+        except OverflowError as exc:
+            raise NonFinite("an exact value is beyond the double range") from exc
 
     def __repr__(self):
         return f"GaussianRational({self.re!s}, {self.im!s})"
@@ -174,6 +183,13 @@ def abs2(value):
         return value.abs2()
     z = complex(value)
     return z.real * z.real + z.imag * z.imag
+
+
+def require_finite(value, what: str):
+    """Return a double-backend result; raise NonFinite if it overflowed to inf/NaN."""
+    if not math.isfinite(value):
+        raise NonFinite(f"double-backend {what} is {value}: the values overflow the double range")
+    return value
 
 
 def gauss_mul(a: tuple, b: tuple) -> tuple:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul
+from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul, require_finite
 from .states import SLICE_INDEX, TripartiteState
 
 
@@ -136,7 +136,7 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
                     return False
         return True
     n2 = state.norm2()
-    bound = eps * n2 * n2 / (state.scale2 * state.scale2)
+    bound = require_finite(eps * n2 * n2 / (state.scale2 * state.scale2), "rank-1 bound")
     a = state.amps
     for axis in range(3):
         top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
-from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
+from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar, require_finite
 
 
 class Axis(enum.Enum):
@@ -80,37 +80,39 @@ def _check_outcome(outcome: int) -> int:
     return outcome
 
 
-def _validate(amps, scale2, n):
-    if len(amps) != n:
-        raise ValueError(f"expected {n} amplitudes, got {len(amps)}")
-    exact = is_exact_scalar(amps[0])
-    for a in amps:
+def _validate(values, scale2, n):
+    """Checks shared by states and unitaries: count, one backend, finite, scale2 > 0."""
+    if len(values) != n:
+        raise ValueError(f"expected {n} values, got {len(values)}")
+    exact = is_exact_scalar(values[0])
+    for a in values:
         if is_exact_scalar(a) != exact:
-            raise BackendMismatch("amplitudes mix exact and double backends")
-    if exact:
-        if not isinstance(scale2, Fraction):
-            raise BackendMismatch("exact states need a Fraction scale2")
-    else:
-        if isinstance(scale2, Fraction):
-            raise BackendMismatch("double states need a float scale2")
-        if not (math.isfinite(scale2) and all(map(cmath.isfinite, amps))):
-            raise NonFinite("double states need finite amplitudes and scale2")
+            raise BackendMismatch("values mix exact and double backends")
+    if exact != isinstance(scale2, Fraction):
+        raise BackendMismatch("scale2 backend must match the values")
+    if not exact and not (math.isfinite(scale2) and all(map(cmath.isfinite, values))):
+        raise NonFinite("double values and scale2 must be finite")
     if scale2 <= 0:
         raise ValueError("scale2 must be positive")
-    if not any(bool(a) if exact else a != 0 for a in amps):
-        raise ValueError("the zero vector is not a state")
-
-
-def _coerce_exact_amps(amps):
-    return tuple(as_exact(a) for a in amps)
-
-
-def _coerce_approx_amps(amps):
-    return tuple(as_approx(a) for a in amps)
 
 
 class _StateOps:
-    """Shared behaviour of the two state containers."""
+    """Shared behaviour of the two state containers, keyed by their ``N_AMPS``."""
+
+    N_AMPS: int
+
+    def __post_init__(self):
+        _validate(self.amps, self.scale2, self.N_AMPS)
+        if not any(self.amps):
+            raise ValueError("the zero vector is not a state")
+
+    @classmethod
+    def exact(cls, amps, scale2=1):
+        return cls(tuple(map(as_exact, amps)), Fraction(scale2))
+
+    @classmethod
+    def approx(cls, amps, scale2=1.0):
+        return cls(tuple(map(as_approx, amps)), float(scale2))
 
     @property
     def backend(self) -> str:
@@ -145,7 +147,7 @@ class _StateOps:
         total = abs2(self.amps[0])
         for a in self.amps[1:]:
             total = total + abs2(a)
-        return self.scale2 * total
+        return require_finite(self.scale2 * total, "norm2")
 
     def scale(self, k):
         """Multiply every amplitude by the nonzero scalar k."""
@@ -174,17 +176,7 @@ class TripartiteState(_StateOps):
 
     amps: tuple
     scale2: Fraction | float = Fraction(1)
-
-    def __post_init__(self):
-        _validate(self.amps, self.scale2, 8)
-
-    @classmethod
-    def exact(cls, amps, scale2=1) -> "TripartiteState":
-        return cls(_coerce_exact_amps(amps), Fraction(scale2))
-
-    @classmethod
-    def approx(cls, amps, scale2=1.0) -> "TripartiteState":
-        return cls(_coerce_approx_amps(amps), float(scale2))
+    N_AMPS = 8
 
     def amp(self, i: int, j: int, k: int):
         return self.amps[4 * i + 2 * j + k]
@@ -196,17 +188,7 @@ class BipartiteState(_StateOps):
 
     amps: tuple
     scale2: Fraction | float = Fraction(1)
-
-    def __post_init__(self):
-        _validate(self.amps, self.scale2, 4)
-
-    @classmethod
-    def exact(cls, amps, scale2=1) -> "BipartiteState":
-        return cls(_coerce_exact_amps(amps), Fraction(scale2))
-
-    @classmethod
-    def approx(cls, amps, scale2=1.0) -> "BipartiteState":
-        return cls(_coerce_approx_amps(amps), float(scale2))
+    N_AMPS = 4
 
     def amp(self, i: int, j: int):
         return self.amps[2 * i + j]

@@ -27,9 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BackendMismatch, NonFinite
+from .errors import BackendMismatch
 from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
-from .states import BipartiteState, TripartiteState
+from .states import BipartiteState, TripartiteState, _validate
 
 #: Maximum allowed entry of |U^dagger U - I| for double-backend matrices.
 UNITARITY_TOL = 1e-12
@@ -43,20 +43,7 @@ class Unitary2:
     scale2: Fraction | float = Fraction(1)
 
     def __post_init__(self):
-        if len(self.entries) != 4:
-            raise ValueError("a 2x2 matrix needs exactly 4 entries")
-        exact = is_exact_scalar(self.entries[0])
-        for e in self.entries:
-            if is_exact_scalar(e) != exact:
-                raise BackendMismatch("matrix entries mix backends")
-        if exact != isinstance(self.scale2, Fraction):
-            raise BackendMismatch("scale2 backend must match the entries")
-        if not exact and not (
-            math.isfinite(self.scale2) and all(map(cmath.isfinite, self.entries))
-        ):
-            raise NonFinite("double matrices need finite entries and scale2")
-        if self.scale2 <= 0:
-            raise ValueError("scale2 must be positive")
+        _validate(self.entries, self.scale2, 4)
         self._check_unitarity()
 
     def _check_unitarity(self):
@@ -104,9 +91,6 @@ class Unitary2:
             self.scale2,
         )
 
-    def entry(self, i: int, k: int):
-        return self.entries[2 * i + k]
-
     def to_approx(self) -> "Unitary2":
         """Explicit one-way conversion to the double backend."""
         if self.backend == "approx":
@@ -120,12 +104,31 @@ class Unitary2:
         return g * np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
 
 
-def _require_same_backend(state, *units):
+def _apply_local(state, units):
+    """Apply one unitary per qubit as successive per-axis (mode) products.
+
+    Along each axis in turn a_{..i..} -> a'_{..l..} = sum_i a_{..i..} u[i][l],
+    two products per amplitude.  With a_ijk = amps[4i + 2j + k] the index
+    bit of the axes is 4, 2, 1 (2, 1 for two qubits).
+    """
     for u in units:
         if u.backend != state.backend:
             raise BackendMismatch(
                 f"cannot apply a {u.backend} unitary to a {state.backend} state"
             )
+    amps = list(state.amps)
+    scale2 = state.scale2
+    bit = len(amps)
+    for u in units:
+        bit >>= 1
+        m00, m01, m10, m11 = u.entries
+        for lo in range(len(amps)):
+            if not lo & bit:
+                a0, a1 = amps[lo], amps[lo | bit]
+                amps[lo] = a0 * m00 + a1 * m10
+                amps[lo | bit] = a0 * m01 + a1 * m11
+        scale2 = scale2 * u.scale2
+    return type(state)(tuple(amps), scale2)
 
 
 def apply_local_3(
@@ -137,40 +140,12 @@ def apply_local_3(
     the result's scale2 is the product of all four scale2 values, so the
     squared norm is preserved exactly.
     """
-    _require_same_backend(state, u1, u2, u3)
-    amps = []
-    for l in range(2):
-        for m in range(2):
-            for n in range(2):
-                acc = None
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            term = (
-                                state.amp(i, j, k)
-                                * u1.entry(i, l)
-                                * u2.entry(j, m)
-                                * u3.entry(k, n)
-                            )
-                            acc = term if acc is None else acc + term
-                amps.append(acc)
-    scale2 = state.scale2 * u1.scale2 * u2.scale2 * u3.scale2
-    return TripartiteState(tuple(amps), scale2)
+    return _apply_local(state, (u1, u2, u3))
 
 
 def apply_local_2(state: BipartiteState, u1: Unitary2, u2: Unitary2) -> BipartiteState:
     """Apply u1 (x) u2 to a two-qubit state: c' = M1^T c M2 on amplitudes."""
-    _require_same_backend(state, u1, u2)
-    amps = []
-    for k in range(2):
-        for m in range(2):
-            acc = None
-            for i in range(2):
-                for j in range(2):
-                    term = state.amp(i, j) * u1.entry(i, k) * u2.entry(j, m)
-                    acc = term if acc is None else acc + term
-            amps.append(acc)
-    return BipartiteState(tuple(amps), state.scale2 * u1.scale2 * u2.scale2)
+    return _apply_local(state, (u1, u2))
 
 
 def random_unitary2(rng) -> Unitary2:

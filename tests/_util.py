@@ -1,5 +1,6 @@
 """Shared test helpers: exact state comparison and independent oracles."""
 
+import itertools
 from fractions import Fraction
 
 from tritangle import GaussianRational, TripartiteState
@@ -68,3 +69,26 @@ def brute_display(state: TripartiteState, det_abs2, eps=0):
     return tuple(
         math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries
     )
+
+
+def brute_apply_local(state, units):
+    """u1 (x) u2 [(x) u3] applied as the full sum over all input indices.
+
+    a'_lmn = sum_ijk a_ijk u1[i][l] u2[j][m] u3[k][n] (one unit per qubit,
+    two or three qubits), with amplitudes in lexicographic index order and
+    u[i][l] = entries[2i + l]; the scale2 values multiply.
+    """
+    indices = list(itertools.product((0, 1), repeat=len(units)))
+    amps = []
+    for out in indices:
+        acc = 0
+        for a, inp in zip(state.amps, indices):
+            term = a
+            for u, i, l in zip(units, inp, out):
+                term = term * u.entries[2 * i + l]
+            acc = acc + term
+        amps.append(acc)
+    scale2 = state.scale2
+    for u in units:
+        scale2 = scale2 * u.scale2
+    return type(state)(tuple(amps), scale2)

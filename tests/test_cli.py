@@ -256,6 +256,60 @@ def test_json_output_never_carries_nan(capsys):
     assert code == 3 and out == "" and "JSON" in err
 
 
+def _big(digits):
+    return "1" + "0" * digits
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # An exact amplitude beyond the double range.
+        ["classify", f"{_big(400)}|000> + |111>"],
+        # Finite amplitudes whose norm2 overflows.
+        ["classify", f"{_big(160)}|000> + |111>"],
+        ["check-sep", f"{_big(160)}|000> + |111>"],
+        ["measure", f"{_big(160)}|000> + |111>", "--qubit", "1", "--outcome", "0"],
+        # A finite norm2 (2e154) whose degree-4 |Det|^2 overflows.
+        ["classify", f"{_big(77)}|000> + {_big(77)}|111>"],
+        ["check-sep", f"{_big(77)}|000> + {_big(77)}|111>"],
+        ["factor", f"{_big(77)}|000> + {_big(77)}|111>"],
+        # A finite post-measurement norm whose |det|^2 overflows.
+        ["measure", f"{_big(80)}|000> + {_big(80)}|011>", "--qubit", "1", "--outcome", "0"],
+    ],
+    ids=["classify-1e400", "classify-1e160", "check-sep-1e160", "measure-1e160",
+         "classify-1e77", "check-sep-1e77", "factor-1e77", "measure-1e80"],
+)
+def test_double_overflow_exit3(argv, json_mode, capsys):
+    argv = argv + ["--float"] + (["--json"] if json_mode else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == "" and "double range" in err
+
+
+@pytest.mark.parametrize(
+    "u1",
+    [
+        '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": "x"}',
+        '{"matrix": "ab"}',
+        '{"matrix": [[1.0, 0], [0, 1%s]]}' % ("0" * 400),  # no such double
+    ],
+    ids=["scale", "matrix", "huge-int"],
+)
+def test_malformed_unitary_number_exit2(u1, capsys):
+    code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
+    assert code == 2 and out == "" and "bad unitary JSON" in err
+
+
+@pytest.mark.parametrize(
+    "amp, backend", [(10**400, "approx"), ("1/0", "exact")], ids=["huge-int", "zero-den"]
+)
+def test_state_json_bad_number_exit2(tmp_path, capsys, amp, backend):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amps": [[amp, 0]] + [[0, 0]] * 7, "backend": backend}))
+    code, out, err = run(capsys, ["classify", "--json-state", str(path)])
+    assert code == 2 and out == "" and "bad state JSON" in err
+
+
 def test_check_sep_text_extracts_once(monkeypatch, capsys):
     import tritangle.cli as cli
 

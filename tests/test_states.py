@@ -17,6 +17,10 @@ from tritangle import (
     NonFinite,
     TripartiteState,
     ZeroScale,
+    classify,
+    collapse,
+    concurrence2,
+    rank1_oracle,
     state_from_json,
     state_to_json,
 )
@@ -185,3 +189,21 @@ def test_integer_form_clears_denominators_once():
     assert s.norm2() == Fraction(7, 3) * (Fraction(1, 4) + Fraction(1, 9) + Fraction(25, 16))
     with pytest.raises(BackendMismatch):
         s.to_approx().integer_form
+
+
+def test_double_overflow_raises_nonfinite():
+    with pytest.raises(NonFinite):
+        TripartiteState.exact((10**400,) + (0,) * 6 + (1,)).to_approx()
+    with pytest.raises(NonFinite):  # norm2 = 1e320
+        TripartiteState.approx((1e160,) + (0,) * 6 + (1,)).norm2()
+    ghz = TripartiteState.approx((1e77,) + (0,) * 6 + (1e77,))
+    assert ghz.norm2() == pytest.approx(2e154)
+    with pytest.raises(NonFinite):  # |Det|^2 and norm2^4 overflow to NaN
+        classify(ghz)
+    assert rank1_oracle(ghz) is False  # its minors stay finite
+    with pytest.raises(NonFinite):  # eps * norm2^2 overflows
+        rank1_oracle(TripartiteState.approx((1e150,) + (0,) * 6 + (1e150,)))
+    bell = BipartiteState.approx((1e80, 0, 0, 1e80))
+    with pytest.raises(NonFinite):
+        concurrence2(bell)
+    assert collapse(ghz, Axis.X, 0).prob == pytest.approx(0.5)

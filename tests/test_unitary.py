@@ -5,11 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritangle import (
     BackendMismatch,
     BipartiteState,
     GaussianRational,
+    TripartiteState,
     Unitary2,
     apply_local_2,
     apply_local_3,
@@ -22,9 +25,13 @@ from tritangle import (
     random_unitary2,
 )
 from tritangle.catalog import ghz_state, ghz_to_psi_unitary, psi_state
-from tritangle.randstates import random_approx_tripartite, random_product_state
+from tritangle.randstates import (
+    random_approx_bipartite,
+    random_approx_tripartite,
+    random_product_state,
+)
 from tritangle.scalars import abs2
-from _util import same_physical_state
+from _util import brute_apply_local, same_physical_state
 
 
 def test_unitary_validation_exact():
@@ -79,6 +86,44 @@ def test_composition_with_dagger_approx():
         us = [random_unitary2(rng) for _ in range(3)]
         back = apply_local_3(apply_local_3(s, *us), *(u.dagger() for u in us))
         assert max(abs(a - b) for a, b in zip(back.amps, s.amps)) <= 1e-12
+
+
+def _apply(state, units):
+    return (apply_local_3 if len(units) == 3 else apply_local_2)(state, *units)
+
+
+fracs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+exact_scalars = st.builds(GaussianRational, fracs, fracs)
+
+
+@st.composite
+def exact_states_and_units(draw):
+    """A 2- or 3-qubit exact state and one rational unitary per qubit."""
+    n = draw(st.sampled_from((2, 3)))
+    cls = TripartiteState if n == 3 else BipartiteState
+    amps = draw(st.lists(exact_scalars, min_size=2**n, max_size=2**n).filter(any))
+    scale2 = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return cls(tuple(amps), scale2), tuple(random_rational_unitary2(rng) for _ in range(n))
+
+
+@settings(deadline=None)
+@given(exact_states_and_units())
+def test_local_unitary_equals_full_sum_exact(case):
+    state, units = case
+    assert _apply(state, units) == brute_apply_local(state, units)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((2, 3)), st.integers(0, 2**32))
+def test_local_unitary_matches_full_sum_haar(n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_approx_tripartite(rng) if n == 3 else random_approx_bipartite(rng)
+    units = tuple(random_unitary2(rng) for _ in range(n))
+    out, ref = _apply(state, units), brute_apply_local(state, units)
+    assert type(out) is type(ref) and out.scale2 == ref.scale2
+    scale = max(abs(b) for b in ref.amps)
+    assert max(abs(a - b) for a, b in zip(out.amps, ref.amps)) <= 1e-12 * scale
 
 
 def test_apply_local_2_identity_and_rotation():
