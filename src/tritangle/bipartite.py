@@ -13,8 +13,9 @@ backend.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, abs2, require_finite
+from .scalars import DEFAULT_EPS, abs2, gauss_det2, require_finite
 from .states import BipartiteState
 
 
@@ -33,11 +34,17 @@ def concurrence2(state: BipartiteState):
     """Squared concurrence of the normalized state.
 
     Exact backend: a nonnegative Fraction, computed without square roots as
-    4 * scale2^2 * |det|^2 / norm2^2.  Approx backend: a float.
+    4 * scale2^2 * |det|^2 / norm2^2.  On the integer form (g, d) scale2 and
+    d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.  Approx backend: a float.
     """
+    if state.backend == "exact":
+        g = state.integer_form[0]
+        re, im = gauss_det2(*g)
+        total = sum(r * r + i * i for r, i in g)
+        return Fraction(4 * (re * re + im * im), total * total)
     n2 = state.norm2()
     c2 = 4 * state.scale2 * state.scale2 * abs2(det2(state)) / (n2 * n2)
-    return c2 if state.backend == "exact" else require_finite(c2, "concurrence^2")
+    return require_finite(c2, "concurrence^2")
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -51,8 +58,8 @@ def is_separable_bipartite(state: BipartiteState, eps: float = DEFAULT_EPS) -> b
     Exact backend: det is compared with zero exactly.  Approx backend: the
     normalized squared determinant must not exceed eps.
     """
-    d = det2(state)
     if state.backend == "exact":
-        return not bool(d)
+        return gauss_det2(*state.integer_form[0]) == (0, 0)
+    d = det2(state)
     n2 = state.norm2()
     return require_finite(abs2(d) * state.scale2 * state.scale2 / (n2 * n2), "|det|^2") <= eps

@@ -115,22 +115,30 @@ def _unitary_from_json(text: str) -> Unitary2:
     try:
         matrix = obj["matrix"]
         root = obj.get("sqrt_scale2", 1)
+        if not (
+            isinstance(matrix, list)
+            and len(matrix) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in matrix)
+        ):
+            raise ValueError("the matrix must be two rows of two cells each")
         entries = []
         exact = not isinstance(root, float)
         for row in matrix:
             for cell in row:
                 if isinstance(cell, str):
                     parts = cell.split(",")
+                    if len(parts) > 2:
+                        raise ValueError(f"cell {cell!r} has more than one comma")
                     re_raw, im_raw = parts[0], parts[1] if len(parts) > 1 else "0"
                     entries.append((parse_rational(re_raw), parse_rational(im_raw)))
-                elif isinstance(cell, (list, tuple)):
+                elif isinstance(cell, list):
+                    if len(cell) != 2:
+                        raise ValueError(f"cell {cell!r} is not one [re, im] pair")
                     entries.append((cell[0], cell[1]))
                     exact = exact and not any(isinstance(v, float) for v in cell)
                 else:
                     entries.append((cell, 0))
                     exact = exact and not isinstance(cell, float)
-        if len(entries) != 4:
-            raise KetSyntaxError("unitary matrix must be 2x2", 0)
         if exact:
             amps = [
                 GaussianRational(Fraction(str(re)), Fraction(str(im)))

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul, require_finite
+from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul, require_finite
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
@@ -79,8 +79,7 @@ def _sub_abs2_g(g) -> tuple:
     """|c00 c11 - c01 c10|^2 of the six integer slices, as ints."""
     out = []
     for i00, i01, i10, i11 in SLICE_INDEX:
-        (ar, ai), (br, bi) = gauss_mul(g[i00], g[i11]), gauss_mul(g[i01], g[i10])
-        re, im = ar - br, ai - bi
+        re, im = gauss_det2(g[i00], g[i01], g[i10], g[i11])
         out.append(re * re + im * im)
     return tuple(out)
 

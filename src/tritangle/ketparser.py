@@ -185,17 +185,17 @@ class _Parser:
 
     def parse_rest_of_sum(self, terms):
         while self.peek() in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
+            negate = self.advance()[0] == "-"
             coeff, radical, bits, off = self.parse_term()
-            terms.append((coeff * sign, radical, bits, off))
+            terms.append((-coeff if negate else coeff, radical, bits, off))
         return terms
 
     def parse_sum(self):
-        sign = 1
+        negate = False
         if self.peek() in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
+            negate = self.advance()[0] == "-"
         coeff, radical, bits, off = self.parse_term()
-        return self.parse_rest_of_sum([(coeff * sign, radical, bits, off)])
+        return self.parse_rest_of_sum([(-coeff if negate else coeff, radical, bits, off)])
 
     def parse_expr(self):
         """Top level: a parenthesized group with optional prefactor and
@@ -217,7 +217,7 @@ class _Parser:
                 self.advance()
                 divisor = self.parse_sqrt_arg()
             terms = [
-                (c * group_coeff, r * group_radical * divisor, bits, off)
+                (c * group_coeff if had_coeff else c, r * group_radical * divisor, bits, off)
                 for c, r, bits, off in terms
             ]
         elif had_coeff:
@@ -244,7 +244,7 @@ def _fold_radicals(raw_terms):
                 "term prefactors cannot be written over one common "
                 f"square-root divisor (needed sqrt({ratio}) to be an integer)"
             )
-        folded.append((coeff * root, bits, off))
+        folded.append((coeff * root if root != 1 else coeff, bits, off))
     return folded, divisor
 
 
@@ -266,7 +266,7 @@ def parse(text: str) -> KetExpr:
     folded, divisor = _fold_radicals(raw_terms)
     merged: dict = {}
     for coeff, bits, _ in folded:
-        merged[bits] = merged.get(bits, GaussianRational(0)) + coeff
+        merged[bits] = merged[bits] + coeff if bits in merged else coeff
     terms = tuple((c, bits) for bits, c in merged.items() if c)
     if not terms:
         raise EmptyState("all coefficients cancel to zero")
@@ -278,7 +278,8 @@ def to_state(expr: KetExpr):
     n = expr.arity
     amps = [GaussianRational(0)] * (1 << n)
     for coeff, bits in expr.terms:
-        amps[int(bits, 2)] = amps[int(bits, 2)] + coeff
+        idx = int(bits, 2)
+        amps[idx] = amps[idx] + coeff if amps[idx] else coeff
     if not any(bool(a) for a in amps):
         raise EmptyState("all coefficients cancel to zero")
     cls = TripartiteState if n == 3 else BipartiteState
@@ -331,7 +332,7 @@ def state_to_ket(state) -> str:
     else:
         mult, divisor = num, den * num
     terms = tuple(
-        (a * mult, format(idx, f"0{n}b"))
+        (a * mult if mult != 1 else a, format(idx, f"0{n}b"))
         for idx, a in enumerate(state.amps)
         if bool(a)
     )

@@ -38,8 +38,9 @@ class GaussianRational:
                 f"exact scalar parts must be int or Fraction, got "
                 f"({type(re).__name__}, {type(im).__name__})"
             )
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # A part that is already a Fraction is kept, not re-wrapped.
+        object.__setattr__(self, "re", re if isinstance(re, Fraction) else Fraction(re))
+        object.__setattr__(self, "im", im if isinstance(im, Fraction) else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -74,6 +75,9 @@ class GaussianRational:
         return GaussianRational(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
+        if isinstance(other, _EXACT_INPUTS):
+            # A real factor scales both parts: two products, no sums.
+            return GaussianRational(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -197,6 +201,28 @@ def gauss_mul(a: tuple, b: tuple) -> tuple:
     ar, ai = a
     br, bi = b
     return ar * br - ai * bi, ar * bi + ai * br
+
+
+def gauss_det2(c00: tuple, c01: tuple, c10: tuple, c11: tuple) -> tuple:
+    """Determinant c00 c11 - c01 c10 of a 2x2 matrix of Gaussian integers."""
+    ar, ai = gauss_mul(c00, c11)
+    br, bi = gauss_mul(c01, c10)
+    return ar - br, ai - bi
+
+
+def integer_parts(values) -> tuple:
+    """Gaussian rationals as Gaussian integers over one common denominator.
+
+    Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per value
+    and ``d`` is the least common denominator of all their parts, so that
+    value_n = (g_n[0] + i g_n[1]) / d.
+    """
+    d = math.lcm(*(p.denominator for v in values for p in (v.re, v.im)))
+    g = tuple(
+        (v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
+        for v in values
+    )
+    return g, d
 
 
 def parse_rational(text: str) -> Fraction:

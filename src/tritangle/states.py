@@ -9,9 +9,11 @@ homogeneous, so this rational bookkeeping suffices for exact zero tests.
 
 For the same reason an exact state's amplitudes can be brought to one
 common denominator d once, as Gaussian integers g_n with a_n = g_n / d
-(:attr:`_StateOps.integer_form`).  The exact kernels in ``hyperdet`` and
-``separability`` decide on these Python ints and build rationals only for
-what they return.
+(:attr:`_StateOps.integer_form`).  The exact paths of ``hyperdet``
+(classification), ``separability`` (decision, rank-1 oracle, rebuild
+check), ``unitary`` (local unitaries), ``bipartite`` (concurrence and
+product test), ``measurement`` (collapse probability) and the norm here
+run on these Python ints and build rationals only for what they return.
 
 States are immutable; all operations return new values.
 """
@@ -26,7 +28,15 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
-from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar, require_finite
+from .scalars import (
+    GaussianRational,
+    abs2,
+    as_approx,
+    as_exact,
+    integer_parts,
+    is_exact_scalar,
+    require_finite,
+)
 
 
 class Axis(enum.Enum):
@@ -129,13 +139,7 @@ class _StateOps:
         """
         if self.backend != "exact":
             raise BackendMismatch("only exact states have an integer form")
-        parts = [(a.re, a.im) for a in self.amps]
-        d = math.lcm(*(p.denominator for pair in parts for p in pair))
-        g = tuple(
-            (re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
-            for re, im in parts
-        )
-        return g, d
+        return integer_parts(self.amps)
 
     def norm2(self):
         """Squared norm, scale2 * sum of squared amplitude moduli."""
@@ -216,6 +220,8 @@ def state_from_json(obj: dict):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")
     cls = TripartiteState if len(amps_raw) == 8 else BipartiteState
     backend = obj.get("backend", "exact")
+    if backend not in ("exact", "approx"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
     if backend == "exact":
         amps = tuple(
             GaussianRational(Fraction(str(re)), Fraction(str(im)))

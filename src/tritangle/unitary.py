@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BackendMismatch
-from .scalars import GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
+from .scalars import GaussianRational, abs2, as_approx, as_exact, integer_parts, is_exact_scalar
 from .states import BipartiteState, TripartiteState, _validate
 
 #: Maximum allowed entry of |U^dagger U - I| for double-backend matrices.
@@ -104,29 +104,59 @@ class Unitary2:
         return g * np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
 
 
+def _combine_complex(a0, a1, m):
+    """One amplitude pair along an axis: (a0 m00 + a1 m10, a0 m01 + a1 m11)."""
+    m00, m01, m10, m11 = m
+    return a0 * m00 + a1 * m10, a0 * m01 + a1 * m11
+
+
+def _combine_gauss(a0, a1, m):
+    """:func:`_combine_complex` on Gaussian integers given as (re, im) pairs."""
+    (r0, i0), (r1, i1) = a0, a1
+    (r00, i00), (r01, i01), (r10, i10), (r11, i11) = m
+    return (
+        (r0 * r00 - i0 * i00 + r1 * r10 - i1 * i10, r0 * i00 + i0 * r00 + r1 * i10 + i1 * r10),
+        (r0 * r01 - i0 * i01 + r1 * r11 - i1 * i11, r0 * i01 + i0 * r01 + r1 * i11 + i1 * r11),
+    )
+
+
 def _apply_local(state, units):
     """Apply one unitary per qubit as successive per-axis (mode) products.
 
     Along each axis in turn a_{..i..} -> a'_{..l..} = sum_i a_{..i..} u[i][l],
     two products per amplitude.  With a_ijk = amps[4i + 2j + k] the index
-    bit of the axes is 4, 2, 1 (2, 1 for two qubits).
+    bit of the axes is 4, 2, 1 (2, 1 for two qubits).  Exact states run the
+    products on their integer form and each unitary's entries as Gaussian
+    integers over their own common denominator d_u; the output amplitudes
+    are built once, over d * prod(d_u).
     """
     for u in units:
         if u.backend != state.backend:
             raise BackendMismatch(
                 f"cannot apply a {u.backend} unitary to a {state.backend} state"
             )
-    amps = list(state.amps)
-    scale2 = state.scale2
+    exact = state.backend == "exact"
+    if exact:
+        amps, d = state.integer_form
+        mats = []
+        for u in units:
+            m, d_u = integer_parts(u.entries)
+            mats.append(m)
+            d *= d_u
+        combine = _combine_gauss
+    else:
+        amps, mats, combine = state.amps, [u.entries for u in units], _combine_complex
+    amps = list(amps)
     bit = len(amps)
-    for u in units:
+    for m in mats:
         bit >>= 1
-        m00, m01, m10, m11 = u.entries
         for lo in range(len(amps)):
             if not lo & bit:
-                a0, a1 = amps[lo], amps[lo | bit]
-                amps[lo] = a0 * m00 + a1 * m10
-                amps[lo | bit] = a0 * m01 + a1 * m11
+                amps[lo], amps[lo | bit] = combine(amps[lo], amps[lo | bit], m)
+    if exact:
+        amps = [GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im in amps]
+    scale2 = state.scale2
+    for u in units:
         scale2 = scale2 * u.scale2
     return type(state)(tuple(amps), scale2)
 

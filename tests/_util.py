@@ -3,7 +3,19 @@
 import itertools
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from tritangle import GaussianRational, TripartiteState
+
+BIG = 10**6
+big_fracs = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+#: Zero, real, imaginary or fully complex, with denominators up to 10^6.
+wide_scalars = st.one_of(
+    st.just(GaussianRational(0)),
+    st.builds(GaussianRational, big_fracs),
+    st.builds(lambda im: GaussianRational(0, im), big_fracs),
+    st.builds(GaussianRational, big_fracs, big_fracs),
+)
 
 
 def same_physical_state(s1, s2) -> bool:

@@ -324,3 +324,28 @@ def test_check_sep_text_extracts_once(monkeypatch, capsys):
     assert code == 0 and len(calls) == 1
     assert "factors       : x=('3', '6') y=('1', '-1/3') z=('1', '1')" in out
     assert "oracle agrees : yes" in out
+
+
+@pytest.mark.parametrize(
+    "u1",
+    [
+        "[[1,0,0,1]]",
+        "[[0],[1,1,0]]",
+        '{"matrix": "0110"}',
+        '[["1,0,5"],[0],[0],[1]]',
+        '[["1,0,5", 0], [0, 1]]',
+        "[[[1,0,7], 0], [0, 1]]",
+        "[[1, 0], [0, 1], [0, 0]]",
+    ],
+    ids=["one-row", "ragged", "string-matrix", "comma-rows", "two-commas", "long-pair", "three-rows"],
+)
+def test_unitary_must_be_two_rows_of_two_cells_exit2(u1, capsys):
+    code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
+    assert code == 2 and out == "" and "bad unitary JSON" in err
+
+
+def test_state_json_unknown_backend_exit2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amps": [[1, 0]] + [[0, 0]] * 7, "backend": "Exact"}))
+    code, out, err = run(capsys, ["classify", "--json-state", str(path)])
+    assert code == 2 and out == "" and "unknown backend" in err

@@ -1,11 +1,12 @@
 """The exact integer kernel against independent references.
 
-Exact states are classified on their integer form (Gaussian-integer
-numerators over one common denominator).  These properties compare every
-exact path that runs on it with a reference that does not: the z-pencil
-discriminant ``cayley_det_schlafli``, the raw-index sub-determinants of
-``_util.brute_subdet2``, Gaussian-rational flattening minors, and the
-``Factorization.amplitudes()`` rebuild.  Inputs have large coprime
+Exact states are classified, collapsed and measured for concurrence on
+their integer form (Gaussian-integer numerators over one common
+denominator).  These properties compare every exact path that runs on it
+with a reference that does not: the z-pencil discriminant
+``cayley_det_schlafli``, the raw-index sub-determinants of
+``_util.brute_subdet2``, Gaussian-rational flattening minors and 2x2
+determinants, and the ``Factorization.amplitudes()`` rebuild.  Inputs have large coprime
 denominators, mixed real and imaginary parts, sparse supports and
 ``scale2 != 1``.
 """
@@ -13,20 +14,25 @@ denominators, mixed real and imaginary parts, sparse supports and
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
     AXIS_OUTCOME_ORDER,
+    BipartiteState,
     GaussianRational,
+    ImpossibleOutcome,
     NotSeparable,
     TripartiteState,
     cayley_det,
     cayley_det_schlafli,
     classify,
     collapse,
+    concurrence2,
+    det2,
     extract_factors,
     is_separable,
+    is_separable_bipartite,
     rank1_oracle,
     sub_concurrences2,
 )
@@ -153,3 +159,41 @@ def test_collapse_probabilities_match_slice_weights(state):
         result = collapse(state, axis, outcome)
         assert result.prob == weight / n2
         assert result.post_state.amps == tuple(state.amps[n] for n in index)
+
+
+@settings(deadline=None)
+@given(states.filter(lambda s: s.scale2 != 1))
+def test_collapse_concurrence_matches_sub_determinants(state):
+    """C^2 of each residual pair is 4 |sub-det|^2 / prob^2 (unit-norm terms)."""
+    for axis, outcome in AXIS_OUTCOME_ORDER:
+        index = _SLICE_INDEX[(axis.name.lower(), outcome)]
+        if not any(state.amps[n] for n in index):
+            with pytest.raises(ImpossibleOutcome):
+                collapse(state, axis, outcome)
+            continue
+        result = collapse(state, axis, outcome)
+        assert result.concurrence2 * result.prob**2 == 4 * brute_subdet2(
+            state, axis.name.lower(), outcome
+        )
+
+
+@st.composite
+def pair_states(draw):
+    """Four drawn amplitudes, or the product of two drawn one-qubit factors."""
+    if draw(st.booleans()):
+        amps = draw(st.lists(scalars, min_size=4, max_size=4))
+    else:
+        (x0, x1), (y0, y1) = draw(st.tuples(scalars, scalars)), draw(st.tuples(scalars, scalars))
+        amps = [x0 * y0, x0 * y1, x1 * y0, x1 * y1]
+    assume(any(amps))
+    return BipartiteState(tuple(amps), draw(scale2s))
+
+
+@settings(deadline=None)
+@given(pair_states())
+def test_pair_concurrence_matches_gaussian_rational_formula(state):
+    """4 scale2^2 |det|^2 / norm2^2 in GaussianRational arithmetic."""
+    det = det2(state)
+    n2 = reference_norm2(state)
+    assert concurrence2(state) == 4 * state.scale2**2 * det.abs2() / n2**2
+    assert is_separable_bipartite(state) == (not det)

@@ -1,10 +1,11 @@
 """Ket-expression parsing: grammar coverage, errors, round trips, fuzz."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
@@ -22,6 +23,7 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
+from _util import BIG, same_physical_state, wide_scalars
 
 
 def gr(re, im=0):
@@ -181,6 +183,22 @@ def test_state_to_ket_non_square_scale2():
     s = TripartiteState.exact((1, 0, 0, -2, 0, 0, 0, 5), scale2=Fraction(2, 3))
     text = state_to_ket(s)
     assert same_physical_state(parse_state(text), s)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((TripartiteState, BipartiteState)),
+    st.data(),
+    st.builds(Fraction, st.integers(2, BIG), st.integers(1, BIG)),
+)
+def test_state_to_ket_round_trip_non_square_scale2(cls, data, scale2):
+    """sqrt(num) of scale2 = num/den is not rational, so it is folded as a
+    multiplier num over the divisor num * den."""
+    assume(math.isqrt(scale2.numerator) ** 2 != scale2.numerator)
+    n = cls.N_AMPS
+    amps = data.draw(st.lists(wide_scalars, min_size=n, max_size=n).filter(any))
+    state = cls(tuple(amps), scale2)
+    assert same_physical_state(parse_state(state_to_ket(state)), state)
 
 
 def test_fuzz_random_bytes_never_crash():

@@ -45,6 +45,18 @@ def test_ring_identities(a, b, c):
     assert abs2(a * b) == abs2(a) * abs2(b)
 
 
+@given(scalars, st.one_of(st.integers(-10**6, 10**6), fracs))
+def test_real_factor_scales_both_parts(a, k):
+    assert a * k == k * a == a * GaussianRational(k)
+    assert type((a * k).re) is Fraction and type((a * k).im) is Fraction
+
+
+def test_fraction_parts_are_kept():
+    half = Fraction(1, 2)
+    z = GaussianRational(half, 3)
+    assert z.re is half and z.im == Fraction(3) and type(z.im) is Fraction
+
+
 @given(scalars, nonzero_scalars)
 def test_division_roundtrip(a, b):
     assert (a / b) * b == a

@@ -142,6 +142,13 @@ def test_json_round_trip_bipartite_exact():
     assert state_from_json(state_to_json(s)) == s
 
 
+@pytest.mark.parametrize("backend", ["Exact", "float", "", None])
+def test_json_unknown_backend_rejected(backend):
+    obj = {"amps": [[1, 0], [0, 0], [0, 0], [1, 0]], "backend": backend}
+    with pytest.raises(ValueError, match="unknown backend"):
+        state_from_json(obj)
+
+
 small_fracs = st.fractions(max_denominator=12)
 small_scalars = st.builds(GaussianRational, small_fracs, small_fracs)
 

@@ -31,7 +31,7 @@ from tritangle.randstates import (
     random_product_state,
 )
 from tritangle.scalars import abs2
-from _util import brute_apply_local, same_physical_state
+from _util import BIG, brute_apply_local, same_physical_state, wide_scalars
 
 
 def test_unitary_validation_exact():
@@ -97,14 +97,31 @@ exact_scalars = st.builds(GaussianRational, fracs, fracs)
 
 
 @st.composite
+def wide_rational_unitaries(draw):
+    """[[a, b], [-conj(b), conj(a)]] with scale2 = 1 / (|a|^2 + |b|^2)."""
+    a, b = draw(st.tuples(wide_scalars, wide_scalars).filter(any))
+    return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], 1 / (a.abs2() + b.abs2()))
+
+
+@st.composite
 def exact_states_and_units(draw):
-    """A 2- or 3-qubit exact state and one rational unitary per qubit."""
+    """A 2- or 3-qubit exact state and one rational unitary per qubit.
+
+    Each unitary is either a small one from ``random_rational_unitary2`` or
+    one drawn by :func:`wide_rational_unitaries`.
+    """
     n = draw(st.sampled_from((2, 3)))
     cls = TripartiteState if n == 3 else BipartiteState
-    amps = draw(st.lists(exact_scalars, min_size=2**n, max_size=2**n).filter(any))
-    scale2 = draw(st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+    amps = draw(
+        st.lists(st.one_of(exact_scalars, wide_scalars), min_size=2**n, max_size=2**n).filter(any)
+    )
+    scale2 = draw(st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    return cls(tuple(amps), scale2), tuple(random_rational_unitary2(rng) for _ in range(n))
+    units = tuple(
+        draw(wide_rational_unitaries()) if draw(st.booleans()) else random_rational_unitary2(rng)
+        for _ in range(n)
+    )
+    return cls(tuple(amps), scale2), units
 
 
 @settings(deadline=None)
