@@ -30,6 +30,16 @@ def det2(state: BipartiteState):
     return c00 * c11 - c01 * c10
 
 
+def gauss_concurrence2(g: tuple, total: int) -> Fraction:
+    """Squared concurrence 4 |det g|^2 / total^2 of a pair of Gaussian integers.
+
+    ``g`` holds the four amplitudes c00, c01, c10, c11 as ``(re, im)`` int
+    pairs over any common denominator, and ``total`` is sum |g_n|^2 (nonzero).
+    """
+    re, im = gauss_det2(*g)
+    return Fraction(4 * (re * re + im * im), total * total)
+
+
 def concurrence2(state: BipartiteState):
     """Squared concurrence of the normalized state.
 
@@ -39,9 +49,7 @@ def concurrence2(state: BipartiteState):
     """
     if state.backend == "exact":
         g = state.integer_form[0]
-        re, im = gauss_det2(*g)
-        total = sum(r * r + i * i for r, i in g)
-        return Fraction(4 * (re * re + im * im), total * total)
+        return gauss_concurrence2(g, sum(re * re + im * im for re, im in g))
     n2 = state.norm2()
     c2 = 4 * state.scale2 * state.scale2 * abs2(det2(state)) / (n2 * n2)
     return require_finite(c2, "concurrence^2")

@@ -144,10 +144,12 @@ def _unitary_from_json(text: str) -> Unitary2:
                 GaussianRational(Fraction(str(re)), Fraction(str(im)))
                 for re, im in entries
             ]
-            scale2 = Fraction(1) / Fraction(str(root))
         else:
             amps = [complex(float(re), float(im)) for re, im in entries]
-            scale2 = 1.0 / float(root)
+        try:
+            scale2 = 1 / (Fraction(str(root)) if exact else float(root))
+        except ZeroDivisionError:
+            raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
     # Built outside the try: a matrix that is not unitary or not finite exits 3.

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipartite import concurrence2
+from .bipartite import concurrence2, gauss_concurrence2
 from .errors import ImpossibleOutcome
 from .scalars import DEFAULT_EPS, abs2
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
@@ -49,10 +49,13 @@ def collapse(
     """
     _check_outcome(outcome)
     index = SLICE_INDEX[2 * axis.value + outcome]
-    if state.backend == "exact":
-        # scale2 / d^2 cancels from the probability on the integer form.
+    exact = state.backend == "exact"
+    if exact:
+        # scale2 / d^2 cancels from the probability and the concurrence on
+        # the integer form; the slice's weight is the residual's sum |g_n|^2.
         g = state.integer_form[0]
-        weight = sum(g[n][0] * g[n][0] + g[n][1] * g[n][1] for n in index)
+        pair = tuple(g[n] for n in index)
+        weight = sum(re * re + im * im for re, im in pair)
         impossible = weight == 0
         prob = Fraction(weight, sum(re * re + im * im for re, im in g))
     else:
@@ -65,4 +68,5 @@ def collapse(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
     post = BipartiteState(tuple(state.amps[n] for n in index), state.scale2)
-    return CollapseResult(prob, post, concurrence2(post))
+    c2 = gauss_concurrence2(pair, weight) if exact else concurrence2(post)
+    return CollapseResult(prob, post, c2)

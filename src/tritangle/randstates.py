@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .scalars import GaussianRational
 from .states import BipartiteState, TripartiteState
 from .unitary import apply_local_3, random_rational_unitary2
+
+if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
+    import numpy as np
 
 POOL_WEIGHTS = (
     ("product", 0.30),
@@ -144,12 +146,16 @@ def mixed_pool(seed: int, count: int):
 
 def random_approx_tripartite(rng: np.random.Generator) -> TripartiteState:
     """Unit-norm double-backend state with Gaussian amplitudes."""
+    import numpy as np
+
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v = v / np.linalg.norm(v)
     return TripartiteState.approx(tuple(complex(z) for z in v))
 
 
 def random_approx_bipartite(rng: np.random.Generator) -> BipartiteState:
+    import numpy as np
+
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = v / np.linalg.norm(v)
     return BipartiteState.approx(tuple(complex(z) for z in v))

@@ -12,8 +12,9 @@ common denominator d once, as Gaussian integers g_n with a_n = g_n / d
 (:attr:`_StateOps.integer_form`).  The exact paths of ``hyperdet``
 (classification), ``separability`` (decision, rank-1 oracle, rebuild
 check), ``unitary`` (local unitaries), ``bipartite`` (concurrence and
-product test), ``measurement`` (collapse probability) and the norm here
-run on these Python ints and build rationals only for what they return.
+product test), ``measurement`` (collapse probability and residual
+concurrence) and the norm here run on these Python ints and build
+rationals only for what they return.
 
 States are immutable; all operations return new values.
 """

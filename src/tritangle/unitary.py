@@ -24,12 +24,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
 from .scalars import GaussianRational, abs2, as_approx, as_exact, integer_parts, is_exact_scalar
 from .states import BipartiteState, TripartiteState, _validate
+
+if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
+    import numpy as np
 
 #: Maximum allowed entry of |U^dagger U - I| for double-backend matrices.
 UNITARITY_TOL = 1e-12
@@ -99,6 +101,8 @@ class Unitary2:
 
     def to_matrix(self) -> np.ndarray:
         """Physical operator g*M as a dense complex array."""
+        import numpy as np
+
         g = math.sqrt(float(self.scale2))
         m = [as_approx(e) for e in self.entries]
         return g * np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
@@ -187,6 +191,8 @@ def random_unitary2(rng) -> Unitary2:
     with phi, a, b uniform on [0, 2pi) and t = arcsin(sqrt(u)), u uniform
     on [0, 1), which gives the Haar measure on U(2) up to global phase.
     """
+    import numpy as np
+
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     alpha, beta, phi = rng.uniform(0.0, 2.0 * math.pi, size=3)

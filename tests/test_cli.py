@@ -349,3 +349,18 @@ def test_state_json_unknown_backend_exit2(tmp_path, capsys):
     path.write_text(json.dumps({"amps": [[1, 0]] + [[0, 0]] * 7, "backend": "Exact"}))
     code, out, err = run(capsys, ["classify", "--json-state", str(path)])
     assert code == 2 and out == "" and "unknown backend" in err
+
+
+@pytest.mark.parametrize("root", ["0", '"0"', '"1/0"', "0.0", "-0.0"])
+def test_zero_sqrt_scale2_names_the_field_exit2(root, capsys):
+    u1 = '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": %s}' % root
+    code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
+    assert code == 2 and out == ""
+    assert "sqrt_scale2 must be nonzero" in err
+
+
+@pytest.mark.parametrize("root", ["-2", '"-2"', '"-1/2"', "-2.0"])
+def test_negative_sqrt_scale2_exit3(root, capsys):
+    u1 = '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": %s}' % root
+    code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
+    assert code == 3 and out == "" and "scale2 must be positive" in err

@@ -4,6 +4,9 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from tritangle import (
     Axis,
     GaussianRational,
@@ -19,6 +22,8 @@ from tritangle import (
 from tritangle.catalog import ghz_state, ghz_to_psi_unitary, psi_state, w_state
 from tritangle.randstates import random_generic_state
 from tritangle.scalars import abs2
+
+from _util import wide_scalars
 
 
 def test_submatrix_w_x0():
@@ -171,3 +176,31 @@ def test_sub_concurrences_not_locally_invariant():
     assert vec_before.det_abs2 == vec_after.det_abs2 == Fraction(1, 16)
     assert vec_before.sub2 == (0,) * 6
     assert vec_after.sub2 == (Fraction(1, 16),) * 6
+
+
+exact_states = st.builds(
+    TripartiteState,
+    st.tuples(*[wide_scalars] * 8).filter(any),
+    st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6)),
+)
+
+
+@given(exact_states, st.permutations(range(3)))
+def test_qubit_permutation_permutes_sub_entries_exactly(state, perm):
+    """Qubit q of the permuted state is qubit perm[q] of the original.
+
+    With a_ijk = amps[4i + 2j + k], |Det|^2 is unchanged and the sub entry
+    (axis q, outcome o) of the permuted state is the entry (perm[q], o) of
+    the original, in the order x0 x1 y0 y1 z0 z1.
+    """
+    amps = [None] * 8
+    for bits in itertools.product((0, 1), repeat=3):
+        old = [0, 0, 0]
+        for q in range(3):
+            old[perm[q]] = bits[q]
+        amps[4 * bits[0] + 2 * bits[1] + bits[2]] = state.amps[4 * old[0] + 2 * old[1] + old[2]]
+    permuted = TripartiteState(tuple(amps), state.scale2)
+    for normalized in (True, False):
+        before, after = classify(state, normalized), classify(permuted, normalized)
+        assert after.det_abs2 == before.det_abs2
+        assert after.sub2 == tuple(before.sub2[2 * perm[q] + o] for q in range(3) for o in (0, 1))
