@@ -13,9 +13,8 @@ backend.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, abs2, gauss_det2, require_finite
+from .scalars import _OPS, DEFAULT_EPS, gauss_det2
 from .states import BipartiteState
 
 
@@ -30,29 +29,25 @@ def det2(state: BipartiteState):
     return c00 * c11 - c01 * c10
 
 
-def gauss_concurrence2(g: tuple, total: int) -> Fraction:
-    """Squared concurrence 4 |det g|^2 / total^2 of a pair of Gaussian integers.
+def gauss_concurrence2(g: tuple, total, div):
+    """Squared concurrence 4 |det g|^2 / total^2 of a pair given as (re, im) pairs.
 
-    ``g`` holds the four amplitudes c00, c01, c10, c11 as ``(re, im)`` int
-    pairs over any common denominator, and ``total`` is sum |g_n|^2 (nonzero).
+    ``g`` holds the four amplitudes c00, c01, c10, c11 as ``(re, im)``
+    pairs over any common denominator, ``total`` is sum |g_n|^2 and ``div``
+    is the backend's division.
     """
     re, im = gauss_det2(*g)
-    return Fraction(4 * (re * re + im * im), total * total)
+    return div(4 * (re * re + im * im), total * total, "concurrence^2")
 
 
 def concurrence2(state: BipartiteState):
     """Squared concurrence of the normalized state.
 
-    Exact backend: a nonnegative Fraction, computed without square roots as
-    4 * scale2^2 * |det|^2 / norm2^2.  On the integer form (g, d) scale2 and
-    d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.  Approx backend: a float.
+    4 * scale2^2 * |det|^2 / norm2^2, without square roots: a nonnegative
+    Fraction in the exact backend, a float in the approx backend.  On the
+    pairs (g, d) scale2 and d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.
     """
-    if state.backend == "exact":
-        g = state.integer_form[0]
-        return gauss_concurrence2(g, sum(re * re + im * im for re, im in g))
-    n2 = state.norm2()
-    c2 = 4 * state.scale2 * state.scale2 * abs2(det2(state)) / (n2 * n2)
-    return require_finite(c2, "concurrence^2")
+    return gauss_concurrence2(state._pairs[0], state._weight, _OPS[state.backend].div)
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -64,10 +59,7 @@ def is_separable_bipartite(state: BipartiteState, eps: float = DEFAULT_EPS) -> b
     """True when the state is a product of one-qubit factors.
 
     Exact backend: det is compared with zero exactly.  Approx backend: the
-    normalized squared determinant must not exceed eps.
+    normalized squared determinant |det|^2 / norm2^2 = C^2 / 4 must not
+    exceed eps.
     """
-    if state.backend == "exact":
-        return gauss_det2(*state.integer_form[0]) == (0, 0)
-    d = det2(state)
-    n2 = state.norm2()
-    return require_finite(abs2(d) * state.scale2 * state.scale2 / (n2 * n2), "|det|^2") <= eps
+    return _OPS[state.backend].is_zero(concurrence2(state), 4 * eps)

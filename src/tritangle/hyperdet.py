@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul, require_finite
+from .scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
@@ -44,12 +44,11 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     )
 
 
-# -- exact kernel on the integer form ---------------------------------------
+# -- one kernel on (re, im) pairs for both backends ---------------------------
 #
-# Gaussian integers are (re, im) pairs of Python ints.  Every quantity below
-# is a homogeneous polynomial in the amplitudes, so it is evaluated on the
-# integer numerators g of :attr:`TripartiteState.integer_form` and the common
-# denominator is put back, or cancels, only in the final rationals.
+# Every quantity below is a homogeneous polynomial in the amplitudes, so it is
+# evaluated on the pairs g over d of ``state._pairs``, and d is put back, or
+# cancels, only in the backend's final division (``scalars._OPS``).
 
 
 def _cayley_g(g):
@@ -84,18 +83,6 @@ def _sub_abs2_g(g) -> tuple:
     return tuple(out)
 
 
-def _degree2_scale(state) -> tuple:
-    """(num, den) = scale2^2 / d^4 as two ints.
-
-    A degree-2 polynomial of the physical amplitudes is scale2 / d^2 times
-    its value on g, so its squared modulus carries scale2^2 / d^4; a
-    degree-4 one (the hyperdeterminant) carries the square of that.
-    """
-    s2 = state.scale2
-    d = state.integer_form[1]
-    return s2.numerator ** 2, s2.denominator ** 2 * d ** 4
-
-
 def cayley_det(state: TripartiteState):
     """Degree-4 hyperdeterminant of the raw amplitude hypermatrix.
 
@@ -109,22 +96,11 @@ def cayley_det(state: TripartiteState):
     normalized so that amplitudes a000 = a111 = 1 give +1.  The value is
     for the raw amplitudes; the hyperdeterminant of the physical state is
     scale2^2 times this (degree 4), and callers normalize by norm2^2.
-    Exact states evaluate it on the integer form and divide by d^4.
+    It is evaluated on the pairs g and divided by d^4.
     """
-    if state.backend == "exact":
-        g, d = state.integer_form
-        re, im = _cayley_g(g)
-        d4 = d ** 4
-        return GaussianRational(Fraction(re, d4), Fraction(im, d4))
-    a000, a001, a010, a011, a100, a101, a110, a111 = state.amps
-    p0 = a000 * a111
-    p1 = a001 * a110
-    p2 = a010 * a101
-    p3 = a011 * a100
-    squares = p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3
-    pairs = p0 * p1 + p0 * p2 + p0 * p3 + p1 * p2 + p1 * p3 + p2 * p3
-    quads = a000 * a011 * a101 * a110 + a001 * a010 * a100 * a111
-    return squares - 2 * pairs + 4 * quads
+    g, d = state._pairs
+    re, im = _cayley_g(g)
+    return _OPS[state.backend].scalar(re, im, d ** 4)
 
 
 def cayley_det_schlafli(state: TripartiteState):
@@ -150,15 +126,7 @@ def sub_concurrences2(state: TripartiteState) -> tuple:
     Ordered x0, x1, y0, y1, z0, z1.  The degree-2 scale2 factor is applied;
     division by norm2 (normalization) is left to :func:`classify`.
     """
-    if state.backend == "exact":
-        num, den = _degree2_scale(state)
-        return tuple(Fraction(v * num, den) for v in _sub_abs2_g(state.integer_form[0]))
-    s2 = state.scale2 * state.scale2
-    amps = state.amps
-    out = []
-    for i00, i01, i10, i11 in SLICE_INDEX:
-        out.append(s2 * abs2(amps[i00] * amps[i11] - amps[i01] * amps[i10]))
-    return tuple(out)
+    return classify(state, normalized=False).sub2
 
 
 @dataclass(frozen=True)
@@ -184,10 +152,9 @@ class ClassificationVector:
         return "exact" if isinstance(self.det_abs2, Fraction) else "approx"
 
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
-        """True when every entry vanishes (exactly, or within eps)."""
-        if self.backend == "exact":
-            return all(v == 0 for v in self.values2())
-        return all(v <= eps for v in self.values2())
+        """True when every entry vanishes (exactly, or at most eps)."""
+        zero = _OPS[self.backend].is_zero
+        return all(zero(v, eps) for v in self.values2())
 
 
 def classify(state: TripartiteState, normalized: bool = True) -> ClassificationVector:
@@ -198,37 +165,25 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
     and each degree-2 sub-determinant by norm2, i.e. the squared entries
     by norm2^4 and norm2^2 respectively.
 
-    Exact states are classified on their integer form g.  There scale2 and
-    the denominator cancel from the normalized entries, which are
+    The state is classified on its pairs g.  There scale2 and the
+    denominator cancel from the normalized entries, which are
     |Det_g|^2 / N^4 and |sub_g|^2 / N^2 with N = sum |g|^2.
     """
-    if state.backend == "exact":
-        g = state.integer_form[0]
-        re, im = _cayley_g(g)
-        det2, sub2 = re * re + im * im, _sub_abs2_g(g)
-        if normalized:
-            n = sum(gr * gr + gi * gi for gr, gi in g)
-            n2 = n * n
-            return ClassificationVector(
-                Fraction(det2, n2 * n2), tuple(Fraction(v, n2) for v in sub2)
-            )
-        num, den = _degree2_scale(state)
-        return ClassificationVector(
-            Fraction(det2 * num * num, den * den),
-            tuple(Fraction(v * num, den) for v in sub2),
-            computed_on_normalized=False,
-        )
-    s2 = state.scale2
-    det_abs2 = abs2(cayley_det(state)) * s2 * s2 * s2 * s2
-    sub2 = sub_concurrences2(state)
+    div = _OPS[state.backend].div
+    g = state._pairs[0]
+    re, im = _cayley_g(g)
+    det2, sub2 = re * re + im * im, _sub_abs2_g(g)
     if normalized:
-        n2 = state.norm2()
-        n4 = n2 * n2
-        det_abs2 = det_abs2 / (n4 * n4)
-        sub2 = tuple(v / n4 for v in sub2)
-    for v in (det_abs2,) + sub2:
-        require_finite(v, "classification entry")
-    return ClassificationVector(det_abs2, sub2, computed_on_normalized=normalized)
+        num, den = 1, state._weight * state._weight
+    else:
+        # A degree-2 polynomial of the physical amplitudes is scale2 / d^2
+        # times its value on g; the hyperdeterminant carries its square.
+        num, den = state.scale2 * state.scale2, state._pairs[1] ** 4
+    return ClassificationVector(
+        div(det2 * num * num, den * den, "classification entry"),
+        tuple(div(v * num, den, "classification entry") for v in sub2),
+        computed_on_normalized=normalized,
+    )
 
 
 def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tuple:
@@ -239,18 +194,11 @@ def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tu
     largest surviving entry reads 1), otherwise returns all zeros.  The
     result is a 7-tuple of floats; the leading entry is always 0 or 1.
     """
-    exact = vec.backend == "exact"
-
-    def nonzero(v):
-        return v != 0 if exact else v > eps
-
-    if nonzero(vec.det_abs2):
+    zero = _OPS[vec.backend].is_zero
+    if not zero(vec.det_abs2, eps):
         div2 = vec.det_abs2
-    elif any(nonzero(v) for v in vec.sub2):
+    elif not all(zero(v, eps) for v in vec.sub2):
         div2 = max(vec.sub2)
     else:
         return (0.0,) * 7
-    out = []
-    for v in vec.values2():
-        out.append(math.sqrt(float(v / div2)) if nonzero(v) else 0.0)
-    return tuple(out)
+    return tuple(0.0 if zero(v, eps) else math.sqrt(float(v / div2)) for v in vec.values2())

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bipartite import concurrence2, gauss_concurrence2
+from .bipartite import gauss_concurrence2
 from .errors import ImpossibleOutcome
-from .scalars import DEFAULT_EPS, abs2
+from .scalars import _OPS, DEFAULT_EPS
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
@@ -44,29 +44,21 @@ def collapse(
     """Measure one qubit and keep the stated outcome.
 
     Raises :class:`ImpossibleOutcome` when the outcome carries zero
-    probability (exactly, or below eps relative to the state norm in the
-    approx backend): the residual would be the zero vector.
+    probability (exactly, or at most eps in the approx backend): the
+    residual would be the zero vector.
     """
     _check_outcome(outcome)
     index = SLICE_INDEX[2 * axis.value + outcome]
-    exact = state.backend == "exact"
-    if exact:
-        # scale2 / d^2 cancels from the probability and the concurrence on
-        # the integer form; the slice's weight is the residual's sum |g_n|^2.
-        g = state.integer_form[0]
-        pair = tuple(g[n] for n in index)
-        weight = sum(re * re + im * im for re, im in pair)
-        impossible = weight == 0
-        prob = Fraction(weight, sum(re * re + im * im for re, im in g))
-    else:
-        n2 = state.norm2()
-        slice_norm2 = state.scale2 * sum(abs2(state.amps[n]) for n in index)
-        impossible = slice_norm2 <= eps * n2
-        prob = slice_norm2 / n2
-    if impossible:
+    ops = _OPS[state.backend]
+    # scale2 / d^2 cancels from the probability and the concurrence on the
+    # pairs; the slice's weight is the residual's sum |g_n|^2.
+    g = state._pairs[0]
+    pair = tuple(g[n] for n in index)
+    weight = sum(re * re + im * im for re, im in pair)
+    prob = ops.div(weight, state._weight, "outcome probability")
+    if ops.is_zero(prob, eps):
         raise ImpossibleOutcome(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
     post = BipartiteState(tuple(state.amps[n] for n in index), state.scale2)
-    c2 = gauss_concurrence2(pair, weight) if exact else concurrence2(post)
-    return CollapseResult(prob, post, c2)
+    return CollapseResult(prob, post, gauss_concurrence2(pair, weight, ops.div))

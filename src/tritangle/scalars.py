@@ -197,14 +197,14 @@ def require_finite(value, what: str):
 
 
 def gauss_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two Gaussian integers given as (re, im) pairs of ints."""
+    """Product of two complex numbers given as (re, im) pairs (ints or floats)."""
     ar, ai = a
     br, bi = b
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def gauss_det2(c00: tuple, c01: tuple, c10: tuple, c11: tuple) -> tuple:
-    """Determinant c00 c11 - c01 c10 of a 2x2 matrix of Gaussian integers."""
+    """Determinant c00 c11 - c01 c10 of a 2x2 matrix of (re, im) pairs."""
     ar, ai = gauss_mul(c00, c11)
     br, bi = gauss_mul(c01, c10)
     return ar - br, ai - bi
@@ -223,6 +223,63 @@ def integer_parts(values) -> tuple:
         for v in values
     )
     return g, d
+
+
+# -- the two backends on (re, im) pairs ---------------------------------------
+#
+# Both backends run one formula per quantity on (re, im) pairs over a
+# denominator d.  They differ only in where the pairs come from, how a result
+# is divided and how zero is tested; each public function looks up _OPS once.
+
+
+class _ExactOps:
+    """Gaussian-integer pairs over their common denominator, Fraction results, exact zero."""
+
+    pairs = staticmethod(integer_parts)
+
+    @staticmethod
+    def div(num, den, what=None):
+        return Fraction(num, den)
+
+    @staticmethod
+    def scalar(re, im, den):
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    @staticmethod
+    def is_zero(num, eps, *dens):
+        return not num
+
+
+class _DoubleOps:
+    """Float pairs over d = 1, checked float division, zero within eps."""
+
+    @staticmethod
+    def pairs(values):
+        return tuple((z.real, z.imag) for z in values), 1
+
+    @staticmethod
+    def div(num, den, what="value"):
+        if not den:
+            raise NonFinite(
+                f"double-backend {what} has a zero denominator: "
+                "the values underflow the double range"
+            )
+        return require_finite(num / den, what)
+
+    @staticmethod
+    def scalar(re, im, den):
+        return complex(re / den, im / den)
+
+    @classmethod
+    def is_zero(cls, num, eps, *dens):
+        # num / prod(dens) <= eps, one factor at a time: a representable
+        # quotient must not fail because its denominator overflows.
+        for den in dens:
+            num = cls.div(num, den)
+        return num <= eps
+
+
+_OPS = {"exact": _ExactOps, "approx": _DoubleOps}
 
 
 def parse_rational(text: str) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import DEFAULT_EPS, GaussianRational, abs2, gauss_mul, require_finite
+from .scalars import _OPS, DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState
 
 
@@ -124,24 +124,16 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     requires every 2x2 minor (6 per flattening) to be zero, i.e. each
     flattening to have rank 1.  Evaluates nothing shared with the
     hyperdeterminant/sub-determinant path, so the two tests cross-check
-    each other; exact states compare the two products of each minor as
-    Gaussian integers on the integer form.
+    each other.  A minor counts as zero when its squared modulus over
+    (sum |g_n|^2)^2 is, on the pairs g, where scale2 and d cancel.
     """
-    if state.backend == "exact":
-        g = state.integer_form[0]
-        for axis in range(3):
-            top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
-            for p, q in _COLUMN_PAIRS:
-                if gauss_mul(g[top[p]], g[bottom[q]]) != gauss_mul(g[top[q]], g[bottom[p]]):
-                    return False
-        return True
-    n2 = state.norm2()
-    bound = require_finite(eps * n2 * n2 / (state.scale2 * state.scale2), "rank-1 bound")
-    a = state.amps
+    zero = _OPS[state.backend].is_zero
+    g, n = state._pairs[0], state._weight
     for axis in range(3):
         top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
         for p, q in _COLUMN_PAIRS:
-            if abs2(a[top[p]] * a[bottom[q]] - a[top[q]] * a[bottom[p]]) > bound:
+            re, im = gauss_det2(g[top[p]], g[top[q]], g[bottom[p]], g[bottom[q]])
+            if not zero(re * re + im * im, eps, n, n):
                 return False
     return True
 

@@ -7,14 +7,14 @@ prefactors such as 1/sqrt(2) are carried exactly through ``scale2``, the
 with ``scale2=1/2``.  Every classification quantity used downstream is
 homogeneous, so this rational bookkeeping suffices for exact zero tests.
 
-For the same reason an exact state's amplitudes can be brought to one
-common denominator d once, as Gaussian integers g_n with a_n = g_n / d
-(:attr:`_StateOps.integer_form`).  The exact paths of ``hyperdet``
-(classification), ``separability`` (decision, rank-1 oracle, rebuild
-check), ``unitary`` (local unitaries), ``bipartite`` (concurrence and
-product test), ``measurement`` (collapse probability and residual
-concurrence) and the norm here run on these Python ints and build
-rationals only for what they return.
+For the same reason the kernels run on ``(re, im)`` pairs over one common
+denominator d, a_n = g_n / d.  An exact state's pairs are Gaussian integers
+(:attr:`_StateOps.integer_form`), a double state's are its amplitudes' own
+floats over d = 1.  Classification in ``hyperdet``, the decision and rank-1
+oracle in ``separability``, local unitaries in ``unitary``, concurrence and
+product test in ``bipartite``, collapse in ``measurement`` and the norm here
+run one formula on either; the backends differ only in the pairs, the
+division of a result and the zero test (``scalars._OPS``).
 
 States are immutable; all operations return new values.
 """
@@ -29,15 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
-from .scalars import (
-    GaussianRational,
-    abs2,
-    as_approx,
-    as_exact,
-    integer_parts,
-    is_exact_scalar,
-    require_finite,
-)
+from .scalars import _OPS, GaussianRational, as_approx, as_exact, is_exact_scalar
 
 
 class Axis(enum.Enum):
@@ -130,6 +122,17 @@ class _StateOps:
         return "exact" if is_exact_scalar(self.amps[0]) else "approx"
 
     @cached_property
+    def _pairs(self) -> tuple:
+        """``(g, d)``, a_n = (g_n[0] + i g_n[1]) / d: the integer form, or a
+        double state's own (real, imag) floats over d = 1.  Kept on the instance."""
+        return _OPS[self.backend].pairs(self.amps)
+
+    @cached_property
+    def _weight(self):
+        """sum |g_n|^2 over the pairs: norm2 * d^2 / scale2.  Kept on the instance."""
+        return sum(re * re + im * im for re, im in self._pairs[0])
+
+    @property
     def integer_form(self) -> tuple:
         """Exact amplitudes as Gaussian integers over one denominator.
 
@@ -140,30 +143,18 @@ class _StateOps:
         """
         if self.backend != "exact":
             raise BackendMismatch("only exact states have an integer form")
-        return integer_parts(self.amps)
+        return self._pairs
 
     def norm2(self):
         """Squared norm, scale2 * sum of squared amplitude moduli."""
-        if self.backend == "exact":
-            g, d = self.integer_form
-            s2 = self.scale2
-            total = sum(re * re + im * im for re, im in g)
-            return Fraction(s2.numerator * total, s2.denominator * d * d)
-        total = abs2(self.amps[0])
-        for a in self.amps[1:]:
-            total = total + abs2(a)
-        return require_finite(self.scale2 * total, "norm2")
+        d = self._pairs[1]
+        return _OPS[self.backend].div(self.scale2 * self._weight, d * d, "norm2")
 
     def scale(self, k):
         """Multiply every amplitude by the nonzero scalar k."""
-        if self.backend == "exact":
-            k = as_exact(k)
-            if not k:
-                raise ZeroScale("cannot scale a state by zero")
-        else:
-            k = as_approx(k)
-            if k == 0:
-                raise ZeroScale("cannot scale a state by zero")
+        k = (as_exact if self.backend == "exact" else as_approx)(k)
+        if not k:
+            raise ZeroScale("cannot scale a state by zero")
         return type(self)(tuple(a * k for a in self.amps), self.scale2)
 
     def to_approx(self):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
-from .scalars import GaussianRational, abs2, as_approx, as_exact, integer_parts, is_exact_scalar
+from .scalars import _OPS, GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
 from .states import BipartiteState, TripartiteState, _validate
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
@@ -82,9 +82,7 @@ class Unitary2:
 
     @classmethod
     def identity(cls, backend: str = "exact") -> "Unitary2":
-        if backend == "exact":
-            return cls.exact([[1, 0], [0, 1]])
-        return cls.approx([[1.0, 0.0], [0.0, 1.0]])
+        return (cls.exact if backend == "exact" else cls.approx)([[1, 0], [0, 1]])
 
     def dagger(self) -> "Unitary2":
         m00, m01, m10, m11 = self.entries
@@ -108,19 +106,13 @@ class Unitary2:
         return g * np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
 
 
-def _combine_complex(a0, a1, m):
-    """One amplitude pair along an axis: (a0 m00 + a1 m10, a0 m01 + a1 m11)."""
-    m00, m01, m10, m11 = m
-    return a0 * m00 + a1 * m10, a0 * m01 + a1 * m11
-
-
 def _combine_gauss(a0, a1, m):
-    """:func:`_combine_complex` on Gaussian integers given as (re, im) pairs."""
+    """(a0 m00 + a1 m10, a0 m01 + a1 m11) on (re, im) pairs, summed as ``complex`` sums."""
     (r0, i0), (r1, i1) = a0, a1
     (r00, i00), (r01, i01), (r10, i10), (r11, i11) = m
     return (
-        (r0 * r00 - i0 * i00 + r1 * r10 - i1 * i10, r0 * i00 + i0 * r00 + r1 * i10 + i1 * r10),
-        (r0 * r01 - i0 * i01 + r1 * r11 - i1 * i11, r0 * i01 + i0 * r01 + r1 * i11 + i1 * r11),
+        ((r0 * r00 - i0 * i00) + (r1 * r10 - i1 * i10), (r0 * i00 + i0 * r00) + (r1 * i10 + i1 * r10)),
+        ((r0 * r01 - i0 * i01) + (r1 * r11 - i1 * i11), (r0 * i01 + i0 * r01) + (r1 * i11 + i1 * r11)),
     )
 
 
@@ -129,36 +121,31 @@ def _apply_local(state, units):
 
     Along each axis in turn a_{..i..} -> a'_{..l..} = sum_i a_{..i..} u[i][l],
     two products per amplitude.  With a_ijk = amps[4i + 2j + k] the index
-    bit of the axes is 4, 2, 1 (2, 1 for two qubits).  Exact states run the
-    products on their integer form and each unitary's entries as Gaussian
-    integers over their own common denominator d_u; the output amplitudes
-    are built once, over d * prod(d_u).
+    bit of the axes is 4, 2, 1 (2, 1 for two qubits).  The products run on
+    the state's pairs and on each unitary's entries as pairs over their own
+    denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
+    doubles); the output amplitudes are built once, over d * prod(d_u).
     """
     for u in units:
         if u.backend != state.backend:
             raise BackendMismatch(
                 f"cannot apply a {u.backend} unitary to a {state.backend} state"
             )
-    exact = state.backend == "exact"
-    if exact:
-        amps, d = state.integer_form
-        mats = []
-        for u in units:
-            m, d_u = integer_parts(u.entries)
-            mats.append(m)
-            d *= d_u
-        combine = _combine_gauss
-    else:
-        amps, mats, combine = state.amps, [u.entries for u in units], _combine_complex
+    ops = _OPS[state.backend]
+    amps, d = state._pairs
+    mats = []
+    for u in units:
+        m, d_u = ops.pairs(u.entries)
+        mats.append(m)
+        d *= d_u
     amps = list(amps)
     bit = len(amps)
     for m in mats:
         bit >>= 1
         for lo in range(len(amps)):
             if not lo & bit:
-                amps[lo], amps[lo | bit] = combine(amps[lo], amps[lo | bit], m)
-    if exact:
-        amps = [GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im in amps]
+                amps[lo], amps[lo | bit] = _combine_gauss(amps[lo], amps[lo | bit], m)
+    amps = [ops.scalar(re, im, d) for re, im in amps]
     scale2 = state.scale2
     for u in units:
         scale2 = scale2 * u.scale2

@@ -1,5 +1,6 @@
 """Two-qubit determinant, concurrence, and the product-state test."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -67,6 +68,10 @@ def test_separability_examples():
     assert not is_separable_bipartite(BELL)
     uniform = BipartiteState.exact((1, 1, 1, 1), scale2=Fraction(1, 4))
     assert is_separable_bipartite(uniform)
+    # |det|^2 / norm2^2 of the double Bell pair is 1/4 exactly; eps = 1/4 is zero.
+    bell = BipartiteState.approx((1, 0, 0, 1))
+    assert is_separable_bipartite(bell, 0.25)
+    assert not is_separable_bipartite(bell, math.nextafter(0.25, 0))
 
 
 small_fracs = st.fractions(max_denominator=10)

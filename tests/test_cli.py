@@ -276,9 +276,15 @@ def _big(digits):
         ["factor", f"{_big(77)}|000> + {_big(77)}|111>"],
         # A finite post-measurement norm whose |det|^2 overflows.
         ["measure", f"{_big(80)}|000> + {_big(80)}|011>", "--qubit", "1", "--outcome", "0"],
+        # Nonzero amplitudes whose normalizing denominator underflows to zero.
+        ["classify", f"1/{_big(45)}|000> + 1/{_big(45)}|111>"],
+        ["check-sep", f"1/{_big(45)}|000> + 1/{_big(45)}|111>"],
+        ["factor", f"1/{_big(45)}|000> + 1/{_big(45)}|111>"],
+        ["measure", f"1/{_big(200)}|000> + 1/{_big(200)}|111>", "--qubit", "1", "--outcome", "0"],
     ],
     ids=["classify-1e400", "classify-1e160", "check-sep-1e160", "measure-1e160",
-         "classify-1e77", "check-sep-1e77", "factor-1e77", "measure-1e80"],
+         "classify-1e77", "check-sep-1e77", "factor-1e77", "measure-1e80",
+         "classify-1e-45", "check-sep-1e-45", "factor-1e-45", "measure-1e-200"],
 )
 def test_double_overflow_exit3(argv, json_mode, capsys):
     argv = argv + ["--float"] + (["--json"] if json_mode else [])

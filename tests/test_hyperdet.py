@@ -1,6 +1,7 @@
 """Hyperdeterminant, sub-concurrences, classification, display scaling."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -120,11 +121,18 @@ def test_classify_ghz_normalized_values():
     assert vec.det_abs2 == Fraction(1, 16)
     assert vec.sub2 == (0,) * 6
     assert vec.computed_on_normalized
+    # In doubles |Det|^2 = 1/16 exactly: an entry equal to eps counts as zero.
+    vec_f = classify(ghz_state().to_approx())
+    assert vec_f.det_abs2 == 1 / 16
+    assert vec_f.is_zero(1 / 16) and not vec_f.is_zero(math.nextafter(1 / 16, 0))
 
 
 def test_display_normalize_rows():
     assert display_normalize(classify(ghz_state())) == (1.0, 0, 0, 0, 0, 0, 0)
     assert display_normalize(classify(w_state())) == (0, 1.0, 0, 1.0, 0, 1.0, 0)
+    ghz_f = classify(ghz_state().to_approx())  # |Det|^2 = 1/16 exactly
+    assert display_normalize(ghz_f, 1 / 16) == (0.0,) * 7
+    assert display_normalize(ghz_f, math.nextafter(1 / 16, 0)) == (1.0, 0, 0, 0, 0, 0, 0)
 
 
 def test_display_normalize_all_zero_vector():

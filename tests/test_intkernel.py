@@ -9,6 +9,9 @@ with a reference that does not: the z-pencil discriminant
 determinants, and the ``Factorization.amplitudes()`` rebuild.  Inputs have large coprime
 denominators, mixed real and imaginary parts, sparse supports and
 ``scale2 != 1``.
+
+The double backend runs the same kernels on its own float pairs; the last
+properties compare it with the exact backend on the same states.
 """
 
 from fractions import Fraction
@@ -24,6 +27,7 @@ from tritangle import (
     ImpossibleOutcome,
     NotSeparable,
     TripartiteState,
+    apply_local_3,
     cayley_det,
     cayley_det_schlafli,
     classify,
@@ -33,11 +37,13 @@ from tritangle import (
     extract_factors,
     is_separable,
     is_separable_bipartite,
+    random_rational_unitary2,
     rank1_oracle,
     sub_concurrences2,
+    submatrix,
 )
 
-from _util import _SLICE_INDEX, brute_subdet2
+from _util import _SLICE_INDEX, brute_subdet2, wide_scalars
 
 BIG = 10**6
 
@@ -197,3 +203,63 @@ def test_pair_concurrence_matches_gaussian_rational_formula(state):
     n2 = reference_norm2(state)
     assert concurrence2(state) == 4 * state.scale2**2 * det.abs2() / n2**2
     assert is_separable_bipartite(state) == (not det)
+
+
+# -- the double backend against the exact backend ----------------------------
+
+wide_states = st.builds(
+    TripartiteState, st.tuples(*[wide_scalars] * 8).filter(any), scale2s.filter(lambda s: s != 1)
+)
+
+
+def close(double, exact, scale=1.0) -> bool:
+    """|double - exact| within 1e-9 of ``scale``, the natural size of the quantity."""
+    return abs(double - exact) <= 1e-9 * scale
+
+
+@settings(deadline=None)
+@given(wide_states, st.randoms(use_true_random=False))
+def test_double_backend_matches_exact_backend(state, rng):
+    approx = state.to_approx()
+    n2 = float(state.norm2())
+    raw = n2 / float(state.scale2)  # sum |a_n|^2 of the raw amplitudes
+    assert close(approx.norm2(), state.norm2(), n2)
+    assert close(cayley_det(approx), cayley_det(state).to_complex(), raw * raw)
+    for normalized, det_scale, sub_scale in ((True, 1.0, 1.0), (False, n2**4, n2**2)):
+        vec, vec_f = classify(state, normalized), classify(approx, normalized)
+        assert close(vec_f.det_abs2, vec.det_abs2, det_scale)
+        assert all(close(f, e, sub_scale) for f, e in zip(vec_f.sub2, vec.sub2))
+    assert all(
+        close(f, e, n2**2) for f, e in zip(sub_concurrences2(approx), sub_concurrences2(state))
+    )
+    for axis, outcome in AXIS_OUTCOME_ORDER:
+        if not any(state.amps[n] for n in _SLICE_INDEX[(axis.name.lower(), outcome)]):
+            with pytest.raises(ImpossibleOutcome):
+                collapse(approx, axis, outcome)
+            continue
+        assert close(concurrence2(submatrix(approx, axis, outcome)),
+                     concurrence2(submatrix(state, axis, outcome)))
+        exact = collapse(state, axis, outcome)
+        try:
+            double = collapse(approx, axis, outcome)
+        except ImpossibleOutcome:  # at most eps in doubles, yet not exactly zero
+            assert 0 < exact.prob <= 2e-10
+            continue
+        assert close(double.prob, exact.prob) and close(double.concurrence2, exact.concurrence2)
+    units = [random_rational_unitary2(rng) for _ in range(3)]
+    rotated = apply_local_3(state, *units)
+    rotated_f = apply_local_3(approx, *(u.to_approx() for u in units))
+    assert close(rotated_f.scale2, rotated.scale2, float(rotated.scale2))
+    size = max(abs(a.to_complex()) for a in rotated.amps)
+    assert all(close(f, e.to_complex(), size) for f, e in zip(rotated_f.amps, rotated.amps))
+
+
+@settings(deadline=None)
+@given(st.tuples(*[st.tuples(wide_scalars, wide_scalars).filter(any)] * 3), scale2s)
+def test_double_backend_finds_planted_products(factors, scale2):
+    (x0, x1), (y0, y1), (z0, z1) = factors
+    amps = tuple(x * y * z for x in (x0, x1) for y in (y0, y1) for z in (z0, z1))
+    state = TripartiteState(amps, scale2)
+    approx = state.to_approx()
+    assert rank1_oracle(state) and rank1_oracle(approx)
+    assert is_separable(approx)

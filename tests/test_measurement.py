@@ -1,5 +1,6 @@
 """Single-qubit collapse: probabilities, residual entanglement, errors."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -113,3 +114,8 @@ def test_impossible_outcome_approx():
         collapse(basis, Axis.Z, 1)
     r = collapse(basis, Axis.Z, 0)
     assert r.prob == 1.0
+    # A probability equal to eps counts as zero.
+    even = TripartiteState.approx((1.0, 0, 0, 0, 1.0, 0, 0, 0))
+    with pytest.raises(ImpossibleOutcome):
+        collapse(even, Axis.X, 1, eps=0.5)
+    assert collapse(even, Axis.X, 1, eps=math.nextafter(0.5, 0)).prob == 0.5

@@ -1,5 +1,6 @@
 """Separability decision, factor extraction, rank-1 oracle, witnesses."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -98,6 +99,9 @@ def test_rank1_oracle_products_true():
 def test_rank1_oracle_ghz_false():
     # x-flattening of GHZ is [[1,0,0,0],[0,0,0,1]]: the (0,3) minor is 1
     assert not rank1_oracle(ghz_state())
+    # In doubles its normalized |minor|^2 is 1/4 exactly; eps = 1/4 is zero.
+    ghz = ghz_state().to_approx()
+    assert rank1_oracle(ghz, 0.25) and not rank1_oracle(ghz, math.nextafter(0.25, 0))
 
 
 def test_rank1_oracle_w_false():

@@ -213,4 +213,7 @@ def test_double_overflow_raises_nonfinite():
     bell = BipartiteState.approx((1e80, 0, 0, 1e80))
     with pytest.raises(NonFinite):
         concurrence2(bell)
+    tiny = TripartiteState.exact((Fraction(1, 10**45),) + (0,) * 6 + (Fraction(1, 10**45),))
+    with pytest.raises(NonFinite, match="double range"):  # norm2^4 underflows to 0
+        classify(tiny.to_approx())
     assert collapse(ghz, Axis.X, 0).prob == pytest.approx(0.5)
