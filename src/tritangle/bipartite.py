@@ -23,10 +23,11 @@ def det2(state: BipartiteState):
 
     The global prefactor is not applied; since the determinant has degree
     2, the determinant of the physical (scaled) matrix is scale2 times
-    this value.
+    this value.  It is evaluated on the pairs g and divided by d^2.
     """
-    c00, c01, c10, c11 = state.amps
-    return c00 * c11 - c01 * c10
+    g, d = state._pairs
+    re, im = gauss_det2(*g)
+    return _OPS[state.backend].scalar(re, im, d * d)
 
 
 def gauss_concurrence2(g: tuple, total, div):

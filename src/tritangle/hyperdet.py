@@ -20,10 +20,12 @@ float display layer.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import NonFinite
 from .scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
@@ -117,7 +119,12 @@ def cayley_det_schlafli(state: TripartiteState):
     alpha = a000 * a110 - a010 * a100
     gamma = a001 * a111 - a011 * a101
     beta = a000 * a111 + a001 * a110 - a010 * a101 - a011 * a100
-    return beta * beta - 4 * alpha * gamma
+    det = beta * beta - 4 * alpha * gamma
+    if state.backend == "approx" and not cmath.isfinite(det):
+        raise NonFinite(
+            f"double-backend hyperdeterminant is {det}: the values overflow the double range"
+        )
+    return det
 
 
 def sub_concurrences2(state: TripartiteState) -> tuple:

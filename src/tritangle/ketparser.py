@@ -19,6 +19,11 @@ and a trailing group divisor are folded into one common square-root
 divisor; when the radicals cannot share one (their ratios are not perfect
 squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 :class:`UnsupportedIrrational` rather than approximating.
+
+Parsing and rendering run on ints: a coefficient is ``((re, im), den)``, the
+terms of each basis string are summed over the lcm of their ``den``, and
+:func:`parse_state` keeps the sums as the state's integer form.  Text is
+written from int fractions reduced by ``math.gcd``.
 """
 
 from __future__ import annotations
@@ -28,10 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyState, KetSyntaxError, MixedArity, UnsupportedIrrational
-from .scalars import GaussianRational
+from .scalars import _OPS, gauss_mul, integer_parts
 from .states import BipartiteState, TripartiteState
 
 _PUNCT = "()+-/*|>"
+_EXACT = _OPS["exact"]
+_ONE = (((1, 0), 1), 1)  # the coefficient 1, as parse_coeff returns it
 
 
 def _tokenize(text: str):
@@ -130,7 +137,7 @@ class _Parser:
         return value
 
     def parse_coeff(self):
-        """Return (complex rational value, radical n) meaning value/sqrt(n)."""
+        """Return (((re, im), den), radical n) meaning (re + i im) / den / sqrt(n)."""
         numer = None
         imag = False
         if self.peek() == "int":
@@ -141,22 +148,21 @@ class _Parser:
         if numer is None and not imag:
             tok = self.tokens[self.pos]
             raise KetSyntaxError("expected a coefficient", tok[2], ("int", "i"))
-        value = Fraction(numer if numer is not None else 1)
-        radical = 1
+        numer = 1 if numer is None else numer
+        den = radical = 1
         if self.peek() == "/":
             self.advance()
             if self.peek() == "sqrt":
                 radical = self.parse_sqrt_arg()
             else:
-                value /= self.parse_posint("denominator")
+                den = self.parse_posint("denominator")
                 if self.peek() == "i" and not imag:
                     self.advance()
                     imag = True
                 if self.peek() == "/":
                     self.advance()
                     radical = self.parse_sqrt_arg()
-        coeff = GaussianRational(0, value) if imag else GaussianRational(value)
-        return coeff, radical
+        return ((0, numer) if imag else (numer, 0), den), radical
 
     def parse_ket(self):
         pipe = self.expect("|", "|")
@@ -167,47 +173,37 @@ class _Parser:
         if not all(b in "01" for b in bits):
             raise KetSyntaxError(f"basis labels must be bits, got |{bits}>", pipe[2])
         if len(bits) not in (2, 3):
-            raise KetSyntaxError(
-                f"kets must have 2 or 3 qubits, got |{bits}>", pipe[2]
-            )
+            raise KetSyntaxError(f"kets must have 2 or 3 qubits, got |{bits}>", pipe[2])
         return bits, pipe[2]
 
-    def parse_term(self):
-        """One signed summand: optional coefficient, optional '*', a ket."""
-        coeff = GaussianRational(1)
-        radical = 1
+    def parse_term(self, sign=1):
+        """One summand times ``sign``: optional coefficient, optional '*', a ket."""
+        ((re, im), den), radical = _ONE
         if self.peek() in ("int", "i"):
-            coeff, radical = self.parse_coeff()
+            ((re, im), den), radical = self.parse_coeff()
             if self.peek() == "*":
                 self.advance()
         bits, off = self.parse_ket()
-        return coeff, radical, bits, off
+        return ((sign * re, sign * im), den), radical, bits, off
 
     def parse_rest_of_sum(self, terms):
         while self.peek() in ("+", "-"):
-            negate = self.advance()[0] == "-"
-            coeff, radical, bits, off = self.parse_term()
-            terms.append((-coeff if negate else coeff, radical, bits, off))
+            terms.append(self.parse_term(-1 if self.advance()[0] == "-" else 1))
         return terms
 
     def parse_sum(self):
-        negate = False
+        sign = 1
         if self.peek() in ("+", "-"):
-            negate = self.advance()[0] == "-"
-        coeff, radical, bits, off = self.parse_term()
-        return self.parse_rest_of_sum([(-coeff if negate else coeff, radical, bits, off)])
+            sign = -1 if self.advance()[0] == "-" else 1
+        return self.parse_rest_of_sum([self.parse_term(sign)])
 
     def parse_expr(self):
         """Top level: a parenthesized group with optional prefactor and
         trailing /sqrt(n), or a plain sum of terms."""
-        had_coeff = False
-        group_coeff = GaussianRational(1)
-        group_radical = 1
-        if self.peek() in ("int", "i"):
-            group_coeff, group_radical = self.parse_coeff()
-            had_coeff = True
-            if self.peek() == "*":
-                self.advance()
+        had_coeff = self.peek() in ("int", "i")
+        group_coeff, group_radical = self.parse_coeff() if had_coeff else _ONE
+        if had_coeff and self.peek() == "*":
+            self.advance()
         if self.peek() == "(":
             self.advance()
             terms = self.parse_sum()
@@ -216,16 +212,15 @@ class _Parser:
             if self.peek() == "/":
                 self.advance()
                 divisor = self.parse_sqrt_arg()
+            g_pair, g_den = group_coeff
             terms = [
-                (c * group_coeff if had_coeff else c, r * group_radical * divisor, bits, off)
-                for c, r, bits, off in terms
+                ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
+                for (pair, den), r, bits, off in terms
             ]
         elif had_coeff:
             # The coefficient belongs to the first term of a plain sum.
             bits, off = self.parse_ket()
-            terms = self.parse_rest_of_sum(
-                [(group_coeff, group_radical, bits, off)]
-            )
+            terms = self.parse_rest_of_sum([(group_coeff, group_radical, bits, off)])
         else:
             terms = self.parse_sum()
         self.expect("end", "end of input")
@@ -233,10 +228,10 @@ class _Parser:
 
 
 def _fold_radicals(raw_terms):
-    """Rewrite coeff/sqrt(r) terms over one common sqrt divisor."""
+    """Rewrite coeff/sqrt(r) terms as (coeff, bits) over one common sqrt divisor."""
     divisor = math.lcm(*(r for _, r, _, _ in raw_terms))
     folded = []
-    for coeff, radical, bits, off in raw_terms:
+    for ((re, im), den), radical, bits, _ in raw_terms:
         ratio = divisor // radical
         root = math.isqrt(ratio)
         if root * root != ratio:
@@ -244,8 +239,45 @@ def _fold_radicals(raw_terms):
                 "term prefactors cannot be written over one common "
                 f"square-root divisor (needed sqrt({ratio}) to be an integer)"
             )
-        folded.append((coeff * root if root != 1 else coeff, bits, off))
+        folded.append((((re * root, im * root), den), bits))
     return folded, divisor
+
+
+def _merge(terms):
+    """Sum the (((re, im), den), bits) terms of each basis string over d, the
+    lcm of their den: ``({bits: (re, im)}, d)`` in order of first appearance,
+    without the sums that cancel.  Raises :class:`EmptyState` if all do."""
+    d = math.lcm(*(den for (_, den), _ in terms))
+    sums: dict = {}
+    for ((re, im), den), bits in terms:
+        k = d // den
+        r0, i0 = sums.get(bits, (0, 0))
+        sums[bits] = (r0 + re * k, i0 + im * k)
+    sums = {bits: pair for bits, pair in sums.items() if any(pair)}
+    if not sums:
+        raise EmptyState("all coefficients cancel to zero")
+    return sums, d
+
+
+def _parse_terms(text: str):
+    """Parse into ``(sums, d, divisor)``, see :func:`_merge`."""
+    raw_terms = _Parser(text).parse_expr()
+    arity = len(raw_terms[0][2])
+    for _, _, bits, off in raw_terms:
+        if len(bits) != arity:
+            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
+    folded, divisor = _fold_radicals(raw_terms)
+    return (*_merge(folded), divisor)
+
+
+def _build_state(sums, d, divisor):
+    """The exact state  sum (sums[bits] / d)|bits>  /  sqrt(divisor), built on ints."""
+    n = len(next(iter(sums)))
+    g = [(0, 0)] * (1 << n)
+    for bits, pair in sums.items():
+        g[int(bits, 2)] = pair
+    cls = TripartiteState if n == 3 else BipartiteState
+    return cls._from_pairs(_EXACT, tuple(g), d, Fraction(1, divisor))
 
 
 def parse(text: str) -> KetExpr:
@@ -256,84 +288,59 @@ def parse(text: str) -> KetExpr:
     :class:`UnsupportedIrrational`; never anything else, for any input
     string.
     """
-    raw_terms = _Parser(text).parse_expr()
-    arity = len(raw_terms[0][2])
-    for _, _, bits, off in raw_terms:
-        if len(bits) != arity:
-            raise MixedArity(
-                f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off
-            )
-    folded, divisor = _fold_radicals(raw_terms)
-    merged: dict = {}
-    for coeff, bits, _ in folded:
-        merged[bits] = merged[bits] + coeff if bits in merged else coeff
-    terms = tuple((c, bits) for bits, c in merged.items() if c)
-    if not terms:
-        raise EmptyState("all coefficients cancel to zero")
+    sums, d, divisor = _parse_terms(text)
+    terms = tuple((_EXACT.scalar(re, im, d), bits) for bits, (re, im) in sums.items())
     return KetExpr(terms, divisor)
 
 
 def to_state(expr: KetExpr):
     """Build the exact state a :class:`KetExpr` denotes."""
-    n = expr.arity
-    amps = [GaussianRational(0)] * (1 << n)
-    for coeff, bits in expr.terms:
-        idx = int(bits, 2)
-        amps[idx] = amps[idx] + coeff if amps[idx] else coeff
-    if not any(bool(a) for a in amps):
-        raise EmptyState("all coefficients cancel to zero")
-    cls = TripartiteState if n == 3 else BipartiteState
-    return cls(tuple(amps), Fraction(1, expr.global_divisor))
+    g, d = integer_parts([coeff for coeff, _ in expr.terms])
+    terms = [((pair, d), bits) for pair, (_, bits) in zip(g, expr.terms)]
+    return _build_state(*_merge(terms), expr.global_divisor)
 
 
 def parse_state(text: str):
     """Parse and build in one step."""
-    return to_state(parse(text))
+    return _build_state(*_parse_terms(text))
 
 
-def _coeff_text(mag: Fraction, imag: bool) -> str:
-    if imag:
-        return "i" if mag == 1 else f"{mag}i"
-    return "" if mag == 1 else str(mag)
+def _render(terms, divisor: int) -> str:
+    """Text of  sum (x + i y)|bits> / sqrt(divisor)  from ``(bits, (x, y))`` terms,
+    x and y as (int numerator, positive int denominator)."""
+    body = ""
+    for bits, parts in terms:
+        for (num, den), unit in zip(parts, ("", "i")):
+            if num:
+                k = math.gcd(num, den)
+                mag = str(abs(num) // k) if den == k else f"{abs(num) // k}/{den // k}"
+                text = f"{'' if mag == '1' else mag}{unit}|{bits}>"
+                if body:
+                    body += f" - {text}" if num < 0 else f" + {text}"
+                else:
+                    body = f"-{text}" if num < 0 else text
+    return f"({body})/sqrt({divisor})" if divisor > 1 else body
 
 
 def render(expr: KetExpr) -> str:
     """Canonical text for an expression; reparses to the same state."""
-    pieces = []
-    for coeff, bits in expr.terms:
-        for part, imag in ((coeff.re, False), (coeff.im, True)):
-            if part == 0:
-                continue
-            sign = "-" if part < 0 else "+"
-            pieces.append((sign, f"{_coeff_text(abs(part), imag)}|{bits}>"))
-    body = ""
-    for idx, (sign, text) in enumerate(pieces):
-        if idx == 0:
-            body = (sign if sign == "-" else "") + text
-        else:
-            body += f" {sign} {text}"
-    if expr.global_divisor > 1:
-        return f"({body})/sqrt({expr.global_divisor})"
-    return body
+    return _render(
+        ((bits, (c.re.as_integer_ratio(), c.im.as_integer_ratio())) for c, bits in expr.terms),
+        expr.global_divisor,
+    )
 
 
 def state_to_ket(state) -> str:
     """Render an exact state back into ket notation; reparses identically."""
     if state.backend != "exact":
         raise ValueError("only exact states render to ket notation")
-    n = 3 if isinstance(state, TripartiteState) else 2
+    width = "03b" if isinstance(state, TripartiteState) else "02b"
     num, den = state.scale2.numerator, state.scale2.denominator
     # scale2 = num/den means a global prefactor sqrt(num)/sqrt(den).  Fold
     # sqrt(num) into the coefficients: either as its integer root, or by
     # writing a*num over the divisor sqrt(num*den).
     root = math.isqrt(num)
-    if root * root == num:
-        mult, divisor = root, den
-    else:
-        mult, divisor = num, den * num
-    terms = tuple(
-        (a * mult if mult != 1 else a, format(idx, f"0{n}b"))
-        for idx, a in enumerate(state.amps)
-        if bool(a)
-    )
-    return render(KetExpr(terms, divisor))
+    mult, divisor = (root, den) if root * root == num else (num, den * num)
+    g, d = state.integer_form
+    terms = ((format(i, width), ((re * mult, d), (im * mult, d))) for i, (re, im) in enumerate(g))
+    return _render(terms, divisor)

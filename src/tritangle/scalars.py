@@ -14,6 +14,7 @@ one-way via :meth:`GaussianRational.to_complex`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -238,6 +239,14 @@ class _ExactOps:
     pairs = staticmethod(integer_parts)
 
     @staticmethod
+    def reduce(g, d):
+        """Divide out gcd(d, every part), leaving d the least common denominator."""
+        k = math.gcd(d, *(p for pair in g for p in pair))
+        if k == 1:
+            return g, d
+        return tuple((re // k, im // k) for re, im in g), d // k
+
+    @staticmethod
     def div(num, den, what=None):
         return Fraction(num, den)
 
@@ -258,6 +267,10 @@ class _DoubleOps:
         return tuple((z.real, z.imag) for z in values), 1
 
     @staticmethod
+    def reduce(g, d):
+        return g, d
+
+    @staticmethod
     def div(num, den, what="value"):
         if not den:
             raise NonFinite(
@@ -268,7 +281,10 @@ class _DoubleOps:
 
     @staticmethod
     def scalar(re, im, den):
-        return complex(re / den, im / den)
+        z = complex(re / den, im / den)
+        if not cmath.isfinite(z):
+            raise NonFinite(f"double-backend value is {z}: the values overflow the double range")
+        return z
 
     @classmethod
     def is_zero(cls, num, eps, *dens):

@@ -16,6 +16,9 @@ product test in ``bipartite``, collapse in ``measurement`` and the norm here
 run one formula on either; the backends differ only in the pairs, the
 division of a result and the zero test (``scalars._OPS``).
 
+The parser and local unitaries compute states on ints and build them from
+their pairs (``_StateOps._from_pairs``), which are reduced and kept.
+
 States are immutable; all operations return new values.
 """
 
@@ -117,6 +120,15 @@ class _StateOps:
     def approx(cls, amps, scale2=1.0):
         return cls(tuple(map(as_approx, amps)), float(scale2))
 
+    @classmethod
+    def _from_pairs(cls, ops, g, d, scale2):
+        """The state a_n = g_n / d of backend ``ops``, keeping its reduced pairs
+        (``ops.reduce``): they equal what ``ops.pairs(amps)`` returns."""
+        g, d = ops.reduce(g, d)
+        state = cls(tuple(ops.scalar(re, im, d) for re, im in g), scale2)
+        state.__dict__["_pairs"] = (g, d)
+        return state
+
     @property
     def backend(self) -> str:
         return "exact" if is_exact_scalar(self.amps[0]) else "approx"
@@ -138,8 +150,8 @@ class _StateOps:
 
         Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per
         amplitude and ``d`` is the least common denominator of all their
-        parts, so that a_n = (g_n[0] + i g_n[1]) / d.  Computed on first use
-        and kept on the instance.  Exact backend only.
+        parts, so that a_n = (g_n[0] + i g_n[1]) / d.  Kept on the instance,
+        from construction or first use.  Exact backend only.
         """
         if self.backend != "exact":
             raise BackendMismatch("only exact states have an integer form")

@@ -124,20 +124,20 @@ def _apply_local(state, units):
     bit of the axes is 4, 2, 1 (2, 1 for two qubits).  The products run on
     the state's pairs and on each unitary's entries as pairs over their own
     denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
-    doubles); the output amplitudes are built once, over d * prod(d_u).
+    doubles); the output is built from its pairs over d * prod(d_u) once.
     """
     for u in units:
         if u.backend != state.backend:
-            raise BackendMismatch(
-                f"cannot apply a {u.backend} unitary to a {state.backend} state"
-            )
+            raise BackendMismatch(f"cannot apply a {u.backend} unitary to a {state.backend} state")
     ops = _OPS[state.backend]
     amps, d = state._pairs
+    scale2 = state.scale2
     mats = []
     for u in units:
         m, d_u = ops.pairs(u.entries)
         mats.append(m)
         d *= d_u
+        scale2 = scale2 * u.scale2
     amps = list(amps)
     bit = len(amps)
     for m in mats:
@@ -145,11 +145,7 @@ def _apply_local(state, units):
         for lo in range(len(amps)):
             if not lo & bit:
                 amps[lo], amps[lo | bit] = _combine_gauss(amps[lo], amps[lo | bit], m)
-    amps = [ops.scalar(re, im, d) for re, im in amps]
-    scale2 = state.scale2
-    for u in units:
-        scale2 = scale2 * u.scale2
-    return type(state)(tuple(amps), scale2)
+    return type(state)._from_pairs(ops, tuple(amps), d, scale2)
 
 
 def apply_local_3(

@@ -1,6 +1,7 @@
 """Shared test helpers: exact state comparison and independent oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -16,6 +17,14 @@ wide_scalars = st.one_of(
     st.builds(lambda im: GaussianRational(0, im), big_fracs),
     st.builds(GaussianRational, big_fracs, big_fracs),
 )
+pos_fracs = st.builds(Fraction, st.integers(1, BIG), st.integers(1, BIG))
+#: A positive rational, or the square of one (its sqrt is rational).
+scale2s = st.one_of(pos_fracs, pos_fracs.map(lambda f: f * f))
+
+
+def exact_states(cls):
+    """States of ``cls`` on ``wide_scalars`` with a square or non-square scale2."""
+    return st.builds(cls, st.tuples(*[wide_scalars] * cls.N_AMPS).filter(any), scale2s)
 
 
 def same_physical_state(s1, s2) -> bool:
@@ -104,3 +113,43 @@ def brute_apply_local(state, units):
     for u in units:
         scale2 = scale2 * u.scale2
     return type(state)(tuple(amps), scale2)
+
+
+# Ket text written with Fraction arithmetic, independently of the library's
+# int renderer.
+
+
+def reference_render(terms, divisor):
+    """Text of  sum coeff|bits>  /  sqrt(divisor)  for (GaussianRational, bits) terms.
+
+    Each nonzero real and imaginary part is written as its Fraction, a
+    magnitude 1 as no number, the imaginary one followed by i.
+    """
+    pieces = []
+    for coeff, bits in terms:
+        for part, unit in ((coeff.re, ""), (coeff.im, "i")):
+            if part:
+                mag = "" if abs(part) == 1 else str(abs(part))
+                pieces.append(("-" if part < 0 else "+", f"{mag}{unit}|{bits}>"))
+    body = ""
+    for idx, (sign, text) in enumerate(pieces):
+        if idx == 0:
+            body = (sign if sign == "-" else "") + text
+        else:
+            body += f" {sign} {text}"
+    return f"({body})/sqrt({divisor})" if divisor > 1 else body
+
+
+def reference_ket(state):
+    """``state_to_ket`` as a Fraction formula.
+
+    scale2 = num/den is the prefactor sqrt(num)/sqrt(den): every amplitude is
+    multiplied by sqrt(num) when that is an integer, over the divisor den, or
+    else by num, over the divisor num * den.
+    """
+    num, den = state.scale2.numerator, state.scale2.denominator
+    root = math.isqrt(num)
+    mult, divisor = (root, den) if root * root == num else (num, num * den)
+    n = 3 if len(state.amps) == 8 else 2
+    terms = [(a * mult, format(idx, f"0{n}b")) for idx, a in enumerate(state.amps) if a]
+    return reference_render(terms, divisor)

@@ -10,6 +10,10 @@ determinants, and the ``Factorization.amplitudes()`` rebuild.  Inputs have large
 denominators, mixed real and imaginary parts, sparse supports and
 ``scale2 != 1``.
 
+States built on ints (parsed, or rotated by local unitaries) keep their
+integer form; it must equal what ``integer_parts`` computes from their
+amplitudes.
+
 The double backend runs the same kernels on its own float pairs; the last
 properties compare it with the exact backend on the same states.
 """
@@ -27,6 +31,7 @@ from tritangle import (
     ImpossibleOutcome,
     NotSeparable,
     TripartiteState,
+    apply_local_2,
     apply_local_3,
     cayley_det,
     cayley_det_schlafli,
@@ -37,13 +42,23 @@ from tritangle import (
     extract_factors,
     is_separable,
     is_separable_bipartite,
+    parse_state,
     random_rational_unitary2,
     rank1_oracle,
+    state_to_ket,
     sub_concurrences2,
     submatrix,
 )
+from tritangle.scalars import integer_parts
 
-from _util import _SLICE_INDEX, brute_subdet2, wide_scalars
+from _util import (
+    _SLICE_INDEX,
+    brute_apply_local,
+    brute_subdet2,
+    exact_states,
+    same_physical_state,
+    wide_scalars,
+)
 
 BIG = 10**6
 
@@ -203,6 +218,32 @@ def test_pair_concurrence_matches_gaussian_rational_formula(state):
     n2 = reference_norm2(state)
     assert concurrence2(state) == 4 * state.scale2**2 * det.abs2() / n2**2
     assert is_separable_bipartite(state) == (not det)
+
+
+# -- integer forms kept by states built on ints ------------------------------
+
+
+def kept_integer_form(state):
+    """The integer form a state stored when it was built; fails if it kept none."""
+    assert "_pairs" in vars(state), "the state was built without keeping its integer form"
+    return state.integer_form
+
+
+@settings(deadline=None)
+@given(
+    exact_states(TripartiteState), exact_states(BipartiteState), st.randoms(use_true_random=False)
+)
+def test_states_built_on_ints_keep_their_least_integer_form(s3, s2, rng):
+    u3 = [random_rational_unitary2(rng) for _ in range(3)]
+    u2 = [random_rational_unitary2(rng) for _ in range(2)]
+    for built, source in (
+        (parse_state(state_to_ket(s3)), s3),
+        (parse_state(state_to_ket(s2)), s2),
+        (apply_local_3(s3, *u3), brute_apply_local(s3, u3)),
+        (apply_local_2(s2, *u2), brute_apply_local(s2, u2)),
+    ):
+        assert kept_integer_form(built) == integer_parts(built.amps)
+        assert same_physical_state(built, source)
 
 
 # -- the double backend against the exact backend ----------------------------

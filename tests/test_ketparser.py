@@ -23,7 +23,16 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
-from _util import BIG, same_physical_state, wide_scalars
+from tritangle.scalars import integer_parts
+
+from _util import (
+    BIG,
+    exact_states,
+    reference_ket,
+    reference_render,
+    same_physical_state,
+    wide_scalars,
+)
 
 
 def gr(re, im=0):
@@ -165,6 +174,7 @@ def ket_exprs(draw):
 
 @given(ket_exprs())
 def test_render_round_trip_generated(expr):
+    assert render(expr) == reference_render(expr.terms, expr.global_divisor)
     reparsed = parse(render(expr))
     assert to_state(reparsed) == to_state(expr)
 
@@ -219,3 +229,46 @@ def test_fuzz_hypothesis_text(text):
         parse(text)
     except TritangleError:
         pass
+
+
+# -- the int renderer against the Fraction formula ----------------------------
+
+
+@settings(deadline=None)
+@given(st.one_of(exact_states(TripartiteState), exact_states(BipartiteState)))
+def test_rendered_text_matches_fraction_reference(state):
+    text = state_to_ket(state)
+    assert text == reference_ket(state)
+    expr = parse(text)
+    assert render(expr) == reference_render(expr.terms, expr.global_divisor)
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("1/2i|00>", "1/2i|00>"),
+        ("2i/3|000>-|111>", "2/3i|000> - |111>"),
+        ("-4/6|00>+2/4i|11>", "-2/3|00> + 1/2i|11>"),
+        ("2/3i(3/4|000> - 1/2i|011> + 6|101>)/sqrt(5)", "(1/2i|000> + 1/3|011> + 4i|101>)/sqrt(5)"),
+        ("3/sqrt(2)(1/2|01> - 5/6i|10>)/sqrt(3)", "(3/2|01> - 5/2i|10>)/sqrt(6)"),
+        ("1/4|00> + 1/6|00> - 1/3i|11>", "5/12|00> - 1/3i|11>"),
+    ],
+)
+def test_hand_written_coefficients(text, rendered):
+    expr = parse(text)
+    assert render(expr) == rendered == reference_render(expr.terms, expr.global_divisor)
+    state = parse_state(text)
+    assert state == to_state(expr)
+    assert state.integer_form == integer_parts(state.amps)
+    assert state_to_ket(state) == reference_ket(state)
+    assert same_physical_state(parse_state(state_to_ket(state)), state)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/2|00> - 2/4|00>", "(i|011> - i|011>)/sqrt(2)", "2/3(1/2i|01> - 3/6i|01>)"]
+)
+def test_terms_that_cancel_are_empty(text):
+    with pytest.raises(EmptyState):
+        parse(text)
+    with pytest.raises(EmptyState):
+        parse_state(text)

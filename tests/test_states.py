@@ -17,9 +17,12 @@ from tritangle import (
     NonFinite,
     TripartiteState,
     ZeroScale,
+    cayley_det,
+    cayley_det_schlafli,
     classify,
     collapse,
     concurrence2,
+    det2,
     rank1_oracle,
     state_from_json,
     state_to_json,
@@ -217,3 +220,16 @@ def test_double_overflow_raises_nonfinite():
     with pytest.raises(NonFinite, match="double range"):  # norm2^4 underflows to 0
         classify(tiny.to_approx())
     assert collapse(ghz, Axis.X, 0).prob == pytest.approx(0.5)
+
+
+def test_double_determinants_raise_nonfinite_on_overflow():
+    ghz = TripartiteState.approx((1e100,) + (0,) * 6 + (1e100,))
+    with pytest.raises(NonFinite):  # p0^2 = 1e400
+        cayley_det(ghz)
+    with pytest.raises(NonFinite):  # beta^2 = 1e400
+        cayley_det_schlafli(ghz)
+    with pytest.raises(NonFinite):  # c00 c11 = 1e400
+        det2(BipartiteState.approx((1e200, 0, 0, 1e200)))
+    c = (1 + 2j, 3 - 1j, 0.5j, 2.25 - 0.1j)
+    assert det2(BipartiteState.approx(c)) == c[0] * c[3] - c[1] * c[2]
+    assert cayley_det(ghz.scale(1e-90)) == cayley_det_schlafli(ghz.scale(1e-90)) == 1e40
