@@ -21,7 +21,6 @@ float display layer.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -175,7 +174,15 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
     The state is classified on its pairs g.  There scale2 and the
     denominator cancel from the normalized entries, which are
     |Det_g|^2 / N^4 and |sub_g|^2 / N^2 with N = sum |g|^2.
+
+    The normalized vector is kept on the state instance once it is built,
+    and later normalized calls return it; it is frozen and does not depend
+    on ``eps``.  ``normalized=False`` is computed on every call.
     """
+    if normalized:
+        kept = state.__dict__.get("_classification")
+        if kept is not None:
+            return kept
     div = _OPS[state.backend].div
     g = state._pairs[0]
     re, im = _cayley_g(g)
@@ -186,11 +193,14 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
         # A degree-2 polynomial of the physical amplitudes is scale2 / d^2
         # times its value on g; the hyperdeterminant carries its square.
         num, den = state.scale2 * state.scale2, state._pairs[1] ** 4
-    return ClassificationVector(
+    vec = ClassificationVector(
         div(det2 * num * num, den * den, "classification entry"),
         tuple(div(v * num, den, "classification entry") for v in sub2),
         computed_on_normalized=normalized,
     )
+    if normalized:
+        state.__dict__["_classification"] = vec
+    return vec
 
 
 def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tuple:
@@ -200,12 +210,16 @@ def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tu
     entry reads 1), otherwise by the largest sub-concurrence (so the
     largest surviving entry reads 1), otherwise returns all zeros.  The
     result is a 7-tuple of floats; the leading entry is always 0 or 1.
+    Each root is taken by ``scalars._OPS[backend].sqrt_ratio``: a nonzero
+    exact entry never reads 0.0, and one whose root lies beyond the double
+    range raises :class:`NonFinite`.
     """
-    zero = _OPS[vec.backend].is_zero
+    ops = _OPS[vec.backend]
+    zero = ops.is_zero
     if not zero(vec.det_abs2, eps):
         div2 = vec.det_abs2
     elif not all(zero(v, eps) for v in vec.sub2):
         div2 = max(vec.sub2)
     else:
         return (0.0,) * 7
-    return tuple(0.0 if zero(v, eps) else math.sqrt(float(v / div2)) for v in vec.values2())
+    return tuple(0.0 if zero(v, eps) else ops.sqrt_ratio(v, div2) for v in vec.values2())

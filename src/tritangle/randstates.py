@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import GaussianRational
+from .scalars import _OPS, GaussianRational, gauss_mul, integer_parts
 from .states import BipartiteState, TripartiteState
 from .unitary import apply_local_3, random_rational_unitary2
 
@@ -66,11 +66,11 @@ def random_qubit_vector(rng: random.Random) -> tuple:
 
 
 def random_product_state(rng: random.Random) -> TripartiteState:
-    x = random_qubit_vector(rng)
-    y = random_qubit_vector(rng)
-    z = random_qubit_vector(rng)
-    amps = tuple(x[i] * y[j] * z[k] for i in range(2) for j in range(2) for k in range(2))
-    return TripartiteState(amps, Fraction(1))
+    """x (x) y (x) z of three random qubit vectors, multiplied on their
+    integer forms: a_ijk = gx_i gy_j gz_k / (dx dy dz)."""
+    (gx, dx), (gy, dy), (gz, dz) = (integer_parts(random_qubit_vector(rng)) for _ in range(3))
+    g = tuple(gauss_mul(gauss_mul(x, y), z) for x in gx for y in gy for z in gz)
+    return TripartiteState._from_pairs(_OPS["exact"], g, dx * dy * dz, Fraction(1))
 
 
 def random_generic_state(rng: random.Random) -> TripartiteState:

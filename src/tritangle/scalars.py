@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from .errors import NonFinite
@@ -230,7 +231,8 @@ def integer_parts(values) -> tuple:
 #
 # Both backends run one formula per quantity on (re, im) pairs over a
 # denominator d.  They differ only in where the pairs come from, how a result
-# is divided and how zero is tested; each public function looks up _OPS once.
+# is divided, how zero is tested and how a display root is taken; each public
+# function looks up _OPS once.
 
 
 class _ExactOps:
@@ -257,6 +259,34 @@ class _ExactOps:
     @staticmethod
     def is_zero(num, eps, *dens):
         return not num
+
+    @staticmethod
+    def sqrt_ratio(v, w):
+        """sqrt(v / w) of two positive Fractions as a double.
+
+        v / w is the int quotient (v.n w.d) / (v.d w.n), correctly rounded,
+        so a quotient in the normal double range gives exactly
+        ``math.sqrt(float(v / w))``.  Outside it the root is taken on the
+        ints, and a root beyond the double range raises NonFinite.
+        """
+        num, den = v.numerator * w.denominator, v.denominator * w.numerator
+        try:
+            q = num / den
+            if q >= sys.float_info.min:
+                return math.sqrt(q)
+        except OverflowError:
+            pass
+        # num * 4^k / den has about 128 bits, so its integer root has 64.
+        k = (128 - num.bit_length() + den.bit_length()) // 2
+        root = math.isqrt((num << 2 * k) // den if k >= 0 else num // (den << -2 * k))
+        try:
+            value = math.ldexp(root, -k)
+            if value:
+                return value
+        except OverflowError:
+            pass
+        bits = root.bit_length() - k
+        raise NonFinite(f"a display entry of about 2^{bits} is beyond the double range")
 
 
 class _DoubleOps:
@@ -285,6 +315,10 @@ class _DoubleOps:
         if not cmath.isfinite(z):
             raise NonFinite(f"double-backend value is {z}: the values overflow the double range")
         return z
+
+    @staticmethod
+    def sqrt_ratio(v, w):
+        return math.sqrt(v / w)
 
     @classmethod
     def is_zero(cls, num, eps, *dens):

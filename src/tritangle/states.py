@@ -16,8 +16,10 @@ product test in ``bipartite``, collapse in ``measurement`` and the norm here
 run one formula on either; the backends differ only in the pairs, the
 division of a result and the zero test (``scalars._OPS``).
 
-The parser and local unitaries compute states on ints and build them from
-their pairs (``_StateOps._from_pairs``), which are reduced and kept.
+The parser, local unitaries and ``randstates.random_product_state`` compute
+states on ints and build them from their pairs (``_StateOps._from_pairs``),
+which are reduced and kept.  ``hyperdet.classify`` keeps a state's
+normalized classification on the instance the same way.
 
 States are immutable; all operations return new values.
 """

@@ -7,6 +7,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational, TripartiteState
+from tritangle.randstates import random_qubit_vector
 
 BIG = 10**6
 big_fracs = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
@@ -77,19 +78,32 @@ def brute_subdet2(state: TripartiteState, axis_name: str, outcome: int):
 
 def brute_display(state: TripartiteState, det_abs2, eps=0):
     """Display vector assembled from brute_subdet2 plus a given |Det|^2."""
-    import math
-
     sub2 = [brute_subdet2(state, ax, o) for ax in "xyz" for o in (0, 1)]
-    entries = [det_abs2] + sub2
+    return reference_display([det_abs2] + sub2, eps)
+
+
+def reference_display(entries, eps=0):
+    """``display_normalize`` of seven squared entries as sqrt(float(v / div2)).
+
+    The quotient is converted to a double before its root is taken, so for
+    exact entries it raises OverflowError when v / div2 is beyond the double
+    range and reads 0.0 when it is below it.
+    """
+    det_abs2, sub2 = entries[0], entries[1:]
     if det_abs2 > eps:
         div2 = det_abs2
     elif max(sub2) > eps:
         div2 = max(sub2)
     else:
         return (0.0,) * 7
-    return tuple(
-        math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries
-    )
+    return tuple(math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries)
+
+
+def reference_product_state(rng):
+    """``random_product_state`` as the GaussianRational outer product of the same draws."""
+    x, y, z = (random_qubit_vector(rng) for _ in range(3))
+    amps = tuple(x[i] * y[j] * z[k] for i in range(2) for j in range(2) for k in range(2))
+    return TripartiteState(amps, Fraction(1))
 
 
 def brute_apply_local(state, units):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tritangle import extract_factors, parse_state, state_from_json
-from tritangle.cli import main
+from tritangle.cli import _fmt_display, main
 from _util import same_physical_state
 
 GHZ = "(|000> + |111>)/sqrt(2)"
@@ -289,6 +289,39 @@ def _big(digits):
 def test_double_overflow_exit3(argv, json_mode, capsys):
     argv = argv + ["--float"] + (["--json"] if json_mode else [])
     code, out, err = run(capsys, argv)
+    assert code == 3 and out == "" and "double range" in err
+
+
+_HUGE_X0 = f"|001> + |010> + |100> + 1/{_big(200)}|111>"
+_TINY_X0 = f"|000> + |111> + 1/{_big(200)}|011>"
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        # The squared x0 entry over |Det|^2 overflows a double; its root does not.
+        (["classify", _HUGE_X0], "[1; 7.5e+199, 0.75, 7.5e+199, 0.75, 7.5e+199, 0.75]"),
+        # The squared x0 entry over |Det|^2 underflows to zero; its root does not.
+        (["classify", _TINY_X0], "[1; 2e-200, 0, 0, 0, 0, 0]"),
+    ],
+    ids=["overflow", "underflow"],
+)
+def test_exact_display_takes_the_root_before_the_double(argv, shown, capsys):
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == "" and f"display            : {shown}\n" in out
+    code, out, err = run(capsys, argv + ["--json"])
+    display = json.loads(out)["display"]
+    assert code == 0 and err == "" and _fmt_display(display) == shown
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "expr",
+    [_HUGE_X0.replace(_big(200), _big(700)), _TINY_X0.replace(_big(200), _big(700))],
+    ids=["root-overflows", "root-underflows"],
+)
+def test_exact_display_beyond_the_double_range_exit3(expr, json_mode, capsys):
+    code, out, err = run(capsys, ["classify", expr] + (["--json"] if json_mode else []))
     assert code == 3 and out == "" and "double range" in err
 
 

@@ -5,18 +5,24 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
     Axis,
     GaussianRational,
+    NonFinite,
     TripartiteState,
     apply_local_3,
     cayley_det,
     cayley_det_schlafli,
     classify,
     display_normalize,
+    is_separable,
+    parse_state,
+    random_rational_unitary2,
+    state_to_ket,
     sub_concurrences2,
     submatrix,
 )
@@ -24,7 +30,7 @@ from tritangle.catalog import ghz_state, ghz_to_psi_unitary, psi_state, w_state
 from tritangle.randstates import random_generic_state
 from tritangle.scalars import abs2
 
-from _util import wide_scalars
+from _util import reference_display, wide_scalars
 
 
 def test_submatrix_w_x0():
@@ -122,9 +128,15 @@ def test_classify_ghz_normalized_values():
     assert vec.sub2 == (0,) * 6
     assert vec.computed_on_normalized
     # In doubles |Det|^2 = 1/16 exactly: an entry equal to eps counts as zero.
-    vec_f = classify(ghz_state().to_approx())
+    ghz_f = ghz_state().to_approx()
+    vec_f = classify(ghz_f)
     assert vec_f.det_abs2 == 1 / 16
     assert vec_f.is_zero(1 / 16) and not vec_f.is_zero(math.nextafter(1 / 16, 0))
+    # The vector kept by classify serves every eps: the decisions match a
+    # fresh copy's on both sides of the boundary.
+    for eps in (0.0, math.nextafter(1 / 16, 0), 1 / 16, math.nextafter(1 / 16, 1), 1.0):
+        fresh = TripartiteState(ghz_f.amps, ghz_f.scale2)
+        assert is_separable(ghz_f, eps) == is_separable(fresh, eps) == (eps >= 1 / 16)
 
 
 def test_display_normalize_rows():
@@ -212,3 +224,109 @@ def test_qubit_permutation_permutes_sub_entries_exactly(state, perm):
         before, after = classify(state, normalized), classify(permuted, normalized)
         assert after.det_abs2 == before.det_abs2
         assert after.sub2 == tuple(before.sub2[2 * perm[q] + o] for q in range(3) for o in (0, 1))
+
+
+# -- the normalized vector kept on the state ----------------------------------
+
+
+def _copy(state):
+    """The same amplitudes in a new instance, which has kept nothing."""
+    return TripartiteState(state.amps, state.scale2)
+
+
+def _check_kept(state):
+    """classify keeps its normalized vector; the unnormalized one is never kept."""
+    before = classify(state, normalized=False)
+    vec = classify(state)
+    after = classify(state, normalized=False)
+    assert classify(state) is vec and vec.computed_on_normalized
+    assert vec == classify(_copy(state))
+    unkept = classify(_copy(state), normalized=False)
+    assert before == after == unkept and not after.computed_on_normalized
+    assert sub_concurrences2(state) == unkept.sub2
+
+
+@settings(deadline=None)
+@given(exact_states)
+def test_classify_keeps_the_normalized_vector(state):
+    for s in (state, state.to_approx()):
+        _check_kept(s)
+        _check_kept(_copy(s))  # normalized first, unnormalized after
+
+
+@settings(deadline=None)
+@given(exact_states, st.randoms(use_true_random=False))
+def test_states_built_from_pairs_classify_like_rebuilt_copies(state, rng):
+    units = [random_rational_unitary2(rng) for _ in range(3)]
+    for built in (parse_state(state_to_ket(state)), apply_local_3(state, *units)):
+        assert classify(built) == classify(_copy(built))
+        _check_kept(built)
+
+
+@settings(deadline=None)
+@given(exact_states)
+def test_double_decision_after_classify_matches_a_fresh_copy(state):
+    s = state.to_approx()
+    vec = classify(s)
+    for v in vec.values2():
+        for eps in (math.nextafter(v, 0), v, math.nextafter(v, math.inf)):
+            assert is_separable(s, eps) == is_separable(_copy(s), eps)
+    assert classify(s) is vec
+
+
+def test_classify_keeps_nothing_when_it_raises():
+    s = TripartiteState.approx((1e100,) + (0,) * 6 + (1e100,))
+    for _ in range(2):
+        with pytest.raises(NonFinite):
+            classify(s)
+        with pytest.raises(NonFinite):
+            is_separable(s)
+
+
+# -- display roots taken on the ints -------------------------------------------
+
+
+def _beyond_double_range(vec) -> bool:
+    """Some nonzero ratio entry / divisor has a root that no double holds."""
+    div2 = vec.det_abs2 or max(vec.sub2)
+    return any(v and not 2 ** -2148 <= v / div2 < 2 ** 2047 for v in vec.values2())
+
+
+_TINY = Fraction(1, 10**200)
+
+
+@settings(deadline=None)
+@given(exact_states)
+@example(TripartiteState.exact((0, 1, 1, 0, 1, 0, 0, _TINY)))  # squared ratio overflows
+@example(TripartiteState.exact((1, 0, 0, _TINY, 0, 0, 0, 1)))  # squared ratio underflows
+def test_display_is_zero_only_for_zero_entries_and_matches_the_float_formula(state):
+    vec = classify(state)
+    try:
+        display = display_normalize(vec)
+    except NonFinite:
+        assert _beyond_double_range(vec)
+        return
+    try:
+        ref = reference_display(vec.values2())
+    except OverflowError:
+        ref = None
+    for n, v in enumerate(vec.values2()):
+        assert (display[n] == 0.0) == (v == 0)
+        # Below 2^-511 the reference's quotient has left the normal double
+        # range, and it reads 0.0 where it underflows.
+        if ref is not None and ref[n] >= 2.0 ** -511:
+            assert display[n] == ref[n]
+
+
+def test_display_of_entries_beyond_the_double_quotient():
+    big = 1 / _TINY
+    # |Det| = 4/big next to the x0 sub-determinant 1: the squared ratio
+    # overflows a double, its root (3 big^2 + 1) / (4 big) does not.
+    s = TripartiteState.exact((0, 1, 1, 0, 1, 0, 0, _TINY))
+    assert display_normalize(classify(s))[1] == pytest.approx(float((3 * big * big + 1) / (4 * big)))
+    # x0 = 1/big next to |Det| = 1: the squared ratio underflows to 0.0.
+    s = TripartiteState.exact((1, 0, 0, _TINY, 0, 0, 0, 1))
+    assert display_normalize(classify(s)) == (1.0, pytest.approx(2e-200), 0, 0, 0, 0, 0)
+    for tiny in (_TINY ** 4, big ** 4):
+        with pytest.raises(NonFinite):
+            display_normalize(classify(TripartiteState.exact((1, 0, 0, tiny, 0, 0, 0, 1))))

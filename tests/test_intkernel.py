@@ -18,6 +18,7 @@ The double backend runs the same kernels on its own float pairs; the last
 properties compare it with the exact backend on the same states.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,7 @@ from tritangle import (
     sub_concurrences2,
     submatrix,
 )
+from tritangle.randstates import random_product_state
 from tritangle.scalars import integer_parts
 
 from _util import (
@@ -56,6 +58,7 @@ from _util import (
     brute_apply_local,
     brute_subdet2,
     exact_states,
+    reference_product_state,
     same_physical_state,
     wide_scalars,
 )
@@ -244,6 +247,15 @@ def test_states_built_on_ints_keep_their_least_integer_form(s3, s2, rng):
     ):
         assert kept_integer_form(built) == integer_parts(built.amps)
         assert same_physical_state(built, source)
+
+
+@given(st.integers(0, 2**32))
+def test_random_product_state_is_the_outer_product_of_its_draws(seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    state = random_product_state(rng)
+    assert state == reference_product_state(ref_rng)
+    assert rng.getstate() == ref_rng.getstate()
+    assert kept_integer_form(state) == integer_parts(state.amps)
 
 
 # -- the double backend against the exact backend ----------------------------
