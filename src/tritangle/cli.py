@@ -426,6 +426,11 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """The ``tritangle`` command.  It lifts the interpreter's int-to-str digit
+    limit for its own process, so that every exact value computed from an
+    accepted input prints; the library and :func:`main` keep the limit."""
+    if hasattr(sys, "set_int_max_str_digits"):  # interpreters without it have no limit
+        sys.set_int_max_str_digits(0)
     sys.exit(main())
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonFinite
-from .scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul
+from .scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul, is_fraction
 from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
@@ -39,10 +39,9 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     impossible measurement outcome.
     """
     _check_outcome(outcome)
-    amps = state.amps
-    return BipartiteState(
-        tuple(amps[n] for n in SLICE_INDEX[2 * axis.value + outcome]), state.scale2
-    )
+    g, d = state._pairs
+    pair = tuple(g[n] for n in SLICE_INDEX[2 * axis.value + outcome])
+    return BipartiteState._from_pairs(_OPS[state.backend], pair, d, state.scale2)
 
 
 # -- one kernel on (re, im) pairs for both backends ---------------------------
@@ -155,7 +154,7 @@ class ClassificationVector:
 
     @property
     def backend(self) -> str:
-        return "exact" if isinstance(self.det_abs2, Fraction) else "approx"
+        return "exact" if is_fraction(self.det_abs2) else "approx"
 
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """True when every entry vanishes (exactly, or at most eps)."""

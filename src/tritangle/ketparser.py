@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyState, KetSyntaxError, MixedArity, UnsupportedIrrational
-from .scalars import _OPS, gauss_mul, integer_parts
+from .scalars import _OPS, gauss_mul, integer_parts, ratio_str
 from .states import BipartiteState, TripartiteState
 
 _PUNCT = "()+-/*|>"
@@ -122,9 +122,18 @@ class _Parser:
             )
         return self.advance()
 
+    @staticmethod
+    def int_value(tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise KetSyntaxError(
+                f"integer of {len(tok[1])} digits exceeds the int conversion limit", tok[2]
+            ) from None
+
     def parse_posint(self, what) -> int:
         tok = self.expect("int", what)
-        value = int(tok[1])
+        value = self.int_value(tok)
         if value <= 0:
             raise KetSyntaxError(f"{what} must be positive", tok[2], (what,))
         return value
@@ -141,7 +150,7 @@ class _Parser:
         numer = None
         imag = False
         if self.peek() == "int":
-            numer = int(self.advance()[1])
+            numer = self.int_value(self.advance())
         if self.peek() == "i":
             self.advance()
             imag = True
@@ -312,8 +321,7 @@ def _render(terms, divisor: int) -> str:
     for bits, parts in terms:
         for (num, den), unit in zip(parts, ("", "i")):
             if num:
-                k = math.gcd(num, den)
-                mag = str(abs(num) // k) if den == k else f"{abs(num) // k}/{den // k}"
+                mag = ratio_str(abs(num), den)
                 text = f"{'' if mag == '1' else mag}{unit}|{bits}>"
                 if body:
                     body += f" - {text}" if num < 0 else f" + {text}"

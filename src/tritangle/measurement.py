@@ -60,5 +60,5 @@ def collapse(
         raise ImpossibleOutcome(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
-    post = BipartiteState(tuple(state.amps[n] for n in index), state.scale2)
+    post = BipartiteState._from_pairs(ops, pair, state._pairs[1], state.scale2)
     return CollapseResult(prob, post, gauss_concurrence2(pair, weight, ops.div))

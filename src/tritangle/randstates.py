@@ -18,16 +18,19 @@ reproducible from a single seed.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import _OPS, GaussianRational, gauss_mul, integer_parts
+from .scalars import _OPS, GaussianRational, gauss_mul
 from .states import BipartiteState, TripartiteState
 from .unitary import apply_local_3, random_rational_unitary2
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
+
+_EXACT = _OPS["exact"]
 
 POOL_WEIGHTS = (
     ("product", 0.30),
@@ -42,12 +45,19 @@ def random_fraction(rng: random.Random, span: int = 9, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
+def _draw_parts(rng, span=9, max_den=3, imag_chance=0.5):
+    """The draws of :func:`random_gaussian_rational` as int ``(num, den)`` parts."""
+    re = rng.randint(-span, span), rng.randint(1, max_den)
+    if rng.random() < imag_chance:
+        return re, (rng.randint(-span, span), rng.randint(1, max_den))
+    return re, (0, 1)
+
+
 def random_gaussian_rational(
     rng: random.Random, span: int = 9, max_den: int = 3, imag_chance: float = 0.5
 ) -> GaussianRational:
-    re = random_fraction(rng, span, max_den)
-    im = random_fraction(rng, span, max_den) if rng.random() < imag_chance else Fraction(0)
-    return GaussianRational(re, im)
+    re, im = _draw_parts(rng, span, max_den, imag_chance)
+    return GaussianRational(Fraction(*re), Fraction(*im))
 
 
 def _nonzero_gr(rng, span=9, max_den=3):
@@ -57,20 +67,30 @@ def _nonzero_gr(rng, span=9, max_den=3):
             return g
 
 
+def _qubit_pairs(rng):
+    """The draws of :func:`random_qubit_vector` as ``(g, d)``: Gaussian
+    integers over the lcm of the drawn denominators."""
+    while True:
+        parts = (_draw_parts(rng, 4), _draw_parts(rng, 4))
+        if any(num for scalar in parts for num, _ in scalar):
+            d = math.lcm(*(den for scalar in parts for _, den in scalar))
+            return tuple(
+                (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
+            ), d
+
+
 def random_qubit_vector(rng: random.Random) -> tuple:
     """A nonzero pair of small Gaussian rationals."""
-    while True:
-        v = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
-        if v[0] or v[1]:
-            return v
+    g, d = _qubit_pairs(rng)
+    return tuple(_EXACT.scalar(re, im, d) for re, im in g)
 
 
 def random_product_state(rng: random.Random) -> TripartiteState:
     """x (x) y (x) z of three random qubit vectors, multiplied on their
     integer forms: a_ijk = gx_i gy_j gz_k / (dx dy dz)."""
-    (gx, dx), (gy, dy), (gz, dz) = (integer_parts(random_qubit_vector(rng)) for _ in range(3))
+    (gx, dx), (gy, dy), (gz, dz) = (_qubit_pairs(rng) for _ in range(3))
     g = tuple(gauss_mul(gauss_mul(x, y), z) for x in gx for y in gy for z in gz)
-    return TripartiteState._from_pairs(_OPS["exact"], g, dx * dy * dz, Fraction(1))
+    return TripartiteState._from_pairs(_EXACT, g, dx * dy * dz, Fraction(1))
 
 
 def random_generic_state(rng: random.Random) -> TripartiteState:

@@ -18,6 +18,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .errors import NonFinite
 
@@ -183,6 +184,18 @@ def is_exact_scalar(value) -> bool:
     return isinstance(value, GaussianRational)
 
 
+def is_fraction(value) -> bool:
+    """``isinstance(value, Fraction)``, deciding a float or a Fraction on its
+    concrete type: for a float the ABC test costs about ten times as much."""
+    return type(value) is Fraction or type(value) is not float and isinstance(value, Fraction)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for ints with den > 0, without the Fraction."""
+    k = math.gcd(num, den)
+    return str(num // k) if den == k else f"{num // k}/{den // k}"
+
+
 def abs2(value):
     """Squared modulus in the value's own backend."""
     if isinstance(value, GaussianRational):
@@ -238,12 +251,13 @@ def integer_parts(values) -> tuple:
 class _ExactOps:
     """Gaussian-integer pairs over their common denominator, Fraction results, exact zero."""
 
+    backend = "exact"
     pairs = staticmethod(integer_parts)
 
     @staticmethod
     def reduce(g, d):
         """Divide out gcd(d, every part), leaving d the least common denominator."""
-        k = math.gcd(d, *(p for pair in g for p in pair))
+        k = math.gcd(d, *chain.from_iterable(g))
         if k == 1:
             return g, d
         return tuple((re // k, im // k) for re, im in g), d // k
@@ -292,12 +306,19 @@ class _ExactOps:
 class _DoubleOps:
     """Float pairs over d = 1, checked float division, zero within eps."""
 
+    backend = "approx"
+
     @staticmethod
     def pairs(values):
         return tuple((z.real, z.imag) for z in values), 1
 
     @staticmethod
     def reduce(g, d):
+        """The pairs as they are (d = 1); raises NonFinite unless every part is finite."""
+        if not all(map(math.isfinite, chain.from_iterable(g))):
+            raise NonFinite(
+                "double-backend value is not finite: the values overflow the double range"
+            )
         return g, d
 
     @staticmethod

@@ -16,10 +16,12 @@ product test in ``bipartite``, collapse in ``measurement`` and the norm here
 run one formula on either; the backends differ only in the pairs, the
 division of a result and the zero test (``scalars._OPS``).
 
-The parser, local unitaries and ``randstates.random_product_state`` compute
-states on ints and build them from their pairs (``_StateOps._from_pairs``),
-which are reduced and kept.  ``hyperdet.classify`` keeps a state's
-normalized classification on the instance the same way.
+The parser, local unitaries, ``measurement.collapse`` and
+``randstates.random_product_state`` compute states on ints and build them
+from their pairs (``_StateOps._from_pairs``): the reduced pairs and
+``scale2`` are what such a state stores, and ``amps`` is built from them on
+its first read and kept.  ``hyperdet.classify`` keeps a state's normalized
+classification on the instance the same way.
 
 States are immutable; all operations return new values.
 """
@@ -29,12 +31,20 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
-from .scalars import _OPS, GaussianRational, as_approx, as_exact, is_exact_scalar
+from .scalars import (
+    _OPS,
+    GaussianRational,
+    as_approx,
+    as_exact,
+    is_exact_scalar,
+    is_fraction,
+    ratio_str,
+)
 
 
 class Axis(enum.Enum):
@@ -96,11 +106,17 @@ def _validate(values, scale2, n):
     for a in values:
         if is_exact_scalar(a) != exact:
             raise BackendMismatch("values mix exact and double backends")
-    if exact != isinstance(scale2, Fraction):
+    _check_scale2(scale2, exact, exact or all(map(cmath.isfinite, values)))
+
+
+def _check_scale2(scale2, exact, finite=True):
+    """The checks on scale2, given whether the values are exact and finite."""
+    if exact != is_fraction(scale2):
         raise BackendMismatch("scale2 backend must match the values")
-    if not exact and not (math.isfinite(scale2) and all(map(cmath.isfinite, values))):
+    if not exact and not (finite and math.isfinite(scale2)):
         raise NonFinite("double values and scale2 must be finite")
-    if scale2 <= 0:
+    # A Fraction has its numerator's sign, read without Fraction's comparison.
+    if (scale2.numerator if exact else scale2) <= 0:
         raise ValueError("scale2 must be positive")
 
 
@@ -124,16 +140,32 @@ class _StateOps:
 
     @classmethod
     def _from_pairs(cls, ops, g, d, scale2):
-        """The state a_n = g_n / d of backend ``ops``, keeping its reduced pairs
-        (``ops.reduce``): they equal what ``ops.pairs(amps)`` returns."""
+        """The state a_n = g_n / d of backend ``ops``, stored as its reduced
+        pairs (``ops.reduce``), which equal what ``ops.pairs(amps)`` returns.
+
+        The checks of the constructor run on the pairs; ``amps`` is built
+        from them on first read.
+        """
+        _check_scale2(scale2, ops.backend == "exact")
         g, d = ops.reduce(g, d)
-        state = cls(tuple(ops.scalar(re, im, d) for re, im in g), scale2)
-        state.__dict__["_pairs"] = (g, d)
+        if not any(map(any, g)):
+            raise ValueError("the zero vector is not a state")
+        state = object.__new__(cls)
+        kept = state.__dict__  # item by item: update() measured 96 B more per state
+        kept["scale2"] = scale2
+        kept["_pairs"] = (g, d)
         return state
 
     @property
     def backend(self) -> str:
-        return "exact" if is_exact_scalar(self.amps[0]) else "approx"
+        return "exact" if is_fraction(self.scale2) else "approx"
+
+    @cached_property
+    def amps(self) -> tuple:
+        """Read on a state built from its pairs: the amplitudes, built once."""
+        g, d = self._pairs
+        scalar = _OPS[self.backend].scalar
+        return tuple(scalar(re, im, d) for re, im in g)
 
     @cached_property
     def _pairs(self) -> tuple:
@@ -184,7 +216,9 @@ class _StateOps:
 class TripartiteState(_StateOps):
     """Three-qubit pure state: 8 amplitudes a_ijk plus squared prefactor."""
 
-    amps: tuple
+    # field() leaves no class attribute, so a state built by _from_pairs
+    # reads _StateOps.amps.
+    amps: tuple = field()
     scale2: Fraction | float = Fraction(1)
     N_AMPS = 8
 
@@ -196,7 +230,7 @@ class TripartiteState(_StateOps):
 class BipartiteState(_StateOps):
     """Two-qubit pure state: 4 amplitudes c_ij plus squared prefactor."""
 
-    amps: tuple
+    amps: tuple = field()  # as in TripartiteState
     scale2: Fraction | float = Fraction(1)
     N_AMPS = 4
 
@@ -212,7 +246,8 @@ class BipartiteState(_StateOps):
 
 def state_to_json(state) -> dict:
     if state.backend == "exact":
-        amps = [[str(a.re), str(a.im)] for a in state.amps]
+        g, d = state.integer_form
+        amps = [[ratio_str(re, d), ratio_str(im, d)] for re, im in g]
         scale2 = str(state.scale2)
     else:
         amps = [[a.real, a.imag] for a in state.amps]

@@ -1,6 +1,10 @@
 """Command-line surface: outputs, exit codes, JSON schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -403,3 +407,29 @@ def test_negative_sqrt_scale2_exit3(root, capsys):
     u1 = '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": %s}' % root
     code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
     assert code == 3 and out == "" and "scale2 must be positive" in err
+
+
+def test_literal_past_the_int_digit_limit_exit2(capsys):
+    code, out, err = run(capsys, ["classify", "1" * 5000 + "|000>"])
+    assert code == 2 and out == "" and "offset 0" in err
+
+
+#: Parses within the int-to-str limit; its exact |Det|^2 has about 9600 digits.
+LONG_EXACT = f"1/{10**600}|000> + 1/{10**600 + 1}|111>"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_command_prints_exact_values_past_the_int_digit_limit(json_mode):
+    """The command lifts the int-to-str limit for its own process; main does not."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "tritangle", "classify", LONG_EXACT] + (
+        ["--json"] if json_mode else []
+    )
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if json_mode:
+        record = json.loads(proc.stdout)
+        assert len(record["det_abs2"]) > 4300  # the default limit
+        assert record["display"][0] == 1.0 and not record["separable"]
+    else:
+        assert "separable          : no" in proc.stdout

@@ -133,6 +133,19 @@ def test_syntax_errors_carry_offsets():
     assert "sqrt" in err.value.expected
 
 
+@pytest.mark.parametrize(
+    "template, offset",
+    [("{}|000>", 0), ("1/{}|01>", 2), ("|00> - {}i|11>", 7), ("(|000>+|111>)/sqrt({})", 19)],
+    ids=["numerator", "denominator", "imaginary", "sqrt"],
+)
+def test_literal_past_the_int_digit_limit_is_a_syntax_error(template, offset):
+    text = template.format("1" * 5000)
+    for parser in (parse, parse_state):
+        with pytest.raises(KetSyntaxError) as err:
+            parser(text)
+        assert err.value.offset == offset
+
+
 def test_more_syntax_errors():
     for bad in ("", ")", "|0000>", "|02>", "1/0|00>", "sqrt(2)", "foo", "(|00>", "|00>)"):
         with pytest.raises(KetSyntaxError):
