@@ -11,15 +11,13 @@ for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import _OPS, DEFAULT_EPS, abs2, gauss_det2, gauss_mul
+from .scalars import _OPS, DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState
-
-_EXACT = _OPS["exact"]
 
 
 def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
@@ -31,60 +29,26 @@ def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     return classify(state).is_zero(eps)
 
 
-def _factor(axis):
-    """The factor ``axis`` of a Factorization built from its pairs: its two
-    scalars, built on first read and kept."""
-
-    def build(self):
-        g, d = self._pairs[axis]
-        return tuple(_EXACT.scalar(re, im, d) for re, im in g)
-
-    return cached_property(build)
-
-
-class _FactorsFromPairs:
-    fx, fy, fz = map(_factor, range(3))
-
-
 @dataclass(frozen=True)
-class Factorization(_FactorsFromPairs):
+class Factorization:
     """One-qubit factors (fx, fy, fz) whose outer product gives the amps.
 
     Each factor is a pair of scalars; amplitudes satisfy
     a_ijk = fx[i] * fy[j] * fz[k] exactly in the exact backend.  The global
     prefactor of the original state (sqrt of its scale2) is not folded into
     the factors; display layers may attach it to any one factor.
-
-    :func:`extract_factors` stores exact factors as ``_pairs``, one
-    ``(g, d)`` of Gaussian-integer pairs over a denominator per factor;
-    ``fx``, ``fy`` and ``fz`` are built from them on first read.
     """
 
-    # field() leaves no class attribute, so a Factorization built by
-    # _from_pairs reads the factors of _FactorsFromPairs.
-    fx: tuple = field()
-    fy: tuple = field()
-    fz: tuple = field()
-
-    @classmethod
-    def _from_pairs(cls, pairs):
-        fact = object.__new__(cls)
-        fact.__dict__["_pairs"] = pairs
-        return fact
+    fx: tuple
+    fy: tuple
+    fz: tuple
 
     def amplitudes(self) -> tuple:
-        pairs = self.__dict__.get("_pairs")
-        if pairs is None:
-            return tuple(
-                self.fx[i] * self.fy[j] * self.fz[k]
-                for i in range(2)
-                for j in range(2)
-                for k in range(2)
-            )
-        (gx, dx), (gy, dy), (gz, dz) = pairs
-        d = dx * dy * dz
         return tuple(
-            _EXACT.scalar(*gauss_mul(gauss_mul(x, y), z), d) for x in gx for y in gy for z in gz
+            self.fx[i] * self.fy[j] * self.fz[k]
+            for i in range(2)
+            for j in range(2)
+            for k in range(2)
         )
 
 
@@ -123,7 +87,7 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
 
 
 def _extract_exact(state: TripartiteState) -> Factorization:
-    g, d = state.integer_form
+    g = state.integer_form[0]
     star = next(n for n in range(8) if g[n] != (0, 0))
     ai, aj, ak = star >> 2, (star >> 1) & 1, star & 1
     anchor2 = gauss_mul(g[star], g[star])
@@ -133,15 +97,19 @@ def _extract_exact(state: TripartiteState) -> Factorization:
         z = g[4 * ai + 2 * aj + (n & 1)]
         if gauss_mul(gauss_mul(x, y), z) != gauss_mul(g[n], anchor2):
             raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
-    # fx = a(line) = g(line) / d; fy and fz = a(line) / a* = g(line) conj(g*) / |g*|^2.
+    # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
     sr, si = g[star]
     norm = sr * sr + si * si
 
-    def ratios(n, step):
-        return (gauss_mul(g[n], (sr, -si)), gauss_mul(g[n + step], (sr, -si))), norm
+    def ratio(n):
+        re, im = gauss_mul(g[n], (sr, -si))
+        return GaussianRational(Fraction(re, norm), Fraction(im, norm))
 
-    fx = (g[2 * aj + ak], g[4 + 2 * aj + ak]), d
-    return Factorization._from_pairs((fx, ratios(4 * ai + ak, 2), ratios(4 * ai + 2 * aj, 1)))
+    amps = state.amps
+    fx = (amps[2 * aj + ak], amps[4 + 2 * aj + ak])
+    fy = (ratio(4 * ai + ak), ratio(4 * ai + 2 + ak))
+    fz = (ratio(4 * ai + 2 * aj), ratio(4 * ai + 2 * aj + 1))
+    return Factorization(fx, fy, fz)
 
 
 #: Column index pairs of a 2x4 matrix, for minor enumeration.

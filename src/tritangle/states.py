@@ -146,6 +146,8 @@ class _StateOps:
         The checks of the constructor run on the pairs; ``amps`` is built
         from them on first read.
         """
+        if len(g) != cls.N_AMPS:
+            raise ValueError(f"expected {cls.N_AMPS} values, got {len(g)}")
         _check_scale2(scale2, ops.backend == "exact")
         g, d = ops.reduce(g, d)
         if not any(map(any, g)):

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from tritangle import (
     AXIS_OUTCOME_ORDER,
     BipartiteState,
-    Factorization,
     GaussianRational,
     ImpossibleOutcome,
     NonFinite,
@@ -28,7 +27,6 @@ from tritangle import (
     apply_local_2,
     apply_local_3,
     collapse,
-    extract_factors,
     parse_state,
     state_to_json,
     state_to_ket,
@@ -119,6 +117,8 @@ def test_pairs_are_the_stored_value():
         (((1, 0),) * 8, 1, Fraction(-1, 2), ValueError),
         (((1, 0),) * 8, 1, 1, TypeError),  # BackendMismatch: an int scale2
         (((1, 0),) * 8, 1, 0.5, TypeError),
+        (((1, 0),) * 7, 1, Fraction(1), ValueError),  # one pair per amplitude
+        (((1, 0),) * 9, 1, Fraction(1), ValueError),
     ],
 )
 def test_from_pairs_checks_the_constructor_invariants(g, d, scale2, error):
@@ -196,27 +196,3 @@ POOL_DIGEST = "93e2486c8644c71f4f3ed8583fdb8d0f6cdd727b074ff39066b1e1a77d9c7673"
 def test_mixed_pool_is_unchanged():
     kets = "\n".join(state_to_ket(s) for s in mixed_pool(20240817, 300))
     assert hashlib.sha256(kets.encode()).hexdigest() == POOL_DIGEST
-
-
-@settings(deadline=None, max_examples=60)
-@given(exact_states(TripartiteState), st.randoms(use_true_random=False))
-def test_factorization_from_pairs_equals_eager_factors(state, rng):
-    x, y, z = (random_qubit_vector(rng) for _ in range(3))
-    k = next(a for a in state.amps if a)
-    amps = tuple(a * b * c * k for a in x for b in y for c in z)
-    product = TripartiteState(amps, state.scale2)
-    built = lambda: extract_factors(TripartiteState(amps, state.scale2))
-    eager = Factorization(built().fx, built().fy, built().fz)
-    assert "fx" not in built().__dict__
-    assert built() == eager and hash(built()) == hash(eager)
-    assert repr(built()) == repr(eager)
-    assert built().amplitudes() == eager.amplitudes() == product.amps
-    assert pickle.loads(pickle.dumps(built())) == eager
-    # The factors read off the anchor line, as GaussianRationals.
-    f = built()
-    star = next(n for n in range(8) if amps[n])
-    ai, aj, ak = star >> 2, (star >> 1) & 1, star & 1
-    anchor = amps[star]
-    assert f.fx == (amps[2 * aj + ak], amps[4 + 2 * aj + ak])
-    assert f.fy == (amps[4 * ai + ak] / anchor, amps[4 * ai + 2 + ak] / anchor)
-    assert f.fz == (amps[4 * ai + 2 * aj] / anchor, amps[4 * ai + 2 * aj + 1] / anchor)
