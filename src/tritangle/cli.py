@@ -9,8 +9,9 @@ records); diagnostics go to stderr.
 Exit codes: 0 success; 2 expression/JSON parse error, unreadable state
 file or bad option value; 3 precondition failure (wrong qubit count for
 the command, impossible measurement outcome, factoring a non-separable
-state, NaN or infinite double-backend values); 4 exact/double backend
-mismatch.
+state or a double state that is separable only within eps, a matrix that
+is not unitary, NaN or infinite double-backend values); 4 exact/double
+backend mismatch.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     KetSyntaxError,
     NonFinite,
     NotSeparable,
+    ResidualNonzero,
     TritangleError,
     UnsupportedIrrational,
     ZeroScale,
@@ -420,7 +422,9 @@ def main(argv=None) -> int:
     except NonFinite as exc:
         print(f"error: {exc}; no text or JSON result is printed", file=sys.stderr)
         return PRECONDITION_ERROR
-    except (_ArityError, ImpossibleOutcome, NotSeparable, ZeroScale, ValueError) as exc:
+    except (
+        _ArityError, ImpossibleOutcome, NotSeparable, ResidualNonzero, ZeroScale, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_ERROR
 

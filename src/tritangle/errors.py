@@ -28,8 +28,9 @@ class NotSeparable(TritangleError):
 class ResidualNonzero(TritangleError):
     """Extracted factors fail to reproduce the amplitudes.
 
-    Unreachable for states that pass the separability test; raised only to
-    guard against internal inconsistency.
+    Unreachable in the exact backend.  A double state can pass the
+    separability test (every entry within eps) and still be too far from a
+    product for the rebuild tolerance of :func:`extract_factors`.
     """
 
 

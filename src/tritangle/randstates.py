@@ -13,7 +13,9 @@ samples alone.  The mixed pool therefore draws, per state:
          (exact rational unitaries in the exact backend, Haar otherwise)
 
 All exact generators use a ``random.Random`` instance so runs are
-reproducible from a single seed.
+reproducible from a single seed.  They draw each part as an int
+``(num, den)`` and build the state from Gaussian integers over the lcm of
+the denominators (``_StateOps._from_pairs``), not from scalars.
 """
 
 from __future__ import annotations
@@ -45,88 +47,80 @@ def random_fraction(rng: random.Random, span: int = 9, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def _draw_parts(rng, span=9, max_den=3, imag_chance=0.5):
+def _draw_parts(rng, span=9):
     """The draws of :func:`random_gaussian_rational` as int ``(num, den)`` parts."""
-    re = rng.randint(-span, span), rng.randint(1, max_den)
-    if rng.random() < imag_chance:
-        return re, (rng.randint(-span, span), rng.randint(1, max_den))
+    re = rng.randint(-span, span), rng.randint(1, 3)
+    if rng.random() < 0.5:
+        return re, (rng.randint(-span, span), rng.randint(1, 3))
     return re, (0, 1)
 
 
-def random_gaussian_rational(
-    rng: random.Random, span: int = 9, max_den: int = 3, imag_chance: float = 0.5
-) -> GaussianRational:
-    re, im = _draw_parts(rng, span, max_den, imag_chance)
+def random_gaussian_rational(rng: random.Random, span: int = 9) -> GaussianRational:
+    re, im = _draw_parts(rng, span)
     return GaussianRational(Fraction(*re), Fraction(*im))
 
 
-def _nonzero_gr(rng, span=9, max_den=3):
+def _nonzero_draws(rng, n, span=4):
+    """``n`` draws of :func:`_draw_parts`, all drawn again until one is nonzero."""
     while True:
-        g = random_gaussian_rational(rng, span, max_den)
-        if g:
-            return g
+        parts = [_draw_parts(rng, span) for _ in range(n)]
+        if any(re or im for (re, _), (im, _) in parts):
+            return parts
 
 
-def _qubit_pairs(rng):
-    """The draws of :func:`random_qubit_vector` as ``(g, d)``: Gaussian
-    integers over the lcm of the drawn denominators."""
-    while True:
-        parts = (_draw_parts(rng, 4), _draw_parts(rng, 4))
-        if any(num for scalar in parts for num, _ in scalar):
-            d = math.lcm(*(den for scalar in parts for _, den in scalar))
-            return tuple(
-                (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
-            ), d
+def _over_lcm(parts):
+    """Drawn ``((re, re_den), (im, im_den))`` scalars as ``(g, d)``: Gaussian
+    integers over the lcm of their denominators."""
+    d = math.lcm(*(den for scalar in parts for _, den in scalar))
+    return tuple(
+        (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
+    ), d
+
+
+def _exact_state(cls, parts):
+    return cls._from_pairs(_EXACT, *_over_lcm(parts), Fraction(1))
 
 
 def random_qubit_vector(rng: random.Random) -> tuple:
     """A nonzero pair of small Gaussian rationals."""
-    g, d = _qubit_pairs(rng)
+    g, d = _over_lcm(_nonzero_draws(rng, 2))
     return tuple(_EXACT.scalar(re, im, d) for re, im in g)
 
 
 def random_product_state(rng: random.Random) -> TripartiteState:
     """x (x) y (x) z of three random qubit vectors, multiplied on their
     integer forms: a_ijk = gx_i gy_j gz_k / (dx dy dz)."""
-    (gx, dx), (gy, dy), (gz, dz) = (_qubit_pairs(rng) for _ in range(3))
+    (gx, dx), (gy, dy), (gz, dz) = (_over_lcm(_nonzero_draws(rng, 2)) for _ in range(3))
     g = tuple(gauss_mul(gauss_mul(x, y), z) for x in gx for y in gy for z in gz)
     return TripartiteState._from_pairs(_EXACT, g, dx * dy * dz, Fraction(1))
 
 
 def random_generic_state(rng: random.Random) -> TripartiteState:
-    while True:
-        amps = tuple(random_gaussian_rational(rng) for _ in range(8))
-        if any(bool(a) for a in amps):
-            return TripartiteState(amps, Fraction(1))
+    return _exact_state(TripartiteState, _nonzero_draws(rng, 8, span=9))
 
 
 def random_sparse_state(rng: random.Random) -> TripartiteState:
     """Random support pattern with 1..8 nonzero small-rational entries."""
     support = rng.sample(range(8), rng.randint(1, 8))
-    amps = [GaussianRational(0)] * 8
+    parts = [((0, 1), (0, 1))] * 8
     for idx in support:
-        amps[idx] = _nonzero_gr(rng, span=4)
-    return TripartiteState(tuple(amps), Fraction(1))
+        parts[idx] = _nonzero_draws(rng, 1)[0]
+    return _exact_state(TripartiteState, parts)
 
 
 def random_antipodal_state(rng: random.Random) -> TripartiteState:
     """c1|b> + c2|~b> for a random basis ket b and nonzero c1, c2."""
     idx = rng.randrange(8)
-    amps = [GaussianRational(0)] * 8
-    amps[idx] = _nonzero_gr(rng, span=4)
-    amps[7 - idx] = _nonzero_gr(rng, span=4)
-    return TripartiteState(tuple(amps), Fraction(1))
+    parts = [((0, 1), (0, 1))] * 8
+    parts[idx] = _nonzero_draws(rng, 1)[0]
+    parts[7 - idx] = _nonzero_draws(rng, 1)[0]
+    return _exact_state(TripartiteState, parts)
 
 
 def random_rotated_product_state(rng: random.Random) -> TripartiteState:
     """Product state pushed through exact rational local unitaries."""
     s = random_product_state(rng)
-    return apply_local_3(
-        s,
-        random_rational_unitary2(rng),
-        random_rational_unitary2(rng),
-        random_rational_unitary2(rng),
-    )
+    return apply_local_3(s, *(random_rational_unitary2(rng) for _ in range(3)))
 
 
 _KIND_FUNCS = {
@@ -182,7 +176,4 @@ def random_approx_bipartite(rng: np.random.Generator) -> BipartiteState:
 
 
 def random_exact_bipartite(rng: random.Random) -> BipartiteState:
-    while True:
-        amps = tuple(random_gaussian_rational(rng) for _ in range(4))
-        if any(bool(a) for a in amps):
-            return BipartiteState(amps, Fraction(1))
+    return _exact_state(BipartiteState, _nonzero_draws(rng, 4, span=9))

@@ -65,8 +65,9 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
     the exact backend on the integer form g, as
     g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g(i, j, k) g*^2.
     Raises :class:`NotSeparable` when the state fails the separability
-    test and :class:`ResidualNonzero` if verification fails (impossible
-    for states that pass the test; kept as an internal-consistency guard).
+    test and :class:`ResidualNonzero` if verification fails: never in the
+    exact backend, and for doubles when the state is separable only within
+    eps but misses the rebuild tolerance 1e-9 * max(1, max |a_n|).
     """
     if not is_separable(state, eps):
         raise NotSeparable("state is not a product of one-qubit factors")
@@ -82,7 +83,10 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
     rebuilt = fact.amplitudes()
     biggest = max(abs(a) for a in state.amps)
     if not all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * max(1.0, biggest) for n in range(8)):
-        raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
+        raise ResidualNonzero(
+            f"the state is separable only within eps={eps:g}: "
+            "extracted factors do not reproduce the amplitudes"
+        )
     return fact
 
 

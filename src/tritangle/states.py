@@ -11,14 +11,15 @@ For the same reason the kernels run on ``(re, im)`` pairs over one common
 denominator d, a_n = g_n / d.  An exact state's pairs are Gaussian integers
 (:attr:`_StateOps.integer_form`), a double state's are its amplitudes' own
 floats over d = 1.  Classification in ``hyperdet``, the decision and rank-1
-oracle in ``separability``, local unitaries in ``unitary``, concurrence and
-product test in ``bipartite``, collapse in ``measurement`` and the norm here
-run one formula on either; the backends differ only in the pairs, the
-division of a result and the zero test (``scalars._OPS``).
+oracle in ``separability``, local unitaries and the unitarity check in
+``unitary``, concurrence and product test in ``bipartite``, collapse in
+``measurement`` and the norm here run one formula on either; the backends
+differ only in the pairs, the division of a result and the zero test
+(``scalars._OPS``).
 
-The parser, local unitaries, ``measurement.collapse`` and
-``randstates.random_product_state`` compute states on ints and build them
-from their pairs (``_StateOps._from_pairs``): the reduced pairs and
+The parser, local unitaries, ``measurement.collapse`` and every exact
+``randstates`` generator compute states on ints and build them from their
+pairs (``_StateOps._from_pairs``): the reduced pairs and
 ``scale2`` are what such a state stores, and ``amps`` is built from them on
 its first read and kept.  ``hyperdet.classify`` keeps a state's normalized
 classification on the instance the same way.

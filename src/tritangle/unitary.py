@@ -27,13 +27,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
-from .scalars import _OPS, GaussianRational, abs2, as_approx, as_exact, is_exact_scalar
+from .scalars import _OPS, GaussianRational, as_approx, as_exact, is_fraction
 from .states import BipartiteState, TripartiteState, _validate
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
 
-#: Maximum allowed entry of |U^dagger U - I| for double-backend matrices.
+#: Maximum allowed modulus of an entry of scale2 M^dagger M - I for
+#: double-backend matrices.
 UNITARITY_TOL = 1e-12
 
 
@@ -49,26 +50,24 @@ class Unitary2:
         self._check_unitarity()
 
     def _check_unitarity(self):
-        m00, m01, m10, m11 = self.entries
-        # M^dagger M entries; must equal (1/scale2) * I.
-        g00 = abs2(m00) + abs2(m10)
-        g11 = abs2(m01) + abs2(m11)
-        g01 = m00.conjugate() * m01 + m10.conjugate() * m11
-        if self.backend == "exact":
-            target = 1 / self.scale2
-            if g00 != target or g11 != target or bool(g01):
-                raise ValueError("matrix is not unitary (with its scale2)")
-        else:
-            target = 1.0 / self.scale2
-            residual = max(abs(g00 - target), abs(g11 - target), abs(g01))
-            if residual * self.scale2 > UNITARITY_TOL:
-                raise ValueError(
-                    f"matrix is not unitary: residual {residual * self.scale2:.3e}"
-                )
+        # Each entry of scale2 G^dagger G - d^2 I, on the pairs G over d, squared
+        # is zero against UNITARITY_TOL^2 over d^4 (exactly zero if exact).
+        ops = _OPS[self.backend]
+        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = ops.pairs(self.entries)
+        s, d2 = self.scale2, d * d
+        off_re = r00 * r01 + i00 * i01 + r10 * r11 + i10 * i11
+        off_im = r00 * i01 - i00 * r01 + r10 * i11 - i10 * r11
+        residuals2 = (
+            (s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - d2) ** 2,
+            (s * (r01 * r01 + i01 * i01 + r11 * r11 + i11 * i11) - d2) ** 2,
+            (s * off_re) ** 2 + (s * off_im) ** 2,
+        )
+        if not all(ops.is_zero(r2, UNITARITY_TOL**2, d2, d2) for r2 in residuals2):
+            raise ValueError("matrix is not unitary (with its scale2)")
 
     @property
     def backend(self) -> str:
-        return "exact" if is_exact_scalar(self.entries[0]) else "approx"
+        return "exact" if is_fraction(self.scale2) else "approx"
 
     @classmethod
     def exact(cls, rows, scale2=1) -> "Unitary2":
@@ -197,13 +196,9 @@ def random_rational_unitary2(rng) -> Unitary2:
     and scale2 = 1 / (|a|^2 + |b|^2) makes the matrix exactly unitary.
     """
     while True:
-        a = GaussianRational(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
-        b = GaussianRational(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        a, b = (
+            GaussianRational(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)))
+            for _ in range(2)
         )
         n = a.abs2() + b.abs2()
         if n:

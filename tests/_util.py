@@ -106,6 +106,26 @@ def reference_product_state(rng):
     return TripartiteState(amps, Fraction(1))
 
 
+def reference_is_unitary(entries, scale2, tol=1e-12) -> bool:
+    """The unitarity check written per backend, on the scalars themselves.
+
+    With G = M^dagger M: exact entries must give G = I / scale2 exactly;
+    double entries may differ from it by at most tol / scale2 in every
+    entry of G.
+    """
+    m00, m01, m10, m11 = entries
+    if isinstance(m00, GaussianRational):
+        g00, g11 = m00.abs2() + m10.abs2(), m01.abs2() + m11.abs2()
+        g01 = m00.conjugate() * m01 + m10.conjugate() * m11
+        target = 1 / scale2
+        return g00 == target and g11 == target and not g01
+    g00 = sum(z.real * z.real + z.imag * z.imag for z in (m00, m10))
+    g11 = sum(z.real * z.real + z.imag * z.imag for z in (m01, m11))
+    g01 = m00.conjugate() * m01 + m10.conjugate() * m11
+    target = 1.0 / scale2
+    return max(abs(g00 - target), abs(g11 - target), abs(g01)) * scale2 <= tol
+
+
 def brute_apply_local(state, units):
     """u1 (x) u2 [(x) u3] applied as the full sum over all input indices.
 

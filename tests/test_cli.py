@@ -157,6 +157,30 @@ def test_factor_not_separable_exit3(capsys):
     assert code == 3 and "not a product" in err
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["check-sep", "factor"])
+def test_separable_only_within_eps_exit3(command, json_mode, capsys):
+    # |Det|^2 ~ 1e-20 passes eps, but the factors miss the rebuild tolerance.
+    argv = [command, "--float", "100000|000> + |111>"] + (["--json"] if json_mode else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == "" and "separable only within eps=1e-10" in err
+
+
+@pytest.mark.parametrize(
+    "u1, argv",
+    [
+        ('{"matrix": [["1","1"],["1","1"]], "sqrt_scale2": 2}', []),
+        ('{"matrix": [["1","0"],["0","1"]], "sqrt_scale2": 2}', []),  # wrong scale2
+        ('{"matrix": [[0.7071, 0.7071], [0.7071, 0.7071]]}', ["--float"]),
+        ('{"matrix": [[1e200, 0], [0, 1]]}', ["--float"]),  # the check overflows
+    ],
+    ids=["exact", "exact-scale2", "double", "double-overflow"],
+)
+def test_transform_not_unitary_exit3(u1, argv, capsys):
+    code, out, err = run(capsys, ["transform", GHZ, "--u1", u1, "--json"] + argv)
+    assert code == 3 and out == "" and err.startswith("error: ")
+
+
 def test_random_deterministic(capsys):
     code1, out1, _ = run(capsys, ["random", "--count", "25", "--seed", "9", "--json"])
     code2, out2, _ = run(capsys, ["random", "--count", "25", "--seed", "9", "--json"])

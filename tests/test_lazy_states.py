@@ -1,10 +1,11 @@
 """States built from their integer pairs, whose amplitudes are built on read.
 
 ``parse_state``, ``apply_local_3``/``_2``, the residuals of ``collapse``,
-``submatrix`` and ``random_product_state`` store a state as its reduced pairs and ``scale2``
-(``_StateOps._from_pairs``).  Each such state must be indistinguishable
-from the same state built from its amplitudes by the constructor; every
-comparison below starts from a state whose amplitudes were not yet read.
+``submatrix`` and every exact ``randstates`` generator store a state as its
+reduced pairs and ``scale2`` (``_StateOps._from_pairs``).  Each such state
+must be indistinguishable from the same state built from its amplitudes by
+the constructor; every comparison below starts from a state whose
+amplitudes were not yet read.
 """
 
 import dataclasses
@@ -34,14 +35,20 @@ from tritangle import (
 )
 from tritangle.randstates import (
     mixed_pool,
+    random_antipodal_state,
+    random_exact_bipartite,
+    random_fraction,
     random_gaussian_rational,
+    random_generic_state,
     random_product_state,
     random_qubit_vector,
+    random_rotated_product_state,
+    random_sparse_state,
 )
 from tritangle.scalars import _OPS, is_fraction, ratio_str
-from tritangle.unitary import random_rational_unitary2
+from tritangle.unitary import Unitary2, random_rational_unitary2
 
-from _util import exact_states
+from _util import brute_apply_local, exact_states, reference_product_state
 
 
 def _lazy_builds(state, rng):
@@ -168,23 +175,81 @@ def test_is_fraction_agrees_with_isinstance():
         assert is_fraction(value) == isinstance(value, Fraction)
 
 
-def test_pool_draws_on_ints_give_the_old_values():
-    def old_qubit_vector(rng):
-        while True:
-            v = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
-            if v[0] or v[1]:
-                return v
+def _old_qubit_vector(rng):
+    while True:
+        v = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
+        if v[0] or v[1]:
+            return v
 
+
+def _old_nonzero(rng):
+    while True:
+        g = random_gaussian_rational(rng, 4)
+        if g:
+            return g
+
+
+def _old_vector(cls, rng):
+    while True:
+        amps = tuple(random_gaussian_rational(rng) for _ in range(cls.N_AMPS))
+        if any(amps):
+            return cls(amps, Fraction(1))
+
+
+def _old_sparse(rng):
+    support = rng.sample(range(8), rng.randint(1, 8))
+    amps = [GaussianRational(0)] * 8
+    for idx in support:
+        amps[idx] = _old_nonzero(rng)
+    return TripartiteState(tuple(amps), Fraction(1))
+
+
+def _old_antipodal(rng):
+    idx = rng.randrange(8)
+    amps = [GaussianRational(0)] * 8
+    amps[idx] = _old_nonzero(rng)
+    amps[7 - idx] = _old_nonzero(rng)
+    return TripartiteState(tuple(amps), Fraction(1))
+
+
+def _old_rational_unitary2(rng):
+    while True:
+        a = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
+        b = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
+        if a or b:
+            return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], 1 / (a.abs2() + b.abs2()))
+
+
+def _old_rotated_product(rng):
+    state = reference_product_state(rng)
+    return brute_apply_local(state, [_old_rational_unitary2(rng) for _ in range(3)])
+
+
+#: Each exact generator and the GaussianRational construction it replaced.
+_OLD_GENERATORS = [
+    (random_product_state, reference_product_state),
+    (random_generic_state, lambda rng: _old_vector(TripartiteState, rng)),
+    (random_sparse_state, _old_sparse),
+    (random_antipodal_state, _old_antipodal),
+    (random_rotated_product_state, _old_rotated_product),
+    (random_exact_bipartite, lambda rng: _old_vector(BipartiteState, rng)),
+]
+
+
+def test_pool_draws_on_ints_give_the_old_values():
     for seed in range(20):
         new, old = random.Random(seed), random.Random(seed)
         for _ in range(50):
-            assert random_qubit_vector(new) == old_qubit_vector(old)
+            assert random_qubit_vector(new) == _old_qubit_vector(old)
         assert new.random() == old.random()  # the same number of draws
-        rng = random.Random(seed)
-        x, y, z = (old_qubit_vector(rng) for _ in range(3))
-        assert random_product_state(random.Random(seed)).amps == tuple(
-            a * b * c for a in x for b in y for c in z
-        )
+        for generate, old_generate in _OLD_GENERATORS:
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(10):
+                state, expected = generate(new), old_generate(old)
+                assert "amps" not in state.__dict__  # built from its pairs
+                assert state.amps == expected.amps and state.scale2 == expected.scale2
+                assert state.integer_form == expected.integer_form
+            assert new.random() == old.random()
 
 
 #: sha256 of the kets of the first 300 states of ``mixed_pool(20240817)``,

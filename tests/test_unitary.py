@@ -1,5 +1,6 @@
 """Local unitaries: validation, application, Haar sampling, invariances."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,7 +32,15 @@ from tritangle.randstates import (
     random_product_state,
 )
 from tritangle.scalars import abs2
-from _util import BIG, brute_apply_local, same_physical_state, wide_scalars
+from _util import (
+    BIG,
+    big_fracs,
+    brute_apply_local,
+    pos_fracs,
+    reference_is_unitary,
+    same_physical_state,
+    wide_scalars,
+)
 
 
 def test_unitary_validation_exact():
@@ -233,3 +242,62 @@ def test_backend_mismatch_rejected():
 def test_nonfinite_double_unitary_rejected(rows, scale2):
     with pytest.raises(ValueError, match="finite"):
         Unitary2.approx(rows, scale2)
+
+
+# The unitarity check is one formula on the entries' pairs; the reference
+# is the check written per backend on the scalars (tests/_util.py).
+
+
+def _accepts(entries, scale2) -> bool:
+    try:
+        Unitary2(entries, scale2)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def changed_rational_unitaries(draw):
+    """Entries and scale2 of a wide rational unitary, as drawn, with one
+    part of one entry moved, or with a wrong scale2."""
+    u = draw(wide_rational_unitaries())
+    entries, scale2 = list(u.entries), u.scale2
+    change = draw(st.sampled_from(("none", "part", "scale2")))
+    if change == "part":
+        n, delta = draw(st.integers(0, 3)), draw(big_fracs.filter(bool))
+        entries[n] += delta if draw(st.booleans()) else GaussianRational(0, delta)
+    elif change == "scale2":
+        scale2 *= draw(pos_fracs.filter(lambda f: f != 1))
+    return tuple(entries), scale2, change
+
+
+@settings(deadline=None, max_examples=300)
+@given(changed_rational_unitaries())
+def test_exact_unitarity_check_matches_the_reference(case):
+    entries, scale2, change = case
+    accepted = _accepts(entries, scale2)
+    assert accepted == reference_is_unitary(entries, scale2)
+    if change == "none":
+        assert accepted
+
+
+def test_double_unitarity_check_matches_the_reference():
+    """Haar unitaries with scale2 from 1e-8 to 1e8, one part moved by 1e-14
+    to 1e-10 of the entries' size: the decisions straddle UNITARITY_TOL."""
+    np_rng, rng = np.random.default_rng(2024), random.Random(2024)
+    accepted = 0
+    for _ in range(20_000):
+        scale2 = 10.0 ** rng.uniform(-8, 8)
+        entries = [z / math.sqrt(scale2) for z in random_unitary2(np_rng).entries]
+        delta = rng.choice((-1, 1)) * 10.0 ** rng.uniform(-14, -10) / math.sqrt(scale2)
+        entries[rng.randrange(4)] += delta if rng.random() < 0.5 else complex(0, delta)
+        decision = _accepts(tuple(entries), scale2)
+        assert decision == reference_is_unitary(tuple(entries), scale2), (entries, scale2)
+        accepted += decision
+    assert 2_000 < accepted < 18_000
+
+
+def test_double_unitarity_check_that_overflows_raises_value_error():
+    assert not reference_is_unitary((1e200 + 0j, 0j, 0j, 1 + 0j), 1.0)
+    with pytest.raises(ValueError):
+        Unitary2.approx([[1e200, 0], [0, 1]])
