@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import _OPS, GaussianRational, gauss_mul
+from .scalars import _OPS, gauss_mul
 from .states import BipartiteState, TripartiteState
 from .unitary import apply_local_3, random_rational_unitary2
 
@@ -48,16 +48,13 @@ def random_fraction(rng: random.Random, span: int = 9, max_den: int = 3) -> Frac
 
 
 def _draw_parts(rng, span=9):
-    """The draws of :func:`random_gaussian_rational` as int ``(num, den)`` parts."""
+    """A small Gaussian rational as int ``((re, re_den), (im, im_den))`` parts:
+    numerators in [-span, span] over denominators in 1..3, the imaginary
+    part drawn with chance one half (else ``(0, 1)``)."""
     re = rng.randint(-span, span), rng.randint(1, 3)
     if rng.random() < 0.5:
         return re, (rng.randint(-span, span), rng.randint(1, 3))
     return re, (0, 1)
-
-
-def random_gaussian_rational(rng: random.Random, span: int = 9) -> GaussianRational:
-    re, im = _draw_parts(rng, span)
-    return GaussianRational(Fraction(*re), Fraction(*im))
 
 
 def _nonzero_draws(rng, n, span=4):
@@ -120,7 +117,12 @@ def random_antipodal_state(rng: random.Random) -> TripartiteState:
 def random_rotated_product_state(rng: random.Random) -> TripartiteState:
     """Product state pushed through exact rational local unitaries."""
     s = random_product_state(rng)
-    return apply_local_3(s, *(random_rational_unitary2(rng) for _ in range(3)))
+    return apply_local_3(
+        s,
+        random_rational_unitary2(rng),
+        random_rational_unitary2(rng),
+        random_rational_unitary2(rng),
+    )
 
 
 _KIND_FUNCS = {

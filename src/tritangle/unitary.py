@@ -55,13 +55,13 @@ class Unitary2:
         ops = _OPS[self.backend]
         ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = ops.pairs(self.entries)
         s, d2 = self.scale2, d * d
-        off_re = r00 * r01 + i00 * i01 + r10 * r11 + i10 * i11
-        off_im = r00 * i01 - i00 * r01 + r10 * i11 - i10 * r11
-        residuals2 = (
-            (s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - d2) ** 2,
-            (s * (r01 * r01 + i01 * i01 + r11 * r11 + i11 * i11) - d2) ** 2,
-            (s * off_re) ** 2 + (s * off_im) ** 2,
-        )
+        # Squared by multiplying: a double that overflows gives inf, which
+        # is_zero raises as NonFinite (``float ** 2`` raises OverflowError).
+        r0 = s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - d2
+        r1 = s * (r01 * r01 + i01 * i01 + r11 * r11 + i11 * i11) - d2
+        off_re = s * (r00 * r01 + i00 * i01 + r10 * r11 + i10 * i11)
+        off_im = s * (r00 * i01 - i00 * r01 + r10 * i11 - i10 * r11)
+        residuals2 = (r0 * r0, r1 * r1, off_re * off_re + off_im * off_im)
         if not all(ops.is_zero(r2, UNITARITY_TOL**2, d2, d2) for r2 in residuals2):
             raise ValueError("matrix is not unitary (with its scale2)")
 
@@ -196,9 +196,13 @@ def random_rational_unitary2(rng) -> Unitary2:
     and scale2 = 1 / (|a|^2 + |b|^2) makes the matrix exactly unitary.
     """
     while True:
-        a, b = (
-            GaussianRational(*(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)))
-            for _ in range(2)
+        a = GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+        b = GaussianRational(
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
         )
         n = a.abs2() + b.abs2()
         if n:

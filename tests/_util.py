@@ -99,6 +99,16 @@ def reference_display(entries, eps=0):
     return tuple(math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries)
 
 
+def reference_gaussian_rational(rng, span=9):
+    """A small Gaussian rational built as ``Fraction`` parts from the draws
+    that ``randstates`` takes as ints: a numerator in [-span, span] over a
+    denominator in 1..3, and an imaginary part with chance one half."""
+    re = Fraction(rng.randint(-span, span), rng.randint(1, 3))
+    if rng.random() < 0.5:
+        return GaussianRational(re, Fraction(rng.randint(-span, span), rng.randint(1, 3)))
+    return GaussianRational(re)
+
+
 def reference_product_state(rng):
     """``random_product_state`` as the GaussianRational outer product of the same draws."""
     x, y, z = (random_qubit_vector(rng) for _ in range(3))

@@ -18,11 +18,9 @@ from tritangle import (
     is_separable_bipartite,
     random_unitary2,
 )
-from tritangle.randstates import (
-    random_approx_bipartite,
-    random_exact_bipartite,
-    random_gaussian_rational,
-)
+from tritangle.randstates import random_approx_bipartite, random_exact_bipartite
+
+from _util import reference_gaussian_rational
 
 BELL = BipartiteState.exact((1, 0, 0, 1), scale2=Fraction(1, 2))
 
@@ -40,8 +38,8 @@ def test_det2_swap_type():
 def test_det2_vanishes_on_products():
     rng = random.Random(11)
     for _ in range(200):
-        x = [random_gaussian_rational(rng, 5) for _ in range(2)]
-        y = [random_gaussian_rational(rng, 5) for _ in range(2)]
+        x = [reference_gaussian_rational(rng, 5) for _ in range(2)]
+        y = [reference_gaussian_rational(rng, 5) for _ in range(2)]
         if not ((x[0] or x[1]) and (y[0] or y[1])):
             continue
         c = BipartiteState((x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1]), Fraction(1))
@@ -116,8 +114,8 @@ def test_zero_concurrence_iff_separable():
         if trial % 2 == 0:
             c = random_exact_bipartite(rng)
         else:
-            x = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
-            y = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
+            x = (reference_gaussian_rational(rng, 4), reference_gaussian_rational(rng, 4))
+            y = (reference_gaussian_rational(rng, 4), reference_gaussian_rational(rng, 4))
             if not ((x[0] or x[1]) and (y[0] or y[1])):
                 continue
             c = BipartiteState(

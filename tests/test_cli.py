@@ -173,8 +173,11 @@ def test_separable_only_within_eps_exit3(command, json_mode, capsys):
         ('{"matrix": [["1","0"],["0","1"]], "sqrt_scale2": 2}', []),  # wrong scale2
         ('{"matrix": [[0.7071, 0.7071], [0.7071, 0.7071]]}', ["--float"]),
         ('{"matrix": [[1e200, 0], [0, 1]]}', ["--float"]),  # the check overflows
+        ('{"matrix": [[1e100, 0], [0, 1]]}', ["--float"]),  # its square overflows
+        ('{"matrix": [[1, 0], [0, 1]], "sqrt_scale2": 1e-200}', ["--float"]),
     ],
-    ids=["exact", "exact-scale2", "double", "double-overflow"],
+    ids=["exact", "exact-scale2", "double", "double-overflow", "double-square-overflow",
+         "double-scale2-overflow"],
 )
 def test_transform_not_unitary_exit3(u1, argv, capsys):
     code, out, err = run(capsys, ["transform", GHZ, "--u1", u1, "--json"] + argv)

@@ -38,7 +38,6 @@ from tritangle.randstates import (
     random_antipodal_state,
     random_exact_bipartite,
     random_fraction,
-    random_gaussian_rational,
     random_generic_state,
     random_product_state,
     random_qubit_vector,
@@ -48,7 +47,12 @@ from tritangle.randstates import (
 from tritangle.scalars import _OPS, is_fraction, ratio_str
 from tritangle.unitary import Unitary2, random_rational_unitary2
 
-from _util import brute_apply_local, exact_states, reference_product_state
+from _util import (
+    brute_apply_local,
+    exact_states,
+    reference_gaussian_rational,
+    reference_product_state,
+)
 
 
 def _lazy_builds(state, rng):
@@ -177,21 +181,21 @@ def test_is_fraction_agrees_with_isinstance():
 
 def _old_qubit_vector(rng):
     while True:
-        v = (random_gaussian_rational(rng, 4), random_gaussian_rational(rng, 4))
+        v = (reference_gaussian_rational(rng, 4), reference_gaussian_rational(rng, 4))
         if v[0] or v[1]:
             return v
 
 
 def _old_nonzero(rng):
     while True:
-        g = random_gaussian_rational(rng, 4)
+        g = reference_gaussian_rational(rng, 4)
         if g:
             return g
 
 
 def _old_vector(cls, rng):
     while True:
-        amps = tuple(random_gaussian_rational(rng) for _ in range(cls.N_AMPS))
+        amps = tuple(reference_gaussian_rational(rng) for _ in range(cls.N_AMPS))
         if any(amps):
             return cls(amps, Fraction(1))
 

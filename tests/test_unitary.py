@@ -297,7 +297,12 @@ def test_double_unitarity_check_matches_the_reference():
     assert 2_000 < accepted < 18_000
 
 
-def test_double_unitarity_check_that_overflows_raises_value_error():
-    assert not reference_is_unitary((1e200 + 0j, 0j, 0j, 1 + 0j), 1.0)
+@pytest.mark.parametrize(
+    "m00, scale2",
+    [(1e200, 1.0), (1e100, 1.0), (1.0, 1e200)],
+    ids=["entry-overflows", "square-overflows", "scale2-overflows"],
+)
+def test_double_unitarity_check_that_overflows_raises_value_error(m00, scale2):
+    assert not reference_is_unitary((complex(m00), 0j, 0j, 1 + 0j), scale2)
     with pytest.raises(ValueError):
-        Unitary2.approx([[1e200, 0], [0, 1]])
+        Unitary2.approx([[m00, 0], [0, 1]], scale2)
