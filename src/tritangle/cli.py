@@ -41,9 +41,9 @@ from .hyperdet import classify, display_normalize
 from .ketparser import parse_state, state_to_ket
 from .measurement import collapse
 from .randstates import KINDS, random_tripartite
-from .scalars import DEFAULT_EPS, GaussianRational, parse_rational
+from .scalars import _OPS, DEFAULT_EPS, GaussianRational, over_lcm
 from .separability import extract_factors, is_separable, rank1_oracle
-from .states import Axis, TripartiteState, state_from_json, state_to_json
+from .states import Axis, TripartiteState, _json_rational, state_from_json, state_to_json
 from .unitary import Unitary2, apply_local_3
 
 PARSE_ERROR, PRECONDITION_ERROR, BACKEND_ERROR = 2, 3, 4
@@ -110,6 +110,14 @@ class _ArityError(TritangleError):
     pass
 
 
+def _read_part(part, exact):
+    """One part of a ``--u1`` cell: a text cell's part arrives read as
+    ``(num, den)``, any other is a JSON value, read as a rational if exact."""
+    if isinstance(part, tuple):
+        return part if exact else part[0] / part[1]
+    return _json_rational(part) if exact else float(part)
+
+
 def _unitary_from_json(text: str) -> Unitary2:
     obj = json.loads(text)
     if isinstance(obj, list):
@@ -123,7 +131,7 @@ def _unitary_from_json(text: str) -> Unitary2:
             and all(isinstance(row, list) and len(row) == 2 for row in matrix)
         ):
             raise ValueError("the matrix must be two rows of two cells each")
-        entries = []
+        cells = []
         exact = not isinstance(root, float)
         for row in matrix:
             for cell in row:
@@ -131,23 +139,15 @@ def _unitary_from_json(text: str) -> Unitary2:
                     parts = cell.split(",")
                     if len(parts) > 2:
                         raise ValueError(f"cell {cell!r} has more than one comma")
-                    re_raw, im_raw = parts[0], parts[1] if len(parts) > 1 else "0"
-                    entries.append((parse_rational(re_raw), parse_rational(im_raw)))
-                elif isinstance(cell, list):
-                    if len(cell) != 2:
-                        raise ValueError(f"cell {cell!r} is not one [re, im] pair")
-                    entries.append((cell[0], cell[1]))
-                    exact = exact and not any(isinstance(v, float) for v in cell)
-                else:
-                    entries.append((cell, 0))
-                    exact = exact and not isinstance(cell, float)
-        if exact:
-            amps = [
-                GaussianRational(Fraction(str(re)), Fraction(str(im)))
-                for re, im in entries
-            ]
-        else:
-            amps = [complex(float(re), float(im)) for re, im in entries]
+                    cells.append([_json_rational(part) for part in (parts + ["0"])[:2]])
+                    continue
+                if not isinstance(cell, list):
+                    cell = [cell, 0]
+                elif len(cell) != 2:
+                    raise ValueError(f"cell {cell!r} is not one [re, im] pair")
+                cells.append(cell)
+                exact = exact and not any(isinstance(v, float) for v in cell)
+        g = [tuple(_read_part(part, exact) for part in cell) for cell in cells]
         try:
             scale2 = 1 / (Fraction(str(root)) if exact else float(root))
         except ZeroDivisionError:
@@ -155,7 +155,9 @@ def _unitary_from_json(text: str) -> Unitary2:
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
     # Built outside the try: a matrix that is not unitary or not finite exits 3.
-    return Unitary2(tuple(amps), scale2)
+    if exact:
+        return Unitary2._from_pairs(_OPS["exact"], *over_lcm(g), scale2)
+    return Unitary2._from_pairs(_OPS["approx"], tuple(g), 1, scale2)
 
 
 def _classification_record(state, eps):

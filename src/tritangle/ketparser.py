@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyState, KetSyntaxError, MixedArity, UnsupportedIrrational
-from .scalars import _OPS, gauss_mul, integer_parts, ratio_str
+from .scalars import _OPS, gauss_mul, ratio_str
 from .states import BipartiteState, TripartiteState
 
 _PUNCT = "()+-/*|>"
@@ -304,7 +304,7 @@ def parse(text: str) -> KetExpr:
 
 def to_state(expr: KetExpr):
     """Build the exact state a :class:`KetExpr` denotes."""
-    g, d = integer_parts([coeff for coeff, _ in expr.terms])
+    g, d = _EXACT.pairs([coeff for coeff, _ in expr.terms])
     terms = [((pair, d), bits) for pair, (_, bits) in zip(g, expr.terms)]
     return _build_state(*_merge(terms), expr.global_divisor)
 

@@ -15,17 +15,16 @@ samples alone.  The mixed pool therefore draws, per state:
 All exact generators use a ``random.Random`` instance so runs are
 reproducible from a single seed.  They draw each part as an int
 ``(num, den)`` and build the state from Gaussian integers over the lcm of
-the denominators (``_StateOps._from_pairs``), not from scalars.
+the denominators (``scalars.over_lcm``), not from scalars.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import _OPS, gauss_mul
+from .scalars import _OPS, gauss_mul, over_lcm
 from .states import BipartiteState, TripartiteState
 from .unitary import apply_local_3, random_rational_unitary2
 
@@ -41,10 +40,6 @@ POOL_WEIGHTS = (
     ("antipodal", 0.10),
     ("rotated-product", 0.10),
 )
-
-
-def random_fraction(rng: random.Random, span: int = 9, max_den: int = 3) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
 def _draw_parts(rng, span=9):
@@ -65,29 +60,20 @@ def _nonzero_draws(rng, n, span=4):
             return parts
 
 
-def _over_lcm(parts):
-    """Drawn ``((re, re_den), (im, im_den))`` scalars as ``(g, d)``: Gaussian
-    integers over the lcm of their denominators."""
-    d = math.lcm(*(den for scalar in parts for _, den in scalar))
-    return tuple(
-        (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
-    ), d
-
-
 def _exact_state(cls, parts):
-    return cls._from_pairs(_EXACT, *_over_lcm(parts), Fraction(1))
+    return cls._from_pairs(_EXACT, *over_lcm(parts), Fraction(1))
 
 
 def random_qubit_vector(rng: random.Random) -> tuple:
     """A nonzero pair of small Gaussian rationals."""
-    g, d = _over_lcm(_nonzero_draws(rng, 2))
+    g, d = over_lcm(_nonzero_draws(rng, 2))
     return tuple(_EXACT.scalar(re, im, d) for re, im in g)
 
 
 def random_product_state(rng: random.Random) -> TripartiteState:
     """x (x) y (x) z of three random qubit vectors, multiplied on their
     integer forms: a_ijk = gx_i gy_j gz_k / (dx dy dz)."""
-    (gx, dx), (gy, dy), (gz, dz) = (_over_lcm(_nonzero_draws(rng, 2)) for _ in range(3))
+    (gx, dx), (gy, dy), (gz, dz) = (over_lcm(_nonzero_draws(rng, 2)) for _ in range(3))
     g = tuple(gauss_mul(gauss_mul(x, y), z) for x in gx for y in gy for z in gz)
     return TripartiteState._from_pairs(_EXACT, g, dx * dy * dz, Fraction(1))
 

@@ -225,19 +225,18 @@ def gauss_det2(c00: tuple, c01: tuple, c10: tuple, c11: tuple) -> tuple:
     return ar - br, ai - bi
 
 
-def integer_parts(values) -> tuple:
-    """Gaussian rationals as Gaussian integers over one common denominator.
+def over_lcm(parts) -> tuple:
+    """Rationals given as int ``((re, re_den), (im, im_den))`` parts, each
+    den > 0, as Gaussian integers over the lcm of their denominators.
 
-    Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per value
-    and ``d`` is the least common denominator of all their parts, so that
-    value_n = (g_n[0] + i g_n[1]) / d.
+    Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per value,
+    so that value_n = (g_n[0] + i g_n[1]) / d.  For reduced parts d is the
+    least common denominator and gcd(d, every part) is 1.
     """
-    d = math.lcm(*(p.denominator for v in values for p in (v.re, v.im)))
-    g = tuple(
-        (v.re.numerator * (d // v.re.denominator), v.im.numerator * (d // v.im.denominator))
-        for v in values
-    )
-    return g, d
+    d = math.lcm(*(den for scalar in parts for _, den in scalar))
+    return tuple(
+        (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
+    ), d
 
 
 # -- the two backends on (re, im) pairs ---------------------------------------
@@ -252,7 +251,11 @@ class _ExactOps:
     """Gaussian-integer pairs over their common denominator, Fraction results, exact zero."""
 
     backend = "exact"
-    pairs = staticmethod(integer_parts)
+
+    @staticmethod
+    def pairs(values):
+        """Gaussian rationals as Gaussian integers over their least common denominator."""
+        return over_lcm([(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values])
 
     @staticmethod
     def reduce(g, d):
@@ -314,11 +317,7 @@ class _DoubleOps:
 
     @staticmethod
     def reduce(g, d):
-        """The pairs as they are (d = 1); raises NonFinite unless every part is finite."""
-        if not all(map(math.isfinite, chain.from_iterable(g))):
-            raise NonFinite(
-                "double-backend value is not finite: the values overflow the double range"
-            )
+        """The pairs as they are (d = 1)."""
         return g, d
 
     @staticmethod
@@ -351,8 +350,3 @@ class _DoubleOps:
 
 
 _OPS = {"exact": _ExactOps, "approx": _DoubleOps}
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction (used by JSON and CLI input)."""
-    return Fraction(text.strip())

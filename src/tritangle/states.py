@@ -17,11 +17,12 @@ oracle in ``separability``, local unitaries and the unitarity check in
 differ only in the pairs, the division of a result and the zero test
 (``scalars._OPS``).
 
-The parser, local unitaries, ``measurement.collapse`` and every exact
-``randstates`` generator compute states on ints and build them from their
-pairs (``_StateOps._from_pairs``): the reduced pairs and
-``scale2`` are what such a state stores, and ``amps`` is built from them on
-its first read and kept.  ``hyperdet.classify`` keeps a state's normalized
+The parser, local unitaries, ``measurement.collapse``, ``state_from_json``
+and every exact ``randstates`` generator build states from their pairs, and
+the unitaries the library makes are built the same way (one path,
+``_PairValues._from_pairs``): the reduced pairs and ``scale2`` are what such
+a value stores, and ``amps`` or ``entries`` is built from them on its first
+read and kept.  ``hyperdet.classify`` keeps a state's normalized
 classification on the instance the same way.
 
 States are immutable; all operations return new values.
@@ -35,15 +36,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
 from .scalars import (
     _OPS,
-    GaussianRational,
     as_approx,
     as_exact,
     is_exact_scalar,
     is_fraction,
+    over_lcm,
     ratio_str,
 )
 
@@ -99,36 +101,91 @@ def _check_outcome(outcome: int) -> int:
     return outcome
 
 
-def _validate(values, scale2, n):
-    """Checks shared by states and unitaries: count, one backend, finite, scale2 > 0."""
-    if len(values) != n:
-        raise ValueError(f"expected {n} values, got {len(values)}")
-    exact = is_exact_scalar(values[0])
-    for a in values:
-        if is_exact_scalar(a) != exact:
-            raise BackendMismatch("values mix exact and double backends")
-    _check_scale2(scale2, exact, exact or all(map(cmath.isfinite, values)))
-
-
-def _check_scale2(scale2, exact, finite=True):
+def _check_scale2(scale2, exact, finite):
     """The checks on scale2, given whether the values are exact and finite."""
     if exact != is_fraction(scale2):
         raise BackendMismatch("scale2 backend must match the values")
     if not exact and not (finite and math.isfinite(scale2)):
-        raise NonFinite("double values and scale2 must be finite")
+        raise NonFinite("double values and scale2 must be finite, not NaN, inf or overflowed")
     # A Fraction has its numerator's sign, read without Fraction's comparison.
     if (scale2.numerator if exact else scale2) <= 0:
         raise ValueError("scale2 must be positive")
 
 
-class _StateOps:
-    """Shared behaviour of the two state containers, keyed by their ``N_AMPS``."""
+class _PairValues:
+    """Shared by states and unitaries: ``N_VALUES`` values of one backend, a
+    squared prefactor ``scale2`` and the pairs ``(g, d)``, value_n = (g_n[0] +
+    i g_n[1]) / d, that the kernels read.  The dataclass constructor takes the
+    values; ``_from_pairs`` takes the pairs, and the values are built from them
+    on first read.  Both paths check, in this order: the count, one backend,
+    finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
+    unitary).
+    """
 
-    N_AMPS: int
+    N_VALUES: int
+    _FIELD: str  # the name of the values' dataclass field
 
     def __post_init__(self):
-        _validate(self.amps, self.scale2, self.N_AMPS)
-        if not any(self.amps):
+        values = getattr(self, self._FIELD)
+        if len(values) != self.N_VALUES:
+            raise ValueError(f"expected {self.N_VALUES} values, got {len(values)}")
+        exact = is_exact_scalar(values[0])
+        for a in values:
+            if is_exact_scalar(a) != exact:
+                raise BackendMismatch("values mix exact and double backends")
+        _check_scale2(self.scale2, exact, exact or all(map(cmath.isfinite, values)))
+        self._check()
+
+    @classmethod
+    def _from_pairs(cls, ops, g, d, scale2):
+        """The value of backend ``ops`` with value_n = g_n / d, stored as its
+        reduced pairs (``ops.reduce``), which equal what ``ops.pairs(values)``
+        returns, and ``scale2``.  The values are built on first read.
+        """
+        if len(g) != cls.N_VALUES:
+            raise ValueError(f"expected {cls.N_VALUES} values, got {len(g)}")
+        exact = ops.backend == "exact"
+        _check_scale2(scale2, exact, exact or all(map(math.isfinite, chain.from_iterable(g))))
+        built = object.__new__(cls)
+        object.__setattr__(built, "scale2", scale2)  # no instance dict yet: ~100 B less
+        object.__setattr__(built, "_pairs", ops.reduce(g, d))
+        built._check()
+        return built
+
+    @property
+    def backend(self) -> str:
+        return "exact" if is_fraction(self.scale2) else "approx"
+
+    def to_approx(self):
+        """Explicit one-way conversion to the double backend."""
+        if self.backend == "approx":
+            return self
+        values = getattr(self, self._FIELD)
+        return type(self)(tuple(v.to_complex() for v in values), float(self.scale2))
+
+    def _values(self) -> tuple:
+        """Read on a value built from its pairs: the values, built once and kept."""
+        g, d = self._pairs
+        scalar = _OPS[self.backend].scalar
+        return tuple(scalar(re, im, d) for re, im in g)
+
+    @cached_property
+    def _pairs(self) -> tuple:
+        """``(g, d)``, value_n = (g_n[0] + i g_n[1]) / d: the integer form, or
+        a double value's own (real, imag) floats over d = 1.  Kept on the instance."""
+        return _OPS[self.backend].pairs(getattr(self, self._FIELD))
+
+
+class _StateOps(_PairValues):
+    """Shared behaviour of the two state containers, keyed by their ``N_VALUES``."""
+
+    _FIELD = "amps"
+    amps = cached_property(_PairValues._values)
+
+    def _check(self):
+        # On the amps if stored: an eager state keeps no pairs before a kernel reads them.
+        amps = self.__dict__.get("amps")
+        if not (any(amps) if amps is not None else any(map(any, self._pairs[0]))):
             raise ValueError("the zero vector is not a state")
 
     @classmethod
@@ -138,43 +195,6 @@ class _StateOps:
     @classmethod
     def approx(cls, amps, scale2=1.0):
         return cls(tuple(map(as_approx, amps)), float(scale2))
-
-    @classmethod
-    def _from_pairs(cls, ops, g, d, scale2):
-        """The state a_n = g_n / d of backend ``ops``, stored as its reduced
-        pairs (``ops.reduce``), which equal what ``ops.pairs(amps)`` returns.
-
-        The checks of the constructor run on the pairs; ``amps`` is built
-        from them on first read.
-        """
-        if len(g) != cls.N_AMPS:
-            raise ValueError(f"expected {cls.N_AMPS} values, got {len(g)}")
-        _check_scale2(scale2, ops.backend == "exact")
-        g, d = ops.reduce(g, d)
-        if not any(map(any, g)):
-            raise ValueError("the zero vector is not a state")
-        state = object.__new__(cls)
-        kept = state.__dict__  # item by item: update() measured 96 B more per state
-        kept["scale2"] = scale2
-        kept["_pairs"] = (g, d)
-        return state
-
-    @property
-    def backend(self) -> str:
-        return "exact" if is_fraction(self.scale2) else "approx"
-
-    @cached_property
-    def amps(self) -> tuple:
-        """Read on a state built from its pairs: the amplitudes, built once."""
-        g, d = self._pairs
-        scalar = _OPS[self.backend].scalar
-        return tuple(scalar(re, im, d) for re, im in g)
-
-    @cached_property
-    def _pairs(self) -> tuple:
-        """``(g, d)``, a_n = (g_n[0] + i g_n[1]) / d: the integer form, or a
-        double state's own (real, imag) floats over d = 1.  Kept on the instance."""
-        return _OPS[self.backend].pairs(self.amps)
 
     @cached_property
     def _weight(self):
@@ -206,14 +226,6 @@ class _StateOps:
             raise ZeroScale("cannot scale a state by zero")
         return type(self)(tuple(a * k for a in self.amps), self.scale2)
 
-    def to_approx(self):
-        """Explicit one-way conversion to the double backend."""
-        if self.backend == "approx":
-            return self
-        return type(self).approx(
-            tuple(a.to_complex() for a in self.amps), float(self.scale2)
-        )
-
 
 @dataclass(frozen=True)
 class TripartiteState(_StateOps):
@@ -223,7 +235,7 @@ class TripartiteState(_StateOps):
     # reads _StateOps.amps.
     amps: tuple = field()
     scale2: Fraction | float = Fraction(1)
-    N_AMPS = 8
+    N_VALUES = 8
 
     def amp(self, i: int, j: int, k: int):
         return self.amps[4 * i + 2 * j + k]
@@ -235,7 +247,7 @@ class BipartiteState(_StateOps):
 
     amps: tuple = field()  # as in TripartiteState
     scale2: Fraction | float = Fraction(1)
-    N_AMPS = 4
+    N_VALUES = 4
 
     def amp(self, i: int, j: int):
         return self.amps[2 * i + j]
@@ -258,6 +270,13 @@ def state_to_json(state) -> dict:
     return {"amps": amps, "scale2": scale2, "backend": state.backend}
 
 
+def _json_rational(value) -> tuple:
+    """``(num, den)`` of one rational part read from JSON: whatever
+    ``Fraction(str(value))`` accepts, an int, a float or a string such as
+    ``" 3/4 "``, ``"0.5"`` or ``"1e3"``."""
+    return Fraction(str(value)).as_integer_ratio()
+
+
 def state_from_json(obj: dict):
     amps_raw = obj["amps"]
     if len(amps_raw) not in (4, 8):
@@ -267,10 +286,7 @@ def state_from_json(obj: dict):
     if backend not in ("exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
     if backend == "exact":
-        amps = tuple(
-            GaussianRational(Fraction(str(re)), Fraction(str(im)))
-            for re, im in amps_raw
-        )
-        return cls(amps, Fraction(str(obj.get("scale2", "1"))))
-    amps = tuple(complex(float(re), float(im)) for re, im in amps_raw)
-    return cls(amps, float(obj.get("scale2", 1.0)))
+        g, d = over_lcm([(_json_rational(re), _json_rational(im)) for re, im in amps_raw])
+        return cls._from_pairs(_OPS["exact"], g, d, Fraction(str(obj.get("scale2", "1"))))
+    g = tuple((float(re), float(im)) for re, im in amps_raw)
+    return cls._from_pairs(_OPS["approx"], g, 1, float(obj.get("scale2", 1.0)))

@@ -7,6 +7,12 @@ rational scale2 (e.g. entries [[1,1],[-1,1]] with scale2 = 1/2 for a
 1/sqrt(2) prefactor); Haar-random sampling produces double-backend
 matrices.
 
+``random_rational_unitary2``, ``random_unitary2``, ``dagger`` and the
+command line's ``--u1`` reader build a unitary from its pairs, as states are
+built (``states._PairValues._from_pairs``): it keeps its reduced pairs and
+scale2, builds ``entries`` on first read, and the unitarity check and
+``apply_local_3``/``_2`` read the kept pairs.
+
 Index convention: a unitary acts on its tensor slot by
 
     e_i  ->  sum_k  M[i][k] e_k
@@ -22,13 +28,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
-from .scalars import _OPS, GaussianRational, as_approx, as_exact, is_fraction
-from .states import BipartiteState, TripartiteState, _validate
+from .scalars import _OPS, as_approx, as_exact, over_lcm
+from .states import BipartiteState, TripartiteState, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
@@ -38,36 +45,38 @@ if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix nee
 UNITARITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Unitary2:
-    """2x2 unitary as (entries m00, m01, m10, m11; squared prefactor)."""
+class _UnitaryOps(_PairValues):
+    """Unitarity check and lazy ``entries`` of ``Unitary2``: its field is no class attribute."""
 
-    entries: tuple
-    scale2: Fraction | float = Fraction(1)
+    N_VALUES = 4
+    _FIELD = "entries"
+    entries = cached_property(_PairValues._values)
 
-    def __post_init__(self):
-        _validate(self.entries, self.scale2, 4)
-        self._check_unitarity()
-
-    def _check_unitarity(self):
-        # Each entry of scale2 G^dagger G - d^2 I, on the pairs G over d, squared
-        # is zero against UNITARITY_TOL^2 over d^4 (exactly zero if exact).
+    def _check(self):
+        # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
+        # scale2 = s / q (q = 1 for doubles), squared is zero against
+        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
         ops = _OPS[self.backend]
-        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = ops.pairs(self.entries)
-        s, d2 = self.scale2, d * d
+        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
+        s, q = self.scale2.as_integer_ratio() if ops is _OPS["exact"] else (self.scale2, 1)
+        d2 = d * d
         # Squared by multiplying: a double that overflows gives inf, which
         # is_zero raises as NonFinite (``float ** 2`` raises OverflowError).
-        r0 = s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - d2
-        r1 = s * (r01 * r01 + i01 * i01 + r11 * r11 + i11 * i11) - d2
+        r0 = s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - q * d2
+        r1 = s * (r01 * r01 + i01 * i01 + r11 * r11 + i11 * i11) - q * d2
         off_re = s * (r00 * r01 + i00 * i01 + r10 * r11 + i10 * i11)
         off_im = s * (r00 * i01 - i00 * r01 + r10 * i11 - i10 * r11)
         residuals2 = (r0 * r0, r1 * r1, off_re * off_re + off_im * off_im)
         if not all(ops.is_zero(r2, UNITARITY_TOL**2, d2, d2) for r2 in residuals2):
             raise ValueError("matrix is not unitary (with its scale2)")
 
-    @property
-    def backend(self) -> str:
-        return "exact" if is_fraction(self.scale2) else "approx"
+
+@dataclass(frozen=True)
+class Unitary2(_UnitaryOps):
+    """2x2 unitary as (entries m00, m01, m10, m11; squared prefactor)."""
+
+    entries: tuple = field()  # field() leaves no class attribute, as in TripartiteState
+    scale2: Fraction | float = Fraction(1)
 
     @classmethod
     def exact(cls, rows, scale2=1) -> "Unitary2":
@@ -84,17 +93,9 @@ class Unitary2:
         return (cls.exact if backend == "exact" else cls.approx)([[1, 0], [0, 1]])
 
     def dagger(self) -> "Unitary2":
-        m00, m01, m10, m11 = self.entries
-        return Unitary2(
-            (m00.conjugate(), m10.conjugate(), m01.conjugate(), m11.conjugate()),
-            self.scale2,
-        )
-
-    def to_approx(self) -> "Unitary2":
-        """Explicit one-way conversion to the double backend."""
-        if self.backend == "approx":
-            return self
-        return Unitary2(tuple(e.to_complex() for e in self.entries), float(self.scale2))
+        g, d = self._pairs
+        conj = tuple((g[n][0], -g[n][1]) for n in (0, 2, 1, 3))
+        return Unitary2._from_pairs(_OPS[self.backend], conj, d, self.scale2)
 
     def to_matrix(self) -> np.ndarray:
         """Physical operator g*M as a dense complex array."""
@@ -121,7 +122,7 @@ def _apply_local(state, units):
     Along each axis in turn a_{..i..} -> a'_{..l..} = sum_i a_{..i..} u[i][l],
     two products per amplitude.  With a_ijk = amps[4i + 2j + k] the index
     bit of the axes is 4, 2, 1 (2, 1 for two qubits).  The products run on
-    the state's pairs and on each unitary's entries as pairs over their own
+    the state's pairs and on each unitary's kept pairs over its own
     denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
     doubles); the output is built from its pairs over d * prod(d_u) once.
     """
@@ -133,7 +134,7 @@ def _apply_local(state, units):
     scale2 = state.scale2
     mats = []
     for u in units:
-        m, d_u = ops.pairs(u.entries)
+        m, d_u = u._pairs
         mats.append(m)
         d *= d_u
         scale2 = scale2 * u.scale2
@@ -181,30 +182,29 @@ def random_unitary2(rng) -> Unitary2:
     theta = math.asin(math.sqrt(rng.uniform(0.0, 1.0)))
     c, s = math.cos(theta), math.sin(theta)
     phase = cmath.exp(1j * phi)
-    return Unitary2.approx(
-        [
-            [phase * cmath.exp(1j * alpha) * c, phase * cmath.exp(1j * beta) * s],
-            [-phase * cmath.exp(-1j * beta) * s, phase * cmath.exp(-1j * alpha) * c],
-        ]
+    entries = (
+        phase * cmath.exp(1j * alpha) * c,
+        phase * cmath.exp(1j * beta) * s,
+        -phase * cmath.exp(-1j * beta) * s,
+        phase * cmath.exp(-1j * alpha) * c,
     )
+    return Unitary2._from_pairs(_OPS["approx"], tuple((z.real, z.imag) for z in entries), 1, 1.0)
 
 
 def random_rational_unitary2(rng) -> Unitary2:
     """Exact-backend unitary [[a, b], [-conj(b), conj(a)]] / sqrt(|a|^2+|b|^2).
 
-    ``rng`` is a ``random.Random``; entries are small Gaussian rationals,
-    and scale2 = 1 / (|a|^2 + |b|^2) makes the matrix exactly unitary.
+    ``rng`` is a ``random.Random``.  Each part of a and b is drawn as an int
+    ``(num, den)``, num in [-4, 4] over den in 1..3, until one is nonzero.
+    With a and b as Gaussian integers ga, gb over the lcm d of the
+    denominators, scale2 = d^2 / (|ga|^2 + |gb|^2) makes the matrix exactly
+    unitary.
     """
     while True:
-        a = GaussianRational(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
-        b = GaussianRational(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-        )
-        n = a.abs2() + b.abs2()
-        if n:
+        draws = [(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+        if any(num for num, _ in draws):
             break
-    return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], Fraction(1, 1) / n)
+    ((ar, ai), (br, bi)), d = over_lcm([draws[:2], draws[2:]])
+    g = ((ar, ai), (br, bi), (-br, bi), (ar, -ai))
+    scale2 = Fraction(d * d, ar * ar + ai * ai + br * br + bi * bi)
+    return Unitary2._from_pairs(_OPS["exact"], g, d, scale2)

@@ -1,12 +1,19 @@
 """Shared test helpers: exact state comparison and independent oracles."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from tritangle import GaussianRational, TripartiteState
+from tritangle import (
+    BipartiteState,
+    GaussianRational,
+    KetSyntaxError,
+    TripartiteState,
+    Unitary2,
+)
 from tritangle.randstates import random_qubit_vector
 
 BIG = 10**6
@@ -25,7 +32,7 @@ scale2s = st.one_of(pos_fracs, pos_fracs.map(lambda f: f * f))
 
 def exact_states(cls):
     """States of ``cls`` on ``wide_scalars`` with a square or non-square scale2."""
-    return st.builds(cls, st.tuples(*[wide_scalars] * cls.N_AMPS).filter(any), scale2s)
+    return st.builds(cls, st.tuples(*[wide_scalars] * cls.N_VALUES).filter(any), scale2s)
 
 
 def same_physical_state(s1, s2) -> bool:
@@ -99,6 +106,10 @@ def reference_display(entries, eps=0):
     return tuple(math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries)
 
 
+def random_fraction(rng, span=9, max_den=3):
+    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+
+
 def reference_gaussian_rational(rng, span=9):
     """A small Gaussian rational built as ``Fraction`` parts from the draws
     that ``randstates`` takes as ints: a numerator in [-span, span] over a
@@ -114,6 +125,18 @@ def reference_product_state(rng):
     x, y, z = (random_qubit_vector(rng) for _ in range(3))
     amps = tuple(x[i] * y[j] * z[k] for i in range(2) for j in range(2) for k in range(2))
     return TripartiteState(amps, Fraction(1))
+
+
+def reference_rational_unitary2(rng):
+    """``random_rational_unitary2`` built through ``Fraction`` and
+    ``GaussianRational`` from the same draws, by the constructor."""
+    while True:
+        a = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
+        b = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
+        n = a.abs2() + b.abs2()
+        if n:
+            break
+    return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], Fraction(1, 1) / n)
 
 
 def reference_is_unitary(entries, scale2, tol=1e-12) -> bool:
@@ -197,3 +220,72 @@ def reference_ket(state):
     n = 3 if len(state.amps) == 8 else 2
     terms = [(a * mult, format(idx, f"0{n}b")) for idx, a in enumerate(state.amps) if a]
     return reference_render(terms, divisor)
+
+
+# The JSON readers as they were written on scalars: every part through
+# ``Fraction(str(x))`` into a ``GaussianRational``, built by the constructor.
+
+
+def reference_state_from_json(obj: dict):
+    amps_raw = obj["amps"]
+    if len(amps_raw) not in (4, 8):
+        raise ValueError("state JSON must carry 4 or 8 amplitudes")
+    cls = TripartiteState if len(amps_raw) == 8 else BipartiteState
+    backend = obj.get("backend", "exact")
+    if backend not in ("exact", "approx"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
+    if backend == "exact":
+        amps = tuple(
+            GaussianRational(Fraction(str(re)), Fraction(str(im)))
+            for re, im in amps_raw
+        )
+        return cls(amps, Fraction(str(obj.get("scale2", "1"))))
+    amps = tuple(complex(float(re), float(im)) for re, im in amps_raw)
+    return cls(amps, float(obj.get("scale2", 1.0)))
+
+
+def reference_unitary_from_json(text: str) -> Unitary2:
+    obj = json.loads(text)
+    if isinstance(obj, list):
+        obj = {"matrix": obj}
+    try:
+        matrix = obj["matrix"]
+        root = obj.get("sqrt_scale2", 1)
+        if not (
+            isinstance(matrix, list)
+            and len(matrix) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in matrix)
+        ):
+            raise ValueError("the matrix must be two rows of two cells each")
+        entries = []
+        exact = not isinstance(root, float)
+        for row in matrix:
+            for cell in row:
+                if isinstance(cell, str):
+                    parts = cell.split(",")
+                    if len(parts) > 2:
+                        raise ValueError(f"cell {cell!r} has more than one comma")
+                    re_raw, im_raw = parts[0], parts[1] if len(parts) > 1 else "0"
+                    entries.append((Fraction(re_raw.strip()), Fraction(im_raw.strip())))
+                elif isinstance(cell, list):
+                    if len(cell) != 2:
+                        raise ValueError(f"cell {cell!r} is not one [re, im] pair")
+                    entries.append((cell[0], cell[1]))
+                    exact = exact and not any(isinstance(v, float) for v in cell)
+                else:
+                    entries.append((cell, 0))
+                    exact = exact and not isinstance(cell, float)
+        if exact:
+            amps = [
+                GaussianRational(Fraction(str(re)), Fraction(str(im)))
+                for re, im in entries
+            ]
+        else:
+            amps = [complex(float(re), float(im)) for re, im in entries]
+        try:
+            scale2 = 1 / (Fraction(str(root)) if exact else float(root))
+        except ZeroDivisionError:
+            raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
+        raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
+    return Unitary2(tuple(amps), scale2)

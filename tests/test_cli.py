@@ -264,6 +264,8 @@ def test_negative_or_nonfinite_option_exit2(argv, capsys):
         ([[1, 0]] + [[0, 0]] * 6 + [[0, float("inf")]], 1.0),
         ([[1, 0]] + [[0, 0]] * 6 + [[1, 0]], float("nan")),
         ([[1, 0]] + [[0, 0]] * 6 + [[1, 0]], float("-inf")),
+        # Non-finite values are reported before the scale2 that is not positive.
+        ([["nan", 0]] + [[0, 0]] * 6 + [[1, 0]], 0),
     ],
 )
 def test_nonfinite_state_json_exit3(tmp_path, capsys, amps, scale2):

@@ -11,8 +11,8 @@ denominators, mixed real and imaginary parts, sparse supports and
 ``scale2 != 1``.
 
 States built on ints (parsed, or rotated by local unitaries) keep their
-integer form; it must equal what ``integer_parts`` computes from their
-amplitudes.
+integer form; it must equal what ``_OPS["exact"].pairs`` computes from
+their amplitudes.
 
 The double backend runs the same kernels on its own float pairs; the last
 properties compare it with the exact backend on the same states.
@@ -51,7 +51,7 @@ from tritangle import (
     submatrix,
 )
 from tritangle.randstates import random_product_state
-from tritangle.scalars import integer_parts
+from tritangle.scalars import _OPS
 
 from _util import (
     _SLICE_INDEX,
@@ -245,7 +245,7 @@ def test_states_built_on_ints_keep_their_least_integer_form(s3, s2, rng):
         (apply_local_3(s3, *u3), brute_apply_local(s3, u3)),
         (apply_local_2(s2, *u2), brute_apply_local(s2, u2)),
     ):
-        assert kept_integer_form(built) == integer_parts(built.amps)
+        assert kept_integer_form(built) == _OPS["exact"].pairs(built.amps)
         assert same_physical_state(built, source)
 
 
@@ -255,7 +255,7 @@ def test_random_product_state_is_the_outer_product_of_its_draws(seed):
     state = random_product_state(rng)
     assert state == reference_product_state(ref_rng)
     assert rng.getstate() == ref_rng.getstate()
-    assert kept_integer_form(state) == integer_parts(state.amps)
+    assert kept_integer_form(state) == _OPS["exact"].pairs(state.amps)
 
 
 # -- the double backend against the exact backend ----------------------------

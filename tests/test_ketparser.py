@@ -23,7 +23,7 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
-from tritangle.scalars import integer_parts
+from tritangle.scalars import _OPS
 
 from _util import (
     BIG,
@@ -218,7 +218,7 @@ def test_state_to_ket_round_trip_non_square_scale2(cls, data, scale2):
     """sqrt(num) of scale2 = num/den is not rational, so it is folded as a
     multiplier num over the divisor num * den."""
     assume(math.isqrt(scale2.numerator) ** 2 != scale2.numerator)
-    n = cls.N_AMPS
+    n = cls.N_VALUES
     amps = data.draw(st.lists(wide_scalars, min_size=n, max_size=n).filter(any))
     state = cls(tuple(amps), scale2)
     assert same_physical_state(parse_state(state_to_ket(state)), state)
@@ -272,7 +272,7 @@ def test_hand_written_coefficients(text, rendered):
     assert render(expr) == rendered == reference_render(expr.terms, expr.global_divisor)
     state = parse_state(text)
     assert state == to_state(expr)
-    assert state.integer_form == integer_parts(state.amps)
+    assert state.integer_form == _OPS["exact"].pairs(state.amps)
     assert state_to_ket(state) == reference_ket(state)
     assert same_physical_state(parse_state(state_to_ket(state)), state)
 

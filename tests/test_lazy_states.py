@@ -1,15 +1,18 @@
-"""States built from their integer pairs, whose amplitudes are built on read.
+"""States and unitaries built from their integer pairs, whose values are built on read.
 
 ``parse_state``, ``apply_local_3``/``_2``, the residuals of ``collapse``,
-``submatrix`` and every exact ``randstates`` generator store a state as its
-reduced pairs and ``scale2`` (``_StateOps._from_pairs``).  Each such state
-must be indistinguishable from the same state built from its amplitudes by
-the constructor; every comparison below starts from a state whose
-amplitudes were not yet read.
+``submatrix``, ``state_from_json`` and every exact ``randstates`` generator
+store a state as its reduced pairs and ``scale2``; ``random_rational_unitary2``,
+``random_unitary2``, ``Unitary2.dagger`` and the ``--u1`` JSON reader do the
+same for a unitary (``_PairValues._from_pairs``).  Each must be
+indistinguishable from the same value built from its amplitudes or entries
+by the constructor; every comparison below starts from a value whose
+amplitudes or entries were not yet read.
 """
 
 import dataclasses
 import hashlib
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -29,15 +32,16 @@ from tritangle import (
     apply_local_3,
     collapse,
     parse_state,
+    state_from_json,
     state_to_json,
     state_to_ket,
     submatrix,
 )
+from tritangle.cli import _unitary_from_json
 from tritangle.randstates import (
     mixed_pool,
     random_antipodal_state,
     random_exact_bipartite,
-    random_fraction,
     random_generic_state,
     random_product_state,
     random_qubit_vector,
@@ -45,23 +49,34 @@ from tritangle.randstates import (
     random_sparse_state,
 )
 from tritangle.scalars import _OPS, is_fraction, ratio_str
-from tritangle.unitary import Unitary2, random_rational_unitary2
+from tritangle.unitary import Unitary2, random_rational_unitary2, random_unitary2
 
 from _util import (
     brute_apply_local,
     exact_states,
     reference_gaussian_rational,
     reference_product_state,
+    reference_rational_unitary2,
 )
 
 
 def _lazy_builds(state, rng):
-    """Zero-argument builders, each giving a fresh state made from pairs."""
+    """Zero-argument builders, each giving a fresh state or unitary made from pairs."""
     units = [random_rational_unitary2(rng) for _ in range(3)]
+    seed = rng.getrandbits(32)
+    haar = random_unitary2(seed)
     builds = [
         lambda: parse_state(state_to_ket(state)),
         lambda: apply_local_3(state, *units),
         lambda: apply_local_3(state.to_approx(), *(u.to_approx() for u in units)),
+        lambda: state_from_json(state_to_json(state)),
+        lambda: state_from_json(state_to_json(state.to_approx())),
+        lambda: random_rational_unitary2(random.Random(seed)),
+        lambda: units[0].dagger(),
+        lambda: random_unitary2(seed),
+        lambda: haar.dagger(),
+        lambda: _unitary_from_json(_unitary_json(units[1])),
+        lambda: _unitary_from_json(_unitary_json(haar)),
     ]
     for s, us in ((state, units), (state.to_approx(), [u.to_approx() for u in units])):
         for axis, outcome in AXIS_OUTCOME_ORDER:
@@ -75,27 +90,50 @@ def _lazy_builds(state, rng):
     return builds
 
 
-def _check_like_eager(build):
-    """Each property of a fresh lazily built state equals the eager one's."""
-    probe = build()
-    assert "amps" not in probe.__dict__
-    eager = type(probe)(probe.amps, probe.scale2)
-    assert "amps" in probe.__dict__  # built on the first read, then kept
+def _unitary_json(u):
+    """``--u1`` JSON of a unitary: exact entries as "re,im" text, doubles as [re, im]."""
+    if u.backend == "exact":
+        cells, root = [f"{e.re},{e.im}" for e in u.entries], str(1 / u.scale2)
+    else:
+        cells, root = [[e.real, e.imag] for e in u.entries], 1 / u.scale2
+    return json.dumps({"matrix": [cells[:2], cells[2:]], "sqrt_scale2": root})
 
-    assert build().amps == eager.amps
+
+def _outcome(make):
+    try:
+        return make()
+    except ValueError as exc:
+        return type(exc)
+
+
+def _check_like_eager(build):
+    """Each property of a fresh lazily built state or unitary equals the eager one's."""
+    probe = build()
+    name = probe._FIELD  # "amps" or "entries"
+    assert name not in probe.__dict__
+    eager = type(probe)(getattr(probe, name), probe.scale2)
+    assert name in probe.__dict__  # built on the first read, then kept
+
+    assert getattr(build(), name) == getattr(eager, name)
     assert build() == eager and eager == build()
     assert hash(build()) == hash(eager)
     assert repr(build()) == repr(eager)
     assert build().backend == eager.backend
-    assert build().norm2() == eager.norm2()
-    if eager.backend == "exact":
-        assert build().integer_form == eager.integer_form
-    assert state_to_json(build()) == state_to_json(eager)
+    assert build().to_approx() == eager.to_approx()
+    if isinstance(eager, Unitary2):
+        assert build().dagger() == eager.dagger()
+    else:
+        assert build().norm2() == eager.norm2()
+        if eager.backend == "exact":
+            assert build().integer_form == eager.integer_form
+        assert state_to_json(build()) == state_to_json(eager)
     back = pickle.loads(pickle.dumps(build()))
-    assert back == eager and back.amps == eager.amps
+    assert back == eager and getattr(back, name) == getattr(eager, name)
     assert dataclasses.replace(build()) == eager
-    assert dataclasses.replace(build(), scale2=eager.scale2 * 2) == dataclasses.replace(
-        eager, scale2=eager.scale2 * 2
+    # A unitary rejects a doubled scale2 on both.
+    doubled = eager.scale2 * 2
+    assert _outcome(lambda: dataclasses.replace(build(), scale2=doubled)) == _outcome(
+        lambda: dataclasses.replace(eager, scale2=doubled)
     )
 
 
@@ -118,6 +156,8 @@ def test_pairs_are_the_stored_value():
         ((6, 0), (0, 0), (0, 0), (0, -4), (0, 0), (0, 0), (0, 0), (18, 0)), 3)}
     assert s.backend == "exact"
     assert s.amps[3] == GaussianRational(0, Fraction(-4, 3))
+    eager = TripartiteState(s.amps, s.scale2)
+    assert set(eager.__dict__) == {"amps", "scale2"}  # no pairs until a kernel reads them
 
 
 @pytest.mark.parametrize(
@@ -195,7 +235,7 @@ def _old_nonzero(rng):
 
 def _old_vector(cls, rng):
     while True:
-        amps = tuple(reference_gaussian_rational(rng) for _ in range(cls.N_AMPS))
+        amps = tuple(reference_gaussian_rational(rng) for _ in range(cls.N_VALUES))
         if any(amps):
             return cls(amps, Fraction(1))
 
@@ -216,17 +256,9 @@ def _old_antipodal(rng):
     return TripartiteState(tuple(amps), Fraction(1))
 
 
-def _old_rational_unitary2(rng):
-    while True:
-        a = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
-        b = GaussianRational(random_fraction(rng, 4), random_fraction(rng, 4))
-        if a or b:
-            return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], 1 / (a.abs2() + b.abs2()))
-
-
 def _old_rotated_product(rng):
     state = reference_product_state(rng)
-    return brute_apply_local(state, [_old_rational_unitary2(rng) for _ in range(3)])
+    return brute_apply_local(state, [reference_rational_unitary2(rng) for _ in range(3)])
 
 
 #: Each exact generator and the GaussianRational construction it replaced.

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational
-from tritangle.scalars import abs2, as_approx, as_exact, parse_rational
+from tritangle.scalars import abs2, as_approx, as_exact
 
 fracs = st.fractions(max_denominator=40)
 scalars = st.builds(GaussianRational, fracs, fracs)
@@ -83,13 +83,6 @@ def test_explicit_conversion():
     assert z.to_complex() == complex(0.5, -3.0)
     assert as_approx(z) == complex(0.5, -3.0)
     assert as_exact((1, Fraction(1, 3))) == GaussianRational(1, Fraction(1, 3))
-
-
-def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("-2") == Fraction(-2)
-    with pytest.raises(ValueError):
-        parse_rational("x")
 
 
 def test_hash_consistency():

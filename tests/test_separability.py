@@ -21,10 +21,11 @@ from tritangle import (
 from tritangle.catalog import ghz_state, w_state
 from tritangle.randstates import (
     mixed_pool,
-    random_fraction,
     random_product_state,
     random_tripartite,
 )
+
+from _util import random_fraction
 
 
 def test_products_are_separable():

@@ -38,6 +38,7 @@ from _util import (
     brute_apply_local,
     pos_fracs,
     reference_is_unitary,
+    reference_rational_unitary2,
     same_physical_state,
     wide_scalars,
 )
@@ -219,6 +220,17 @@ def test_rational_unitary_exactly_unitary():
         assert abs2(m00) + abs2(m10) == target
         assert abs2(m01) + abs2(m11) == target
         assert m00.conjugate() * m01 + m10.conjugate() * m11 == GaussianRational(0)
+
+
+def test_rational_unitary_draw_on_ints_gives_the_old_value():
+    for seed in range(40):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(25):
+            u, expected = random_rational_unitary2(new), reference_rational_unitary2(old)
+            assert "entries" not in u.__dict__  # built from its pairs
+            assert u._pairs == expected._pairs
+            assert u.entries == expected.entries and u.scale2 == expected.scale2
+            assert new.getstate() == old.getstate()
 
 
 def test_backend_mismatch_rejected():
