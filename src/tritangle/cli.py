@@ -43,7 +43,7 @@ from .measurement import collapse
 from .randstates import KINDS, random_tripartite
 from .scalars import _OPS, DEFAULT_EPS, GaussianRational, over_lcm
 from .separability import extract_factors, is_separable, rank1_oracle
-from .states import Axis, TripartiteState, _json_rational, state_from_json, state_to_json
+from .states import Axis, TripartiteState, _json_part, state_from_json, state_to_json
 from .unitary import Unitary2, apply_local_3
 
 PARSE_ERROR, PRECONDITION_ERROR, BACKEND_ERROR = 2, 3, 4
@@ -115,7 +115,7 @@ def _read_part(part, exact):
     ``(num, den)``, any other is a JSON value, read as a rational if exact."""
     if isinstance(part, tuple):
         return part if exact else part[0] / part[1]
-    return _json_rational(part) if exact else float(part)
+    return _json_part(part, exact)
 
 
 def _unitary_from_json(text: str) -> Unitary2:
@@ -139,7 +139,7 @@ def _unitary_from_json(text: str) -> Unitary2:
                     parts = cell.split(",")
                     if len(parts) > 2:
                         raise ValueError(f"cell {cell!r} has more than one comma")
-                    cells.append([_json_rational(part) for part in (parts + ["0"])[:2]])
+                    cells.append([_json_part(part, True) for part in (parts + ["0"])[:2]])
                     continue
                 if not isinstance(cell, list):
                     cell = [cell, 0]
@@ -149,7 +149,7 @@ def _unitary_from_json(text: str) -> Unitary2:
                 exact = exact and not any(isinstance(v, float) for v in cell)
         g = [tuple(_read_part(part, exact) for part in cell) for cell in cells]
         try:
-            scale2 = 1 / (Fraction(str(root)) if exact else float(root))
+            scale2 = 1 / (Fraction(str(root)) if exact else _json_part(root, False))
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonFinite
-from .scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul, is_fraction
-from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
+from .scalars import _OPS, DEFAULT_EPS, gauss_det2, is_fraction
+from .states import _SLICES, SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
 def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteState:
@@ -40,7 +40,7 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     """
     _check_outcome(outcome)
     g, d = state._pairs
-    pair = tuple(g[n] for n in SLICE_INDEX[2 * axis.value + outcome])
+    pair = _SLICES[2 * axis.value + outcome](g)
     return BipartiteState._from_pairs(_OPS[state.backend], pair, d, state.scale2)
 
 
@@ -51,55 +51,34 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
 # cancels, only in the backend's final division (``scalars._OPS``).
 
 
-def _cayley_g(g):
-    """Cayley's hyperdeterminant formula (see :func:`cayley_det`) on ints."""
-    a000, a001, a010, a011, a100, a101, a110, a111 = g
-    p = (
-        gauss_mul(a000, a111),
-        gauss_mul(a001, a110),
-        gauss_mul(a010, a101),
-        gauss_mul(a011, a100),
-    )
-    re = im = 0
-    for n, pn in enumerate(p):
-        sr, si = gauss_mul(pn, pn)
-        re += sr
-        im += si
-        for pm in p[n + 1 :]:
-            tr, ti = gauss_mul(pn, pm)
-            re -= 2 * tr
-            im -= 2 * ti
-    q0 = gauss_mul(gauss_mul(a000, a011), gauss_mul(a101, a110))
-    q1 = gauss_mul(gauss_mul(a001, a010), gauss_mul(a100, a111))
-    return re + 4 * (q0[0] + q1[0]), im + 4 * (q0[1] + q1[1])
-
-
-def _sub_abs2_g(g) -> tuple:
-    """|c00 c11 - c01 c10|^2 of the six integer slices, as ints."""
-    out = []
-    for i00, i01, i10, i11 in SLICE_INDEX:
-        re, im = gauss_det2(g[i00], g[i01], g[i10], g[i11])
-        out.append(re * re + im * im)
-    return tuple(out)
+def _entries_g(g):
+    """``(Det_g, dets)`` on the pairs g, each a ``(re, im)`` pair: the
+    hyperdeterminant, as the x-pencil discriminant of :func:`cayley_det`, and
+    the six slice determinants in ``SLICE_INDEX`` order, each computed once."""
+    dets = tuple(gauss_det2(g[p], g[q], g[r], g[s]) for p, q, r, s in SLICE_INDEX)
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3), (r4, i4), (r5, i5), (r6, i6), (r7, i7) = g
+    # beta = a000 a111 + a011 a100 - a001 a110 - a010 a101
+    br = (r0 * r7 - i0 * i7) + (r3 * r4 - i3 * i4) - (r1 * r6 - i1 * i6) - (r2 * r5 - i2 * i5)
+    bi = (r0 * i7 + i0 * r7) + (r3 * i4 + i3 * r4) - (r1 * i6 + i1 * r6) - (r2 * i5 + i2 * r5)
+    (xr, xi), (yr, yi) = dets[0], dets[1]
+    return (br * br - bi * bi - 4 * (xr * yr - xi * yi), 2 * br * bi - 4 * (xr * yi + xi * yr)), dets
 
 
 def cayley_det(state: TripartiteState):
     """Degree-4 hyperdeterminant of the raw amplitude hypermatrix.
 
-    With the four antipodal products p0 = a000*a111, p1 = a001*a110,
-    p2 = a010*a101, p3 = a011*a100 this is
+    Cayley's hyperdeterminant, normalized so that amplitudes a000 = a111 = 1
+    give +1, is the discriminant of the x-pencil det(s A_x0 + t A_x1) =
+    det(x0) s^2 + beta s t + det(x1) t^2, whose end coefficients are slices:
 
-        p0^2 + p1^2 + p2^2 + p3^2
-        - 2 (p0 p1 + p0 p2 + p0 p3 + p1 p2 + p1 p3 + p2 p3)
-        + 4 (a000 a011 a101 a110 + a001 a010 a100 a111)
+        beta^2 - 4 det(x0) det(x1),  beta = a000 a111 + a011 a100 - a001 a110 - a010 a101.
 
-    normalized so that amplitudes a000 = a111 = 1 give +1.  The value is
-    for the raw amplitudes; the hyperdeterminant of the physical state is
-    scale2^2 times this (degree 4), and callers normalize by norm2^2.
-    It is evaluated on the pairs g and divided by d^4.
+    The value is for the raw amplitudes; the hyperdeterminant of the physical
+    state is scale2^2 times this (degree 4), and callers normalize by
+    norm2^2.  It is evaluated on the pairs g and divided by d^4.
     """
     g, d = state._pairs
-    re, im = _cayley_g(g)
+    (re, im), _ = _entries_g(g)
     return _OPS[state.backend].scalar(re, im, d ** 4)
 
 
@@ -184,8 +163,8 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
             return kept
     div = _OPS[state.backend].div
     g = state._pairs[0]
-    re, im = _cayley_g(g)
-    det2, sub2 = re * re + im * im, _sub_abs2_g(g)
+    (re, im), dets = _entries_g(g)
+    det2, sub2 = re * re + im * im, tuple(r * r + i * i for r, i in dets)
     if normalized:
         num, den = 1, state._weight * state._weight
     else:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .bipartite import gauss_concurrence2
 from .errors import ImpossibleOutcome
 from .scalars import _OPS, DEFAULT_EPS
-from .states import SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
+from .states import _SLICES, Axis, BipartiteState, TripartiteState, _check_outcome
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,13 @@ def collapse(
     residual would be the zero vector.
     """
     _check_outcome(outcome)
-    index = SLICE_INDEX[2 * axis.value + outcome]
     ops = _OPS[state.backend]
     # scale2 / d^2 cancels from the probability and the concurrence on the
-    # pairs; the slice's weight is the residual's sum |g_n|^2.
-    g = state._pairs[0]
-    pair = tuple(g[n] for n in index)
-    weight = sum(re * re + im * im for re, im in pair)
+    # pairs; the slice's weight is the residual's sum |g_n|^2, added left to
+    # right as ``sum`` adds it, so a double probability keeps every bit.
+    pair = _SLICES[2 * axis.value + outcome](state._pairs[0])
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = pair
+    weight = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1) + (r2 * r2 + i2 * i2) + (r3 * r3 + i3 * i3)
     prob = ops.div(weight, state._weight, "outcome probability")
     if ops.is_zero(prob, eps):
         raise ImpossibleOutcome(

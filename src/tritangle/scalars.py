@@ -219,10 +219,9 @@ def gauss_mul(a: tuple, b: tuple) -> tuple:
 
 
 def gauss_det2(c00: tuple, c01: tuple, c10: tuple, c11: tuple) -> tuple:
-    """Determinant c00 c11 - c01 c10 of a 2x2 matrix of (re, im) pairs."""
-    ar, ai = gauss_mul(c00, c11)
-    br, bi = gauss_mul(c01, c10)
-    return ar - br, ai - bi
+    """Determinant c00 c11 - c01 c10 of (re, im) pairs, rounded as two ``gauss_mul``s."""
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = c00, c01, c10, c11
+    return (ar * dr - ai * di) - (br * cr - bi * ci), (ar * di + ai * dr) - (br * ci + bi * cr)
 
 
 def over_lcm(parts) -> tuple:

@@ -17,9 +17,9 @@ oracle in ``separability``, local unitaries and the unitarity check in
 differ only in the pairs, the division of a result and the zero test
 (``scalars._OPS``).
 
-The parser, local unitaries, ``measurement.collapse``, ``state_from_json``
-and every exact ``randstates`` generator build states from their pairs, and
-the unitaries the library makes are built the same way (one path,
+The parser, local unitaries, ``measurement.collapse``, ``state_from_json``,
+``to_approx`` and every exact ``randstates`` generator build states from
+their pairs, and the unitaries the library makes likewise (one path,
 ``_PairValues._from_pairs``): the reduced pairs and ``scale2`` are what such
 a value stores, and ``amps`` or ``entries`` is built from them on its first
 read and kept.  ``hyperdet.classify`` keeps a state's normalized
@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
 from .scalars import (
@@ -93,6 +94,8 @@ SLICE_INDEX = tuple(
     tuple(n for n in range(8) if (n >> (2 - axis.value)) & 1 == outcome)
     for axis, outcome in AXIS_OUTCOME_ORDER
 )
+#: One ``operator.itemgetter`` per slot: the slot's four values of SLICE_INDEX off a tuple.
+_SLICES = tuple(itemgetter(*index) for index in SLICE_INDEX)
 
 
 def _check_outcome(outcome: int) -> int:
@@ -157,11 +160,18 @@ class _PairValues:
         return "exact" if is_fraction(self.scale2) else "approx"
 
     def to_approx(self):
-        """Explicit one-way conversion to the double backend."""
+        """Explicit one-way conversion to the double backend: each double is
+        ``part / d`` on the kept pairs, the correctly rounded ``float(Fraction(part, d))``."""
         if self.backend == "approx":
             return self
-        values = getattr(self, self._FIELD)
-        return type(self)(tuple(v.to_complex() for v in values), float(self.scale2))
+        g, d = self._pairs
+        try:
+            pairs, scale2 = tuple((re / d, im / d) for re, im in g), float(self.scale2)
+        except OverflowError as exc:
+            raise NonFinite("an exact value is beyond the double range") from exc
+        if not scale2:
+            raise NonFinite("scale2 is below the double range: it converts to 0.0")
+        return type(self)._from_pairs(_OPS["approx"], pairs, 1, scale2)
 
     def _values(self) -> tuple:
         """Read on a value built from its pairs: the values, built once and kept."""
@@ -270,11 +280,16 @@ def state_to_json(state) -> dict:
     return {"amps": amps, "scale2": scale2, "backend": state.backend}
 
 
-def _json_rational(value) -> tuple:
-    """``(num, den)`` of one rational part read from JSON: whatever
+def _json_part(value, exact):
+    """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
-    ``" 3/4 "``, ``"0.5"`` or ``"1e3"``."""
-    return Fraction(str(value)).as_integer_ratio()
+    ``" 3/4 "``, ``"0.5"`` or ``"1e3"``; else ``float(value)``.  A JSON
+    boolean is neither."""
+    if exact:
+        return Fraction(str(value)).as_integer_ratio()
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def state_from_json(obj: dict):
@@ -286,7 +301,7 @@ def state_from_json(obj: dict):
     if backend not in ("exact", "approx"):
         raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
     if backend == "exact":
-        g, d = over_lcm([(_json_rational(re), _json_rational(im)) for re, im in amps_raw])
+        g, d = over_lcm([(_json_part(re, True), _json_part(im, True)) for re, im in amps_raw])
         return cls._from_pairs(_OPS["exact"], g, d, Fraction(str(obj.get("scale2", "1"))))
-    g = tuple((float(re), float(im)) for re, im in amps_raw)
-    return cls._from_pairs(_OPS["approx"], g, 1, float(obj.get("scale2", 1.0)))
+    g = tuple((_json_part(re, False), _json_part(im, False)) for re, im in amps_raw)
+    return cls._from_pairs(_OPS["approx"], g, 1, _json_part(obj.get("scale2", 1.0), False))

@@ -106,6 +106,43 @@ def reference_display(entries, eps=0):
     return tuple(math.sqrt(float(v / div2)) if v > eps else 0.0 for v in entries)
 
 
+def reference_cayley_g(g):
+    """Cayley's hyperdeterminant on ``(re, im)`` pairs, as its expansion in
+    the antipodal products p0 = a000 a111, p1 = a001 a110, p2 = a010 a101,
+    p3 = a011 a100:
+
+        p0^2 + p1^2 + p2^2 + p3^2 - 2 (p0 p1 + p0 p2 + p0 p3 + p1 p2 + p1 p3 + p2 p3)
+        + 4 (a000 a011 a101 a110 + a001 a010 a100 a111)
+    """
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    a000, a001, a010, a011, a100, a101, a110, a111 = g
+    p = (mul(a000, a111), mul(a001, a110), mul(a010, a101), mul(a011, a100))
+    re = im = 0
+    for n, pn in enumerate(p):
+        sr, si = mul(pn, pn)
+        re += sr
+        im += si
+        for pm in p[n + 1 :]:
+            tr, ti = mul(pn, pm)
+            re -= 2 * tr
+            im -= 2 * ti
+    q0 = mul(mul(a000, a011), mul(a101, a110))
+    q1 = mul(mul(a001, a010), mul(a100, a111))
+    return re + 4 * (q0[0] + q1[0]), im + 4 * (q0[1] + q1[1])
+
+
+def reference_to_approx(value):
+    """``to_approx`` on the values: each through ``GaussianRational.to_complex``,
+    built by the constructor with ``float(scale2)``."""
+    if value.backend == "approx":
+        return value
+    values = value.entries if isinstance(value, Unitary2) else value.amps
+    return type(value)(tuple(v.to_complex() for v in values), float(value.scale2))
+
+
 def random_fraction(rng, span=9, max_den=3):
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
@@ -223,7 +260,14 @@ def reference_ket(state):
 
 
 # The JSON readers as they were written on scalars: every part through
-# ``Fraction(str(x))`` into a ``GaussianRational``, built by the constructor.
+# ``Fraction(str(x))`` into a ``GaussianRational``, or through ``float``,
+# built by the constructor.  A double part may not be a JSON boolean.
+
+
+def _reference_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
 
 
 def reference_state_from_json(obj: dict):
@@ -240,8 +284,8 @@ def reference_state_from_json(obj: dict):
             for re, im in amps_raw
         )
         return cls(amps, Fraction(str(obj.get("scale2", "1"))))
-    amps = tuple(complex(float(re), float(im)) for re, im in amps_raw)
-    return cls(amps, float(obj.get("scale2", 1.0)))
+    amps = tuple(complex(_reference_float(re), _reference_float(im)) for re, im in amps_raw)
+    return cls(amps, _reference_float(obj.get("scale2", 1.0)))
 
 
 def reference_unitary_from_json(text: str) -> Unitary2:
@@ -281,9 +325,9 @@ def reference_unitary_from_json(text: str) -> Unitary2:
                 for re, im in entries
             ]
         else:
-            amps = [complex(float(re), float(im)) for re, im in entries]
+            amps = [complex(_reference_float(re), _reference_float(im)) for re, im in entries]
         try:
-            scale2 = 1 / (Fraction(str(root)) if exact else float(root))
+            scale2 = 1 / (Fraction(str(root)) if exact else _reference_float(root))
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:

@@ -275,6 +275,15 @@ def test_nonfinite_state_json_exit3(tmp_path, capsys, amps, scale2):
     assert code == 3 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("scale2", ["1e400", "1e-400"], ids=["above", "below"])
+def test_float_of_exact_scale2_beyond_the_double_range_exit3(tmp_path, capsys, scale2):
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps({"amps": [["1", "0"]] + [["0", "0"]] * 6 + [["1", "0"]],
+                                "scale2": scale2}))
+    code, out, err = run(capsys, ["classify", "--float", "--json-state", str(path)])
+    assert code == 3 and out == "" and "double range" in err
+
+
 def test_nonfinite_unitary_exit3(capsys):
     nan_rot = '{"matrix": [[NaN, 0], [0, 1]]}'
     code, out, err = run(capsys, ["transform", GHZ, "--float", "--u1", nan_rot, "--json"])
@@ -314,10 +323,13 @@ def _big(digits):
         ["check-sep", f"1/{_big(45)}|000> + 1/{_big(45)}|111>"],
         ["factor", f"1/{_big(45)}|000> + 1/{_big(45)}|111>"],
         ["measure", f"1/{_big(200)}|000> + 1/{_big(200)}|111>", "--qubit", "1", "--outcome", "0"],
+        # A scale2 that underflows to 0.0 as a double.
+        ["classify", f"(|000> + |111>)/sqrt({_big(400)})"],
     ],
     ids=["classify-1e400", "classify-1e160", "check-sep-1e160", "measure-1e160",
          "classify-1e77", "check-sep-1e77", "factor-1e77", "measure-1e80",
-         "classify-1e-45", "check-sep-1e-45", "factor-1e-45", "measure-1e-200"],
+         "classify-1e-45", "check-sep-1e-45", "factor-1e-45", "measure-1e-200",
+         "classify-scale2-1e-400"],
 )
 def test_double_overflow_exit3(argv, json_mode, capsys):
     argv = argv + ["--float"] + (["--json"] if json_mode else [])
@@ -364,8 +376,9 @@ def test_exact_display_beyond_the_double_range_exit3(expr, json_mode, capsys):
         '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": "x"}',
         '{"matrix": "ab"}',
         '{"matrix": [[1.0, 0], [0, 1%s]]}' % ("0" * 400),  # no such double
+        '{"matrix": [[true, 0], [0, 1.0]]}',  # a double matrix: the 1.0 decides
     ],
-    ids=["scale", "matrix", "huge-int"],
+    ids=["scale", "matrix", "huge-int", "bool"],
 )
 def test_malformed_unitary_number_exit2(u1, capsys):
     code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
@@ -373,7 +386,9 @@ def test_malformed_unitary_number_exit2(u1, capsys):
 
 
 @pytest.mark.parametrize(
-    "amp, backend", [(10**400, "approx"), ("1/0", "exact")], ids=["huge-int", "zero-den"]
+    "amp, backend",
+    [(10**400, "approx"), ("1/0", "exact"), (True, "approx"), (True, "exact")],
+    ids=["huge-int", "zero-den", "bool-approx", "bool-exact"],
 )
 def test_state_json_bad_number_exit2(tmp_path, capsys, amp, backend):
     path = tmp_path / "state.json"

@@ -2,13 +2,18 @@
 
 Exact states are classified, collapsed and measured for concurrence on
 their integer form (Gaussian-integer numerators over one common
-denominator).  These properties compare every exact path that runs on it
-with a reference that does not: the z-pencil discriminant
-``cayley_det_schlafli``, the raw-index sub-determinants of
+denominator).  ``classify`` and ``cayley_det`` read one kernel,
+``hyperdet._entries_g``, which takes the six slice determinants once and
+forms Det as the discriminant of the x-pencil from two of them.  These
+properties compare every exact path that runs on the integer form with a
+reference that does not: Cayley's expansion in the antipodal products
+(``_util.reference_cayley_g``), the discriminants of the x-, y- and
+z-pencils in Gaussian-rational arithmetic (the z-pencil is also
+``cayley_det_schlafli``), the raw-index sub-determinants of
 ``_util.brute_subdet2``, Gaussian-rational flattening minors and 2x2
-determinants, and the ``Factorization.amplitudes()`` rebuild.  Inputs have large coprime
-denominators, mixed real and imaginary parts, sparse supports and
-``scale2 != 1``.
+determinants, and the ``Factorization.amplitudes()`` rebuild.  Inputs have
+large coprime denominators, mixed real and imaginary parts, sparse supports
+and ``scale2 != 1``.
 
 States built on ints (parsed, or rotated by local unitaries) keep their
 integer form; it must equal what ``_OPS["exact"].pairs`` computes from
@@ -21,6 +26,7 @@ properties compare it with the exact backend on the same states.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -50,7 +56,8 @@ from tritangle import (
     sub_concurrences2,
     submatrix,
 )
-from tritangle.randstates import random_product_state
+from tritangle.hyperdet import _entries_g
+from tritangle.randstates import random_approx_tripartite, random_product_state
 from tritangle.scalars import _OPS
 
 from _util import (
@@ -58,6 +65,7 @@ from _util import (
     brute_apply_local,
     brute_subdet2,
     exact_states,
+    reference_cayley_g,
     reference_product_state,
     same_physical_state,
     wide_scalars,
@@ -119,6 +127,67 @@ def reference_rank1(state) -> bool:
 @given(states)
 def test_cayley_det_matches_schlafli(state):
     assert cayley_det(state) == cayley_det_schlafli(state)
+
+
+# -- the hyperdeterminant kernel ----------------------------------------------
+
+#: Numerators and denominators past 2^100, so that the lcm d is large and coprime.
+huge_fracs = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+kernel_states = st.one_of(
+    states,
+    exact_states(TripartiteState),
+    st.builds(
+        TripartiteState,
+        st.tuples(*[st.builds(GaussianRational, huge_fracs, huge_fracs)] * 8).filter(any),
+    ),
+)
+
+
+def pencil_discriminant(amps, axis):
+    """beta^2 - 4 alpha gamma of det(s A_0 + t A_1) = alpha s^2 + beta s t + gamma t^2,
+    with A_0 and A_1 the two slices of ``axis``, in GaussianRational arithmetic."""
+    c00, c01, c10, c11 = (amps[n] for n in _SLICE_INDEX[(axis, 0)])
+    e00, e01, e10, e11 = (amps[n] for n in _SLICE_INDEX[(axis, 1)])
+    alpha, gamma = c00 * c11 - c01 * c10, e00 * e11 - e01 * e10
+    beta = c00 * e11 + e00 * c11 - c01 * e10 - e01 * c10
+    return beta * beta - 4 * alpha * gamma
+
+
+@settings(deadline=None)
+@given(kernel_states)
+def test_kernel_det_is_cayleys_expansion_on_ints(state):
+    g, d = state._pairs
+    (re, im), dets = _entries_g(g)
+    assert (re, im) == reference_cayley_g(g)
+    assert cayley_det(state) == GaussianRational(Fraction(re, d**4), Fraction(im, d**4))
+    a = state.amps
+    for (axis, outcome), (r, i) in zip(AXIS_OUTCOME_ORDER, dets):
+        i00, i01, i10, i11 = _SLICE_INDEX[(axis.name.lower(), outcome)]
+        det = a[i00] * a[i11] - a[i01] * a[i10]
+        assert GaussianRational(Fraction(r, d * d), Fraction(i, d * d)) == det
+
+
+@settings(deadline=None)
+@given(kernel_states)
+def test_x_y_and_z_pencil_discriminants_agree(state):
+    x, y, z = (pencil_discriminant(state.amps, axis) for axis in "xyz")
+    assert x == y == z == cayley_det(state)
+
+
+haar_states = st.integers(0, 2**32).map(lambda seed: random_approx_tripartite(
+    np.random.default_rng(seed)))
+
+
+@settings(deadline=None)
+@given(st.one_of(kernel_states.map(lambda s: s.to_approx()), haar_states))
+def test_double_kernel_matches_cayleys_expansion(state):
+    """Det within 1e-12 of (sum |g_n|^2)^2, the scale ``classify`` divides it by."""
+    g = state._pairs[0]
+    n2 = state._weight * state._weight
+    (re, im), dets = _entries_g(g)
+    ref_re, ref_im = reference_cayley_g(g)
+    assert abs(complex(re, im) - complex(ref_re, ref_im)) <= 1e-12 * n2
+    assert classify(state).sub2 == tuple((r * r + i * i) / n2 for r, i in dets)
 
 
 @settings(deadline=None)

@@ -1,10 +1,11 @@
 """State containers: norms, scaling, validation, JSON round trips."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
@@ -23,12 +24,15 @@ from tritangle import (
     collapse,
     concurrence2,
     det2,
+    parse_state,
+    random_rational_unitary2,
     rank1_oracle,
     state_from_json,
     state_to_json,
+    state_to_ket,
 )
 
-from _util import _SLICE_INDEX
+from _util import _SLICE_INDEX, exact_states, reference_to_approx
 
 GHZ_AMPS = (1, 0, 0, 0, 0, 0, 0, 1)
 W_AMPS = (0, 1, 1, 0, 1, 0, 0, 0)
@@ -121,6 +125,52 @@ def test_to_approx_is_one_way():
     assert a.amps[0] == 1.0 + 0j
     assert a.scale2 == 0.5
     assert s.backend == "exact"  # original untouched
+
+
+#: Parts far apart in size, so that d is large and the doubles round.
+_spread_fracs = st.builds(
+    lambda n, k, den: Fraction(n, den) * Fraction(10) ** k,
+    st.integers(-(10**20), 10**20), st.integers(-300, 300), st.integers(1, 10**20),
+)
+_spread_states = st.builds(
+    TripartiteState,
+    st.tuples(*[st.builds(GaussianRational, _spread_fracs, _spread_fracs)] * 8).filter(any),
+    st.builds(Fraction, st.integers(1, 10**30), st.integers(1, 10**30)),
+)
+
+
+def _bits(value):
+    """The exact doubles of a double-backend value: parts and scale2 as hex."""
+    values = value.entries if hasattr(value, "entries") else value.amps
+    return [(z.real.hex(), z.imag.hex()) for z in values], value.scale2.hex()
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(exact_states(TripartiteState), exact_states(BipartiteState), _spread_states),
+    st.integers(0, 2**32),
+)
+def test_to_approx_from_pairs_gives_the_old_doubles(state, seed):
+    """``part / d`` on the kept pairs is ``float(Fraction(part, d))``, bit for bit."""
+    unit = random_rational_unitary2(random.Random(seed))
+    for value in (state, parse_state(state_to_ket(state)), unit, unit.dagger()):
+        try:
+            old = reference_to_approx(value)
+        except NonFinite:
+            with pytest.raises(NonFinite):
+                value.to_approx()
+            continue
+        new = value.to_approx()
+        assert type(new) is type(old) and _bits(new) == _bits(old)
+        assert new == old and new._pairs == old._pairs
+
+
+def test_to_approx_scale2_below_the_double_range_raises_nonfinite():
+    s = TripartiteState.exact(GHZ_AMPS, Fraction(1, 10**400))
+    with pytest.raises(NonFinite, match="double range"):
+        s.to_approx()
+    with pytest.raises(NonFinite, match="double range"):
+        TripartiteState.exact(GHZ_AMPS, 10**400).to_approx()
 
 
 def test_json_round_trip_exact():
@@ -224,7 +274,7 @@ def test_double_overflow_raises_nonfinite():
 
 def test_double_determinants_raise_nonfinite_on_overflow():
     ghz = TripartiteState.approx((1e100,) + (0,) * 6 + (1e100,))
-    with pytest.raises(NonFinite):  # p0^2 = 1e400
+    with pytest.raises(NonFinite):  # beta^2 = 1e400
         cayley_det(ghz)
     with pytest.raises(NonFinite):  # beta^2 = 1e400
         cayley_det_schlafli(ghz)
