@@ -326,7 +326,8 @@ class _DoubleOps:
                 f"double-backend {what} has a zero denominator: "
                 "the values underflow the double range"
             )
-        return require_finite(num / den, what)
+        # A finite numerator over an overflowed denominator would read 0.
+        return require_finite(num / require_finite(den, f"{what} denominator"), what)
 
     @staticmethod
     def scalar(re, im, den):

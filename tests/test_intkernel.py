@@ -23,6 +23,7 @@ The double backend runs the same kernels on its own float pairs; the last
 properties compare it with the exact backend on the same states.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from tritangle import (
     BipartiteState,
     GaussianRational,
     ImpossibleOutcome,
+    NonFinite,
     NotSeparable,
     TripartiteState,
     apply_local_2,
@@ -181,13 +183,20 @@ haar_states = st.integers(0, 2**32).map(lambda seed: random_approx_tripartite(
 @settings(deadline=None)
 @given(st.one_of(kernel_states.map(lambda s: s.to_approx()), haar_states))
 def test_double_kernel_matches_cayleys_expansion(state):
-    """Det within 1e-12 of (sum |g_n|^2)^2, the scale ``classify`` divides it by."""
+    """Det within 1e-12 of (sum |g_n|^2)^2, the scale ``classify`` divides it by.
+
+    Where that scale squared leaves the double range, ``classify`` raises.
+    """
     g = state._pairs[0]
     n2 = state._weight * state._weight
     (re, im), dets = _entries_g(g)
     ref_re, ref_im = reference_cayley_g(g)
     assert abs(complex(re, im) - complex(ref_re, ref_im)) <= 1e-12 * n2
-    assert classify(state).sub2 == tuple((r * r + i * i) / n2 for r, i in dets)
+    if n2 * n2 and math.isfinite(n2 * n2):
+        assert classify(state).sub2 == tuple((r * r + i * i) / n2 for r, i in dets)
+    else:
+        with pytest.raises(NonFinite):
+            classify(state)
 
 
 @settings(deadline=None)

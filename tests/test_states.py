@@ -272,6 +272,14 @@ def test_double_overflow_raises_nonfinite():
     assert collapse(ghz, Axis.X, 0).prob == pytest.approx(0.5)
 
 
+def test_overflowed_normalization_raises_instead_of_reading_zero():
+    # |Det|^2 = 2^1022.4 is finite but norm2^4 = 2^1026.4 is not: the
+    # quotient would read 0 and put a GHZ state in the Det = 0 classes.
+    a = 2**127.8
+    with pytest.raises(NonFinite, match="denominator"):
+        classify(TripartiteState.approx((a,) + (0,) * 6 + (a,)))
+
+
 def test_double_determinants_raise_nonfinite_on_overflow():
     ghz = TripartiteState.approx((1e100,) + (0,) * 6 + (1e100,))
     with pytest.raises(NonFinite):  # beta^2 = 1e400
