@@ -2,13 +2,13 @@
 
 Grammar (whitespace-insensitive; single-token lookahead):
 
-    expr       := group [ '/' 'sqrt' '(' POSINT ')' ]  |  sum
-    group      := [ coeff ] '(' sum ')'
+    expr       := group [ '/' root ]  |  sum
+    group      := [ coeff [ '*' ] ] '(' sum ')'
     sum        := [ '+' | '-' ] term { ('+' | '-') term }
     term       := [ coeff [ '*' ] ] ket
-    coeff      := [ INT [ '/' POSINT ] ] [ 'i' ] [ '/' 'sqrt' '(' POSINT ')' ]
-                  (at least one of INT / 'i' present; 'i' may also follow
-                  the denominator, as in 1/2i)
+    coeff      := ( INT [ 'i' ] | 'i' ) [ '/' ( root | POSINT [ 'i' ] [ '/' root ] ) ]
+                  ('i' at most once: 3i/4, 3/4i and i/4 are all allowed)
+    root       := 'sqrt' '(' POSINT ')'
     ket        := '|' BIT BIT [ BIT ] '>'
 
 Examples: ``(|000> + |111>)/sqrt(2)``, ``1/2(|100>+|010>+|001>+|111>)``,
@@ -20,6 +20,15 @@ divisor; when the radicals cannot share one (their ratios are not perfect
 squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 :class:`UnsupportedIrrational` rather than approximating.
 
+Two readers share the grammar.  Valid text is read by ``_scan``: a few
+compiled ``re`` patterns, one match per term plus the group head and tail.
+Text it does not take whole (any error, and any non-ASCII character) goes to
+the token parser, ``_tokenize`` and the recursive-descent ``_Parser``, which
+reads it again and raises :class:`KetSyntaxError` with the character offset
+and the expected tokens.  The token parser is also the reference the scanner
+is tested against: on ASCII text both return the same raw terms, or both
+reject it.
+
 Parsing and rendering run on ints: a coefficient is ``((re, im), den)``, the
 terms of each basis string are summed over the lcm of their ``den``, and
 :func:`parse_state` keeps the sums as the state's integer form.  Text is
@@ -29,6 +38,7 @@ written from int fractions reduced by ``math.gcd``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -236,6 +246,97 @@ class _Parser:
         return terms
 
 
+# -- the scanner: valid text in one regex match per term ----------------------
+#
+# The patterns follow _tokenize's lexing: ASCII digits, whitespace between any
+# two tokens (also between the bits of a ket), and a letter run is one word:
+# no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize rejects as
+# an unknown word never matches.  Whitespace is read only after a token that
+# matched, so no two '\s*' meet and a long blank run costs linear time.  The
+# grammar needs one token of lookahead, so a match never depends on
+# backtracking into a shorter reading.  Rules a pattern does not state (digit
+# limit, zero divisors, 'i' on both sides of a denominator, the sign between
+# terms) are checked on the groups.
+
+_ROOT = r"sqrt\s*\(\s*([0-9]+)\s*\)\s*"
+# Six groups: numerator, 'i', root  |  denominator, 'i', root (see the grammar).
+_COEFF = (
+    r"(?=[0-9i])(?:([0-9]+)\s*)?(?:(i)\s*)?"
+    rf"(?:/\s*(?:{_ROOT}|([0-9]+)\s*(?:(i)\s*)?(?:/\s*{_ROOT})?))?"
+)
+# [coeff ['*']] '(' opens a group.
+_HEAD = re.compile(rf"\s*(?:{_COEFF}(?:\*\s*)?)?\(")
+# sign, coeff, '*', ket: the '|' offset is group 8, the bits groups 9-11.
+_TERM = re.compile(
+    rf"\s*(?:([+-])\s*)?(?:{_COEFF}(?:\*\s*)?)?()\|\s*([01])\s*([01])\s*(?:([01])\s*)?>"
+)
+_GROUP_TAIL = re.compile(rf"\s*\)\s*(?:/\s*{_ROOT})?\Z")
+_END = re.compile(r"\s*\Z")
+
+
+def _scan_coeff(sign, num, i_before, root, den, i_after, den_root):
+    """``(((re, im), den), radical)`` of a matched coefficient times its sign,
+    as ``parse_term`` reads it, or None where the parser rejects it."""
+    if i_before and i_after:
+        return None
+    try:
+        value = 1 if num is None else int(num)
+        den = 1 if den is None else int(den)
+        radical = int(root or den_root or 1)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return None
+    if not den or not radical:
+        return None
+    if sign == "-":
+        value = -value
+    return ((0, value) if i_before or i_after else (value, 0), den), radical
+
+
+def _scan(text: str):
+    """The raw terms ``_Parser(text).parse_expr()`` returns, read with the
+    compiled patterns above; None for any text they do not take whole.
+
+    Never raises: text it passes on goes to the token parser, which reads it
+    again and reports the error with its offset and expected set.
+    """
+    if not text.isascii():
+        return None
+    head = _HEAD.match(text)
+    if head:
+        group = _scan_coeff(None, *head.groups())
+        if group is None:
+            return None
+        pos = head.end()
+    else:
+        pos = 0
+    terms = []
+    while m := _TERM.match(text, pos):
+        sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2 = m.groups()
+        coeff = _scan_coeff(sign, num, i_before, root, den, i_after, den_root)
+        if coeff is None or (terms and sign is None):
+            return None
+        terms.append((*coeff, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)))
+        pos = m.end()
+    if not terms:
+        return None
+    if not head:
+        return terms if _END.match(text, pos) else None
+    tail = _GROUP_TAIL.match(text, pos)
+    if tail is None:
+        return None
+    try:
+        divisor = int(tail[1] or 1)
+    except ValueError:
+        return None
+    if not divisor:
+        return None
+    (g_pair, g_den), group_radical = group
+    return [
+        ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
+        for (pair, den), r, bits, off in terms
+    ]
+
+
 def _fold_radicals(raw_terms):
     """Rewrite coeff/sqrt(r) terms as (coeff, bits) over one common sqrt divisor."""
     divisor = math.lcm(*(r for _, r, _, _ in raw_terms))
@@ -270,7 +371,7 @@ def _merge(terms):
 
 def _parse_terms(text: str):
     """Parse into ``(sums, d, divisor)``, see :func:`_merge`."""
-    raw_terms = _Parser(text).parse_expr()
+    raw_terms = _scan(text) or _Parser(text).parse_expr()
     arity = len(raw_terms[0][2])
     for _, _, bits, off in raw_terms:
         if len(bits) != arity:

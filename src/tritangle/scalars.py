@@ -326,8 +326,12 @@ class _DoubleOps:
                 f"double-backend {what} has a zero denominator: "
                 "the values underflow the double range"
             )
+        q = num / den
+        if math.isfinite(q) and math.isfinite(den):
+            return q
         # A finite numerator over an overflowed denominator would read 0.
-        return require_finite(num / require_finite(den, f"{what} denominator"), what)
+        require_finite(den, f"{what} denominator")
+        return require_finite(q, what)
 
     @staticmethod
     def scalar(re, im, den):

@@ -67,7 +67,8 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
     Raises :class:`NotSeparable` when the state fails the separability
     test and :class:`ResidualNonzero` if verification fails: never in the
     exact backend, and for doubles when the state is separable only within
-    eps but misses the rebuild tolerance 1e-9 * max(1, max |a_n|).
+    eps but misses the rebuild tolerance 1e-9 * max |a_n|, which scales with
+    the amplitudes as the normalized entries do.
     """
     if not is_separable(state, eps):
         raise NotSeparable("state is not a product of one-qubit factors")
@@ -82,7 +83,7 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
     fact = Factorization(fx, fy, fz)
     rebuilt = fact.amplitudes()
     biggest = max(abs(a) for a in state.amps)
-    if not all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * max(1.0, biggest) for n in range(8)):
+    if not all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * biggest for n in range(8)):
         raise ResidualNonzero(
             f"the state is separable only within eps={eps:g}: "
             "extracted factors do not reproduce the amplitudes"

@@ -157,11 +157,23 @@ def test_factor_not_separable_exit3(capsys):
     assert code == 3 and "not a product" in err
 
 
+# One physical state at three global scales: the rebuild tolerance scales
+# with the amplitudes, so each is separable only within eps.
+_WITHIN_EPS = (
+    ("100000|000> + |111>", ""),
+    ("1/1000 |000> + 1/100000000 |111>", "-scaled-1e-8"),
+    ("1/10000000 |000> + 1/1000000000000 |111>", "-scaled-1e-12"),
+)
+
+
 @pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
-@pytest.mark.parametrize("command", ["check-sep", "factor"])
-def test_separable_only_within_eps_exit3(command, json_mode, capsys):
+@pytest.mark.parametrize(
+    "command, ket",
+    [pytest.param(c, ket, id=c + tag) for c in ("check-sep", "factor") for ket, tag in _WITHIN_EPS],
+)
+def test_separable_only_within_eps_exit3(command, ket, json_mode, capsys):
     # |Det|^2 ~ 1e-20 passes eps, but the factors miss the rebuild tolerance.
-    argv = [command, "--float", "100000|000> + |111>"] + (["--json"] if json_mode else [])
+    argv = [command, "--float", ket] + (["--json"] if json_mode else [])
     code, out, err = run(capsys, argv)
     assert code == 3 and out == "" and "separable only within eps=1e-10" in err
 

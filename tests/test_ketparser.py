@@ -23,6 +23,7 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
+from tritangle.ketparser import _Parser, _scan
 from tritangle.scalars import _OPS
 
 from _util import (
@@ -285,3 +286,113 @@ def test_terms_that_cancel_are_empty(text):
         parse(text)
     with pytest.raises(EmptyState):
         parse_state(text)
+
+
+# -- the scanner against the token parser ---------------------------------------
+
+_BLANKS = st.sampled_from(("", "", " ", "\t", "\n", "\x1c", "  "))
+_MUTATION_CHARS = "0123456789+-*/()|<>isqrtx \t\x1c"
+
+
+@st.composite
+def _coeff_tokens(draw):
+    """One coefficient as tokens: INT, i, INT/POSINT, i/INT, 3i/4, 2/3i, with or
+    without a trailing /sqrt(n); a zero denominator or 'i' on both sides now
+    and then."""
+    ints = st.sampled_from(("0", "1", "2", "3", "12", "007", "45"))
+    num = draw(st.one_of(st.none(), ints))
+    i_before = draw(st.booleans()) or num is None
+    tokens = ([num] if num else []) + (["i"] if i_before else [])
+    if draw(st.booleans()):
+        tokens += ["/", draw(ints)]
+        if draw(st.integers(0, 3)) == 0:
+            tokens += ["i"]
+    if draw(st.booleans()):
+        tokens += ["/", "sqrt", "(", draw(ints), ")"]
+    return tokens
+
+
+@st.composite
+def _sum_tokens(draw, arity):
+    tokens = []
+    for n in range(draw(st.integers(1, 5))):
+        if n or draw(st.booleans()):
+            tokens.append(draw(st.sampled_from("+-")))
+        if draw(st.booleans()):
+            tokens += draw(_coeff_tokens())
+            if draw(st.booleans()):
+                tokens.append("*")
+        bits = draw(st.sampled_from([format(v, f"0{arity}b") for v in range(1 << arity)]))
+        tokens += ["|", *bits, ">"]
+    return tokens
+
+
+@st.composite
+def grammar_texts(draw):
+    """Expressions from the README grammar with blanks between any two tokens
+    (also between the bits of a ket), then at most one random one-character
+    insertion, deletion or replacement."""
+    tokens = draw(_sum_tokens(draw(st.sampled_from((2, 3)))))
+    if draw(st.booleans()):
+        head = []
+        if draw(st.booleans()):
+            head = draw(_coeff_tokens()) + (["*"] if draw(st.booleans()) else [])
+        tail = ["/", "sqrt", "(", draw(st.sampled_from(("1", "5", "8", "0"))), ")"]
+        tokens = head + ["(", *tokens, ")"] + (tail if draw(st.booleans()) else [])
+    text = draw(_BLANKS)
+    for tok in tokens:
+        text += tok + draw(_BLANKS)
+    mutation = draw(st.sampled_from(("none", "none", "insert", "delete", "replace")))
+    if mutation != "none" and text:
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from(_MUTATION_CHARS))
+        keep = text[at + 1:] if mutation != "insert" else text[at:]
+        text = text[:at] + ("" if mutation == "delete" else char) + keep
+    return text
+
+
+def _token_parse(text):
+    try:
+        return _Parser(text).parse_expr()
+    except KetSyntaxError:
+        return None
+
+
+@settings(max_examples=1500, deadline=None)
+@given(grammar_texts())
+def test_scanner_reads_what_the_token_parser_reads(text):
+    """On ASCII text the scanner takes exactly the texts the token parser
+    accepts, and returns its raw terms, pipe offsets included."""
+    assert _scan(text) == _token_parse(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "i/2i|00>",  # 'i' on both sides of the denominator
+        "i/2i(|00>)",
+        "|00>|11>",  # no sign before the second term
+        "*|00>",
+        "/2|00>",
+        "1/0|00>",
+        "1/sqrt(0)|00>",
+        "(|00>)/sqrt(0)",
+        "|0 2>",
+        "|0000>",
+        "ii|00>",
+        "2 sqrtx(2)|00>",
+        "1/2\u2003|00>",  # whitespace to the token parser, not ASCII
+        "{}|000>".format("1" * 5000),  # past the int digit limit
+        "(|000>+|111>)/sqrt({})".format("1" * 5000),
+    ],
+)
+def test_scanner_passes_on_what_it_does_not_take(text):
+    assert _scan(text) is None
+
+
+@settings(deadline=None)
+@given(st.one_of(exact_states(TripartiteState), exact_states(BipartiteState)))
+def test_rendered_text_takes_the_scanner(state):
+    text = state_to_ket(state)
+    scanned = _scan(text)
+    assert scanned is not None and scanned == _Parser(text).parse_expr()

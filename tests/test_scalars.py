@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tritangle import GaussianRational
-from tritangle.scalars import abs2, as_approx, as_exact
+from tritangle import GaussianRational, NonFinite
+from tritangle.scalars import _OPS, abs2, as_approx, as_exact
 
 fracs = st.fractions(max_denominator=40)
 scalars = st.builds(GaussianRational, fracs, fracs)
@@ -89,3 +89,23 @@ def test_hash_consistency():
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational(Fraction(2, 2), 2))
     d = {GaussianRational(1): "one"}
     assert d[GaussianRational(Fraction(3, 3))] == "one"
+
+
+@pytest.mark.parametrize(
+    "num, den, message",
+    [
+        (1.0, 0.0, "double-backend entry has a zero denominator: "
+         "the values underflow the double range"),
+        (1.0, float("inf"), "double-backend entry denominator is inf: "
+         "the values overflow the double range"),
+        (float("inf"), float("inf"), "double-backend entry denominator is inf: "
+         "the values overflow the double range"),
+        (1e300, 1e-300, "double-backend entry is inf: the values overflow the double range"),
+        (float("nan"), 2.0, "double-backend entry is nan: the values overflow the double range"),
+    ],
+    ids=["zero", "overflowed-denominator", "both-overflowed", "overflowed-result", "nan-result"],
+)
+def test_double_division_messages(num, den, message):
+    with pytest.raises(NonFinite) as err:
+        _OPS["approx"].div(num, den, "entry")
+    assert str(err.value) == message
