@@ -9,10 +9,10 @@ README, "Reference-pattern audit").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ketparser import parse_state
+from .states import _setattr, _Value
 from .unitary import Unitary2
 
 GHZ_EXPR = "(|000> + |111>)/sqrt(2)"
@@ -62,11 +62,13 @@ def ghz_to_psi_unitary() -> Unitary2:
     return Unitary2.exact([[1, 1], [-1, 1]], Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class TableRow:
-    name: str
-    expression: str
-    quoted: tuple  # the classification pattern usually quoted for the state
+class TableRow(_Value):
+    _FIELDS = ("name", "expression", "quoted")
+
+    def __init__(self, name: str, expression: str, quoted: tuple):
+        _setattr(self, "name", name)
+        _setattr(self, "expression", expression)
+        _setattr(self, "quoted", quoted)  # the classification pattern usually quoted for the state
 
 
 TABLE_ROWS = (

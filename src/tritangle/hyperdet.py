@@ -21,12 +21,20 @@ float display layer.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonFinite
 from .scalars import _OPS, DEFAULT_EPS, gauss_det2, is_fraction
-from .states import _SLICES, SLICE_INDEX, Axis, BipartiteState, TripartiteState, _check_outcome
+from .states import (
+    _SLICES,
+    SLICE_INDEX,
+    Axis,
+    BipartiteState,
+    TripartiteState,
+    _check_outcome,
+    _setattr,
+    _Value,
+)
 
 
 def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteState:
@@ -113,8 +121,7 @@ def sub_concurrences2(state: TripartiteState) -> tuple:
     return classify(state, normalized=False).sub2
 
 
-@dataclass(frozen=True)
-class ClassificationVector:
+class ClassificationVector(_Value):
     """The seven-element classification, stored as squared moduli.
 
     ``det_abs2`` is |Det|^2 and ``sub2`` the six squared sub-concurrences
@@ -123,9 +130,14 @@ class ClassificationVector:
     floats in the approx backend.
     """
 
-    det_abs2: Fraction | float
-    sub2: tuple
-    computed_on_normalized: bool = True
+    _FIELDS = ("det_abs2", "sub2", "computed_on_normalized")
+
+    def __init__(
+        self, det_abs2: Fraction | float, sub2: tuple, computed_on_normalized: bool = True
+    ):
+        _setattr(self, "det_abs2", det_abs2)
+        _setattr(self, "sub2", sub2)
+        _setattr(self, "computed_on_normalized", computed_on_normalized)
 
     def values2(self) -> tuple:
         """All seven squared entries, hyperdeterminant first."""

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyState, KetSyntaxError, MixedArity, UnsupportedIrrational
 from .scalars import _OPS, gauss_mul, ratio_str
-from .states import BipartiteState, TripartiteState
+from .states import BipartiteState, TripartiteState, _setattr, _Value
 
 _PUNCT = "()+-/*|>"
 _EXACT = _OPS["exact"]
@@ -84,24 +83,24 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class KetExpr:
+class KetExpr(_Value):
     """Parsed expression: exact term coefficients plus one sqrt divisor.
 
     ``terms`` maps each distinct basis string to its summed coefficient;
     the represented state is  (1/sqrt(global_divisor)) * sum  coeff|bits>.
     """
 
-    terms: tuple  # ((GaussianRational, bits str), ...)
-    global_divisor: int = 1
+    _FIELDS = ("terms", "global_divisor")
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms: tuple, global_divisor: int = 1):
+        _setattr(self, "terms", terms)  # ((GaussianRational, bits str), ...)
+        _setattr(self, "global_divisor", global_divisor)
+        if not terms:
             raise EmptyState("expression has no terms")
-        arities = {len(bits) for _, bits in self.terms}
+        arities = {len(bits) for _, bits in terms}
         if len(arities) != 1:
             raise MixedArity("kets of different arity in one expression", 0)
-        if self.global_divisor < 1:
+        if global_divisor < 1:
             raise ValueError("global divisor must be a positive integer")
 
     @property

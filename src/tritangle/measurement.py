@@ -13,26 +13,29 @@ unitaries first and collapsing afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipartite import gauss_concurrence2
 from .errors import ImpossibleOutcome
 from .scalars import _OPS, DEFAULT_EPS
-from .states import _SLICES, Axis, BipartiteState, TripartiteState, _check_outcome
+from .states import _SLICES, Axis, BipartiteState, TripartiteState, _check_outcome, _setattr, _Value
 
 
-@dataclass(frozen=True)
-class CollapseResult:
+class CollapseResult(_Value):
     """Outcome probability, residual two-qubit state, and its entanglement.
 
     ``concurrence2`` is the squared concurrence of the normalized residual
     (rational in the exact backend); ``concurrence()`` gives the float.
     """
 
-    prob: Fraction | float
-    post_state: BipartiteState
-    concurrence2: Fraction | float
+    _FIELDS = ("prob", "post_state", "concurrence2")
+
+    def __init__(
+        self, prob: Fraction | float, post_state: BipartiteState, concurrence2: Fraction | float
+    ):
+        _setattr(self, "prob", prob)
+        _setattr(self, "post_state", post_state)
+        _setattr(self, "concurrence2", concurrence2)
 
     def concurrence(self) -> float:
         return math.sqrt(float(self.concurrence2))

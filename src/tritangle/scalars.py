@@ -48,6 +48,11 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # Rebuilt through the constructor: pickle's default restore sets the
+        # slots through __setattr__, which refuses.
+        return GaussianRational, (self.re, self.im)
+
     # -- arithmetic (exact operands only; floats/complex are rejected) ----
 
     def _coerce(self, other):
@@ -131,7 +136,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals its int or Fraction, so it hashes as they do.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return self.re != 0 or self.im != 0

@@ -11,13 +11,12 @@ for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
 from .scalars import _OPS, DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul
-from .states import SLICE_INDEX, TripartiteState
+from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
 
 
 def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
@@ -29,8 +28,7 @@ def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     return classify(state).is_zero(eps)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value):
     """One-qubit factors (fx, fy, fz) whose outer product gives the amps.
 
     Each factor is a pair of scalars; amplitudes satisfy
@@ -39,9 +37,12 @@ class Factorization:
     the factors; display layers may attach it to any one factor.
     """
 
-    fx: tuple
-    fy: tuple
-    fz: tuple
+    _FIELDS = ("fx", "fy", "fz")
+
+    def __init__(self, fx: tuple, fy: tuple, fz: tuple):
+        _setattr(self, "fx", fx)
+        _setattr(self, "fy", fy)
+        _setattr(self, "fz", fz)
 
     def amplitudes(self) -> tuple:
         return tuple(

@@ -33,7 +33,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -115,28 +114,65 @@ def _check_scale2(scale2, exact, finite):
         raise ValueError("scale2 must be positive")
 
 
-class _PairValues:
+#: Sets a field of a value being built, past the ``__setattr__`` that refuses it.
+_setattr = object.__setattr__
+
+
+class _Value:
+    """Immutable value with the fields named in ``_FIELDS``, which its
+    constructor sets with ``_setattr``.  It equals only a value of its own
+    class with equal fields, hashes them as a tuple and shows as
+    ``Name(field=value, ...)``; no attribute can be set or deleted.  Instances
+    keep a ``__dict__``, where ``cached_property`` keeps what it builds.
+    """
+
+    _FIELDS: tuple
+
+    def _field_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values() == other._field_values()
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _PairValues(_Value):
     """Shared by states and unitaries: ``N_VALUES`` values of one backend, a
     squared prefactor ``scale2`` and the pairs ``(g, d)``, value_n = (g_n[0] +
-    i g_n[1]) / d, that the kernels read.  The dataclass constructor takes the
-    values; ``_from_pairs`` takes the pairs, and the values are built from them
-    on first read.  Both paths check, in this order: the count, one backend,
+    i g_n[1]) / d, that the kernels read.  The constructor takes the values;
+    ``_from_pairs`` takes the pairs, and the values are built from them on
+    first read.  Both paths check, in this order: the count, one backend,
     finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
     unitary).
     """
 
     N_VALUES: int
-    _FIELD: str  # the name of the values' dataclass field
+    _FIELD: str  # the name of the values' field, the first of _FIELDS
 
-    def __post_init__(self):
-        values = getattr(self, self._FIELD)
+    def __init__(self, values, scale2):
+        _setattr(self, self._FIELD, values)
+        _setattr(self, "scale2", scale2)
         if len(values) != self.N_VALUES:
             raise ValueError(f"expected {self.N_VALUES} values, got {len(values)}")
         exact = is_exact_scalar(values[0])
         for a in values:
             if is_exact_scalar(a) != exact:
                 raise BackendMismatch("values mix exact and double backends")
-        _check_scale2(self.scale2, exact, exact or all(map(cmath.isfinite, values)))
+        _check_scale2(scale2, exact, exact or all(map(cmath.isfinite, values)))
         self._check()
 
     @classmethod
@@ -150,8 +186,8 @@ class _PairValues:
         exact = ops.backend == "exact"
         _check_scale2(scale2, exact, exact or all(map(math.isfinite, chain.from_iterable(g))))
         built = object.__new__(cls)
-        object.__setattr__(built, "scale2", scale2)  # no instance dict yet: ~100 B less
-        object.__setattr__(built, "_pairs", ops.reduce(g, d))
+        _setattr(built, "scale2", scale2)  # no instance dict yet: ~100 B less
+        _setattr(built, "_pairs", ops.reduce(g, d))
         built._check()
         return built
 
@@ -190,7 +226,11 @@ class _StateOps(_PairValues):
     """Shared behaviour of the two state containers, keyed by their ``N_VALUES``."""
 
     _FIELD = "amps"
+    _FIELDS = (_FIELD, "scale2")
     amps = cached_property(_PairValues._values)
+
+    def __init__(self, amps: tuple, scale2: Fraction | float = Fraction(1)):
+        _PairValues.__init__(self, amps, scale2)
 
     def _check(self):
         # On the amps if stored: an eager state keeps no pairs before a kernel reads them.
@@ -237,26 +277,18 @@ class _StateOps(_PairValues):
         return type(self)(tuple(a * k for a in self.amps), self.scale2)
 
 
-@dataclass(frozen=True)
 class TripartiteState(_StateOps):
     """Three-qubit pure state: 8 amplitudes a_ijk plus squared prefactor."""
 
-    # field() leaves no class attribute, so a state built by _from_pairs
-    # reads _StateOps.amps.
-    amps: tuple = field()
-    scale2: Fraction | float = Fraction(1)
     N_VALUES = 8
 
     def amp(self, i: int, j: int, k: int):
         return self.amps[4 * i + 2 * j + k]
 
 
-@dataclass(frozen=True)
 class BipartiteState(_StateOps):
     """Two-qubit pure state: 4 amplitudes c_ij plus squared prefactor."""
 
-    amps: tuple = field()  # as in TripartiteState
-    scale2: Fraction | float = Fraction(1)
     N_VALUES = 4
 
     def amp(self, i: int, j: int):

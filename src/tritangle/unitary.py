@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -45,12 +44,16 @@ if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix nee
 UNITARITY_TOL = 1e-12
 
 
-class _UnitaryOps(_PairValues):
-    """Unitarity check and lazy ``entries`` of ``Unitary2``: its field is no class attribute."""
+class Unitary2(_PairValues):
+    """2x2 unitary as (entries m00, m01, m10, m11; squared prefactor)."""
 
     N_VALUES = 4
     _FIELD = "entries"
+    _FIELDS = (_FIELD, "scale2")
     entries = cached_property(_PairValues._values)
+
+    def __init__(self, entries: tuple, scale2: Fraction | float = Fraction(1)):
+        _PairValues.__init__(self, entries, scale2)
 
     def _check(self):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
@@ -69,14 +72,6 @@ class _UnitaryOps(_PairValues):
         residuals2 = (r0 * r0, r1 * r1, off_re * off_re + off_im * off_im)
         if not all(ops.is_zero(r2, UNITARITY_TOL**2, d2, d2) for r2 in residuals2):
             raise ValueError("matrix is not unitary (with its scale2)")
-
-
-@dataclass(frozen=True)
-class Unitary2(_UnitaryOps):
-    """2x2 unitary as (entries m00, m01, m10, m11; squared prefactor)."""
-
-    entries: tuple = field()  # field() leaves no class attribute, as in TripartiteState
-    scale2: Fraction | float = Fraction(1)
 
     @classmethod
     def exact(cls, rows, scale2=1) -> "Unitary2":

@@ -1,4 +1,5 @@
-"""numpy is imported only by Haar sampling and ``Unitary2.to_matrix``.
+"""numpy is imported only by Haar sampling and ``Unitary2.to_matrix``, and
+the command line never imports ``dataclasses`` or ``inspect``.
 
 Each case runs in a fresh interpreter, because the test process itself has
 numpy loaded.
@@ -36,21 +37,19 @@ def test_import_cli_does_not_import_numpy():
     assert out.strip() == "False"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", GHZ],
-        ["classify", GHZ, "--float", "--json"],
-        ["check-sep", "|000> + |001>"],
-        ["measure", GHZ, "--qubit", "1", "--outcome", "0"],
-        ["transform", GHZ, "--u1", ROT],
-        ["factor", "|000> + |001>"],
-        ["table"],
-        ["random", "--count", "5"],
-    ],
-    ids=["classify", "classify-float", "check-sep", "measure", "transform", "factor", "table",
-         "random"],
-)
+COMMANDS = {
+    "classify": ["classify", GHZ],
+    "classify-float": ["classify", GHZ, "--float", "--json"],
+    "check-sep": ["check-sep", "|000> + |001>"],
+    "measure": ["measure", GHZ, "--qubit", "1", "--outcome", "0"],
+    "transform": ["transform", GHZ, "--u1", ROT],
+    "factor": ["factor", "|000> + |001>"],
+    "table": ["table"],
+    "random": ["random", "--count", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", list(COMMANDS.values()), ids=list(COMMANDS))
 def test_cli_commands_do_not_import_numpy(argv):
     code = (
         "import contextlib, io, sys\n"
@@ -60,6 +59,21 @@ def test_cli_commands_do_not_import_numpy(argv):
         "print(status, 'numpy' in sys.modules)\n"
     )
     assert run_fresh(code).split() == ["0", "False"]
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # Each costs milliseconds of start-up in every tritangle process.
+    code = (
+        "import contextlib, io, sys\n"
+        "from tritangle.cli import main\n"
+        "print('import', 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+        f"for name, argv in {COMMANDS!r}.items():\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        status = main(argv)\n"
+        "    print(name, 'dataclasses' in sys.modules, 'inspect' in sys.modules, status)\n"
+    )
+    lines = run_fresh(code).splitlines()
+    assert lines == ["import False False"] + [f"{name} False False 0" for name in COMMANDS]
 
 
 def test_random_unitary2_int_seed_without_prior_numpy():

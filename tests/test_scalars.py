@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: closure, field identities, backend isolation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,23 @@ def test_hash_consistency():
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational(Fraction(2, 2), 2))
     d = {GaussianRational(1): "one"}
     assert d[GaussianRational(Fraction(3, 3))] == "one"
+
+
+@pytest.mark.parametrize("real", [0, 3, -7, Fraction(3), Fraction(-5, 2), Fraction(10**40, 3)])
+def test_real_values_hash_as_the_numbers_they_equal(real):
+    z = GaussianRational(real)
+    assert z == real and hash(z) == hash(real)
+    assert len({z, real}) == 1 and len({real, z}) == 1
+    assert {real: "real"}[z] == "real" and {z: "gauss"}[real] == "gauss"
+    # A nonzero imaginary part keeps the pair hash.
+    w = GaussianRational(real, 1)
+    assert w != real and hash(w) == hash((Fraction(real), Fraction(1)))
+
+
+def test_pickle_round_trip():
+    for z in (GaussianRational(0), GaussianRational(Fraction(-1, 3), 10**30)):
+        back = pickle.loads(pickle.dumps(z))
+        assert back == z and type(back.re) is Fraction and type(back.im) is Fraction
 
 
 @pytest.mark.parametrize(
