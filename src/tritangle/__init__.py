@@ -9,108 +9,79 @@ condition exactly over Gaussian-rational amplitudes, extracts the factors,
 applies local unitaries, and analyzes single-qubit measurement collapse.
 """
 
-from .bipartite import concurrence, concurrence2, det2, is_separable_bipartite
-from .errors import (
-    BackendMismatch,
-    EmptyState,
-    ImpossibleOutcome,
-    InputFileError,
-    KetSyntaxError,
-    MixedArity,
-    NonFinite,
-    NotSeparable,
-    ResidualNonzero,
-    TritangleError,
-    UnsupportedIrrational,
-    ZeroScale,
-)
-from .hyperdet import (
-    ClassificationVector,
-    cayley_det,
-    cayley_det_schlafli,
-    classify,
-    display_normalize,
-    sub_concurrences2,
-    submatrix,
-)
-from .ketparser import KetExpr, parse, parse_state, render, state_to_ket, to_state
-from .measurement import CollapseResult, collapse
-from .scalars import DEFAULT_EPS, GaussianRational
-from .separability import (
-    Factorization,
-    antipodal_pair_states,
-    extract_factors,
-    is_separable,
-    rank1_oracle,
-)
-from .states import (
-    AXIS_OUTCOME_ORDER,
-    SLICE_INDEX,
-    Axis,
-    BipartiteState,
-    TripartiteState,
-    state_from_json,
-    state_to_json,
-)
-from .unitary import (
-    Unitary2,
-    apply_local_2,
-    apply_local_3,
-    random_rational_unitary2,
-    random_unitary2,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AXIS_OUTCOME_ORDER",
-    "Axis",
-    "BackendMismatch",
-    "BipartiteState",
-    "ClassificationVector",
-    "CollapseResult",
-    "DEFAULT_EPS",
-    "EmptyState",
-    "Factorization",
-    "GaussianRational",
-    "ImpossibleOutcome",
-    "InputFileError",
-    "KetExpr",
-    "KetSyntaxError",
-    "MixedArity",
-    "NonFinite",
-    "NotSeparable",
-    "ResidualNonzero",
-    "SLICE_INDEX",
-    "TripartiteState",
-    "TritangleError",
-    "Unitary2",
-    "UnsupportedIrrational",
-    "ZeroScale",
-    "antipodal_pair_states",
-    "apply_local_2",
-    "apply_local_3",
-    "cayley_det",
-    "cayley_det_schlafli",
-    "classify",
-    "collapse",
-    "concurrence",
-    "concurrence2",
-    "det2",
-    "display_normalize",
-    "extract_factors",
-    "is_separable",
-    "is_separable_bipartite",
-    "parse",
-    "parse_state",
-    "random_rational_unitary2",
-    "random_unitary2",
-    "rank1_oracle",
-    "render",
-    "state_from_json",
-    "state_to_json",
-    "state_to_ket",
-    "sub_concurrences2",
-    "submatrix",
-    "to_state",
-]
+#: The public names, by the submodule that defines them.  Each is imported
+#: on first access (PEP 562), so ``import tritangle`` loads no submodule and
+#: a command or a script loads only the modules it uses.
+_SUBMODULE_NAMES = {
+    "bipartite": ("concurrence", "concurrence2", "det2", "is_separable_bipartite"),
+    "errors": (
+        "BackendMismatch",
+        "EmptyState",
+        "ImpossibleOutcome",
+        "InputFileError",
+        "KetSyntaxError",
+        "MixedArity",
+        "NonFinite",
+        "NotSeparable",
+        "ResidualNonzero",
+        "TritangleError",
+        "UnsupportedIrrational",
+        "ZeroScale",
+    ),
+    "hyperdet": (
+        "ClassificationVector",
+        "cayley_det",
+        "cayley_det_schlafli",
+        "classify",
+        "display_normalize",
+        "sub_concurrences2",
+        "submatrix",
+    ),
+    "ketparser": ("KetExpr", "parse", "parse_state", "render", "state_to_ket", "to_state"),
+    "measurement": ("CollapseResult", "collapse"),
+    "scalars": ("DEFAULT_EPS", "GaussianRational"),
+    "separability": (
+        "Factorization",
+        "antipodal_pair_states",
+        "extract_factors",
+        "is_separable",
+        "rank1_oracle",
+    ),
+    "states": (
+        "AXIS_OUTCOME_ORDER",
+        "SLICE_INDEX",
+        "Axis",
+        "BipartiteState",
+        "TripartiteState",
+        "state_from_json",
+        "state_to_json",
+    ),
+    "unitary": (
+        "Unitary2",
+        "apply_local_2",
+        "apply_local_3",
+        "random_rational_unitary2",
+        "random_unitary2",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

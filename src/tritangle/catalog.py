@@ -10,10 +10,13 @@ README, "Reference-pattern audit").
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .ketparser import parse_state
 from .states import _setattr, _Value
-from .unitary import Unitary2
+
+if TYPE_CHECKING:  # unitary is imported where the rotation is built
+    from .unitary import Unitary2
 
 GHZ_EXPR = "(|000> + |111>)/sqrt(2)"
 W_EXPR = "(|001> + |100> + |010>)/sqrt(3)"
@@ -59,6 +62,8 @@ def ghz_to_psi_unitary() -> Unitary2:
     the psi amplitudes, exhibiting two states with equal hyperdeterminant
     but opposite measurement-collapse behaviour.
     """
+    from .unitary import Unitary2
+
     return Unitary2.exact([[1, 1], [-1, 1]], Fraction(1, 2))
 
 

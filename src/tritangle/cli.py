@@ -12,6 +12,12 @@ the command, impossible measurement outcome, factoring a non-separable
 state or a double state that is separable only within eps, a matrix that
 is not unitary, NaN or infinite double-backend values); 4 exact/double
 backend mismatch.
+
+Each process loads only the modules its command runs.  This module imports
+what the commands share (``errors``, ``scalars``, ``states``, ``ketparser``);
+the rest are imported inside the commands that use them: ``hyperdet`` and
+``separability`` by all but ``measure`` and ``transform``, and
+``measurement``, ``unitary``, ``catalog`` and ``randstates`` by one or two.
 """
 
 from __future__ import annotations
@@ -19,11 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random as _random
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import catalog
 from .errors import (
     BackendMismatch,
     EmptyState,
@@ -37,14 +42,12 @@ from .errors import (
     UnsupportedIrrational,
     ZeroScale,
 )
-from .hyperdet import classify, display_normalize
 from .ketparser import parse_state, state_to_ket
-from .measurement import collapse
-from .randstates import KINDS, random_tripartite
 from .scalars import _OPS, DEFAULT_EPS, GaussianRational, over_lcm
-from .separability import extract_factors, is_separable, rank1_oracle
 from .states import Axis, TripartiteState, _json_part, state_from_json, state_to_json
-from .unitary import Unitary2, apply_local_3
+
+if TYPE_CHECKING:
+    from .unitary import Unitary2
 
 PARSE_ERROR, PRECONDITION_ERROR, BACKEND_ERROR = 2, 3, 4
 
@@ -119,6 +122,8 @@ def _read_part(part, exact):
 
 
 def _unitary_from_json(text: str) -> Unitary2:
+    from .unitary import Unitary2
+
     obj = json.loads(text)
     if isinstance(obj, list):
         obj = {"matrix": obj}
@@ -149,18 +154,27 @@ def _unitary_from_json(text: str) -> Unitary2:
                 exact = exact and not any(isinstance(v, float) for v in cell)
         g = [tuple(_read_part(part, exact) for part in cell) for cell in cells]
         try:
-            scale2 = 1 / (Fraction(str(root)) if exact else _json_part(root, False))
+            value = Fraction(str(root)) if exact else _json_part(root, False)
+            scale2 = 1 / value
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
-    # Built outside the try: a matrix that is not unitary or not finite exits 3.
+    # Checked and built outside the try: a root or a matrix that is not finite
+    # (JSON reads 1e400 as inf), or a matrix that is not unitary, exits 3.
+    if not exact and not math.isfinite(value):
+        raise NonFinite(
+            f"sqrt_scale2 reads as the double {value}, not a finite number in the double range"
+        )
     if exact:
         return Unitary2._from_pairs(_OPS["exact"], *over_lcm(g), scale2)
     return Unitary2._from_pairs(_OPS["approx"], tuple(g), 1, scale2)
 
 
 def _classification_record(state, eps):
+    from .hyperdet import classify, display_normalize
+    from .separability import is_separable
+
     vec = classify(state)
     display = display_normalize(vec, eps)
     return vec, display, {
@@ -199,6 +213,8 @@ def _table_status(computed, quoted) -> str:
 
 
 def cmd_table(args) -> int:
+    from . import catalog
+
     rows = []
     for row in catalog.TABLE_ROWS:
         state = parse_state(row.expression)
@@ -226,6 +242,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from .measurement import collapse
+
     state = _load_tripartite(args)
     result = collapse(state, Axis.from_qubit(args.qubit), args.outcome, args.eps)
     record = {
@@ -251,6 +269,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .unitary import Unitary2, apply_local_3
+
     state = _load_tripartite(args)
     backend = state.backend
     units = []
@@ -285,6 +305,8 @@ def _factors_record(fact):
 
 
 def cmd_check_sep(args) -> int:
+    from .separability import extract_factors, is_separable, rank1_oracle
+
     state = _load_tripartite(args)
     separable = is_separable(state, args.eps)
     fact = extract_factors(state, args.eps) if separable else None
@@ -304,6 +326,8 @@ def cmd_check_sep(args) -> int:
 
 
 def cmd_factor(args) -> int:
+    from .separability import extract_factors
+
     state = _load_tripartite(args)
     fact = extract_factors(state, args.eps)
     if args.json:
@@ -316,7 +340,12 @@ def cmd_factor(args) -> int:
 
 
 def cmd_random(args) -> int:
-    rng = _random.Random(args.seed)
+    import random
+
+    from .randstates import random_tripartite
+    from .separability import is_separable, rank1_oracle
+
+    rng = random.Random(args.seed)
     records = []
     mismatches = 0
     for _ in range(args.count):
@@ -347,6 +376,16 @@ def cmd_random(args) -> int:
             f"{n_sep} separable, {mismatches} oracle mismatches"
         )
     return 1 if mismatches else 0
+
+
+class _KindNames:
+    """The ``--kind`` choices, ``randstates.KINDS``, read when argparse checks
+    or lists them, so that only the ``random`` command loads randstates."""
+
+    def __iter__(self):  # ``in`` iterates too
+        from .randstates import KINDS
+
+        return iter(KINDS)
 
 
 def _add_state_flags(sub, with_eps=True):
@@ -402,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("random", help="generate random states and cross-check separability")
     sub.add_argument("--count", type=_nonnegative(int), default=100)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--kind", choices=KINDS, default="mixed")
+    # Set after add_argument, which would list the choices at once.
+    sub.add_argument("--kind", default="mixed").choices = _KindNames()
     sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_random)

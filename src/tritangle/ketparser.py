@@ -23,11 +23,12 @@ squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 Two readers share the grammar.  Valid text is read by ``_scan``: a few
 compiled ``re`` patterns, one match per term plus the group head and tail.
 Text it does not take whole (any error, and any non-ASCII character) goes to
-the token parser, ``_tokenize`` and the recursive-descent ``_Parser``, which
-reads it again and raises :class:`KetSyntaxError` with the character offset
-and the expected tokens.  The token parser is also the reference the scanner
-is tested against: on ASCII text both return the same raw terms, or both
-reject it.
+the token parser in :mod:`tritangle.tokenparser`, ``_tokenize`` and the
+recursive-descent ``_Parser``, which reads it again and raises
+:class:`KetSyntaxError` with the character offset and the expected tokens.
+That module is imported only then, so reading valid text never loads it.
+The token parser is also the reference the scanner is tested against: on
+ASCII text both return the same raw terms, or both reject it.
 
 Parsing and rendering run on ints: a coefficient is ``((re, im), den)``, the
 terms of each basis string are summed over the lcm of their ``den``, and
@@ -41,46 +42,11 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import EmptyState, KetSyntaxError, MixedArity, UnsupportedIrrational
+from .errors import EmptyState, MixedArity, UnsupportedIrrational
 from .scalars import _OPS, gauss_mul, ratio_str
 from .states import BipartiteState, TripartiteState, _setattr, _Value
 
-_PUNCT = "()+-/*|>"
 _EXACT = _OPS["exact"]
-_ONE = (((1, 0), 1), 1)  # the coefficient 1, as parse_coeff returns it
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append((ch, ch, pos))
-            pos += 1
-            continue
-        if "0" <= ch <= "9":
-            start = pos
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            tokens.append(("int", text[start:pos], start))
-            continue
-        if ch.isalpha():
-            start = pos
-            while pos < n and text[pos].isalpha():
-                pos += 1
-            word = text[start:pos]
-            if word not in ("i", "sqrt"):
-                raise KetSyntaxError(f"unknown word {word!r}", start, ("i", "sqrt"))
-            tokens.append((word, word, start))
-            continue
-        raise KetSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(("end", "", n))
-    return tokens
 
 
 class KetExpr(_Value):
@@ -108,154 +74,17 @@ class KetExpr(_Value):
         return len(self.terms[0][1])
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, what=None):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise KetSyntaxError(
-                f"unexpected {tok[1]!r}" if tok[0] != "end" else "unexpected end of input",
-                tok[2],
-                (what or kind,),
-            )
-        return self.advance()
-
-    @staticmethod
-    def int_value(tok) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:  # longer than sys.get_int_max_str_digits()
-            raise KetSyntaxError(
-                f"integer of {len(tok[1])} digits exceeds the int conversion limit", tok[2]
-            ) from None
-
-    def parse_posint(self, what) -> int:
-        tok = self.expect("int", what)
-        value = self.int_value(tok)
-        if value <= 0:
-            raise KetSyntaxError(f"{what} must be positive", tok[2], (what,))
-        return value
-
-    def parse_sqrt_arg(self) -> int:
-        self.expect("sqrt", "sqrt")
-        self.expect("(", "(")
-        value = self.parse_posint("sqrt argument")
-        self.expect(")", ")")
-        return value
-
-    def parse_coeff(self):
-        """Return (((re, im), den), radical n) meaning (re + i im) / den / sqrt(n)."""
-        numer = None
-        imag = False
-        if self.peek() == "int":
-            numer = self.int_value(self.advance())
-        if self.peek() == "i":
-            self.advance()
-            imag = True
-        if numer is None and not imag:
-            tok = self.tokens[self.pos]
-            raise KetSyntaxError("expected a coefficient", tok[2], ("int", "i"))
-        numer = 1 if numer is None else numer
-        den = radical = 1
-        if self.peek() == "/":
-            self.advance()
-            if self.peek() == "sqrt":
-                radical = self.parse_sqrt_arg()
-            else:
-                den = self.parse_posint("denominator")
-                if self.peek() == "i" and not imag:
-                    self.advance()
-                    imag = True
-                if self.peek() == "/":
-                    self.advance()
-                    radical = self.parse_sqrt_arg()
-        return ((0, numer) if imag else (numer, 0), den), radical
-
-    def parse_ket(self):
-        pipe = self.expect("|", "|")
-        bits = ""
-        while self.peek() == "int":
-            bits += self.advance()[1]
-        self.expect(">", ">")
-        if not all(b in "01" for b in bits):
-            raise KetSyntaxError(f"basis labels must be bits, got |{bits}>", pipe[2])
-        if len(bits) not in (2, 3):
-            raise KetSyntaxError(f"kets must have 2 or 3 qubits, got |{bits}>", pipe[2])
-        return bits, pipe[2]
-
-    def parse_term(self, sign=1):
-        """One summand times ``sign``: optional coefficient, optional '*', a ket."""
-        ((re, im), den), radical = _ONE
-        if self.peek() in ("int", "i"):
-            ((re, im), den), radical = self.parse_coeff()
-            if self.peek() == "*":
-                self.advance()
-        bits, off = self.parse_ket()
-        return ((sign * re, sign * im), den), radical, bits, off
-
-    def parse_rest_of_sum(self, terms):
-        while self.peek() in ("+", "-"):
-            terms.append(self.parse_term(-1 if self.advance()[0] == "-" else 1))
-        return terms
-
-    def parse_sum(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        return self.parse_rest_of_sum([self.parse_term(sign)])
-
-    def parse_expr(self):
-        """Top level: a parenthesized group with optional prefactor and
-        trailing /sqrt(n), or a plain sum of terms."""
-        had_coeff = self.peek() in ("int", "i")
-        group_coeff, group_radical = self.parse_coeff() if had_coeff else _ONE
-        if had_coeff and self.peek() == "*":
-            self.advance()
-        if self.peek() == "(":
-            self.advance()
-            terms = self.parse_sum()
-            self.expect(")", ")")
-            divisor = 1
-            if self.peek() == "/":
-                self.advance()
-                divisor = self.parse_sqrt_arg()
-            g_pair, g_den = group_coeff
-            terms = [
-                ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
-                for (pair, den), r, bits, off in terms
-            ]
-        elif had_coeff:
-            # The coefficient belongs to the first term of a plain sum.
-            bits, off = self.parse_ket()
-            terms = self.parse_rest_of_sum([(group_coeff, group_radical, bits, off)])
-        else:
-            terms = self.parse_sum()
-        self.expect("end", "end of input")
-        return terms
-
-
 # -- the scanner: valid text in one regex match per term ----------------------
 #
-# The patterns follow _tokenize's lexing: ASCII digits, whitespace between any
-# two tokens (also between the bits of a ket), and a letter run is one word:
-# no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize rejects as
-# an unknown word never matches.  Whitespace is read only after a token that
-# matched, so no two '\s*' meet and a long blank run costs linear time.  The
-# grammar needs one token of lookahead, so a match never depends on
+# The patterns follow tokenparser._tokenize's lexing: ASCII digits, whitespace
+# between any two tokens (also between the bits of a ket), and a letter run is
+# one word: no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize
+# rejects as an unknown word never matches.  Whitespace is read only after a
+# token that matched, so no two '\s*' meet and a long blank run costs linear
+# time.  The grammar needs one token of lookahead, so a match never depends on
 # backtracking into a shorter reading.  Rules a pattern does not state (digit
 # limit, zero divisors, 'i' on both sides of a denominator, the sign between
-# terms) are checked on the groups.
+# terms, no sign before a group) are checked on the groups.
 
 _ROOT = r"sqrt\s*\(\s*([0-9]+)\s*\)\s*"
 # Six groups: numerator, 'i', root  |  denominator, 'i', root (see the grammar).
@@ -263,11 +92,11 @@ _COEFF = (
     r"(?=[0-9i])(?:([0-9]+)\s*)?(?:(i)\s*)?"
     rf"(?:/\s*(?:{_ROOT}|([0-9]+)\s*(?:(i)\s*)?(?:/\s*{_ROOT})?))?"
 )
-# [coeff ['*']] '(' opens a group.
-_HEAD = re.compile(rf"\s*(?:{_COEFF}(?:\*\s*)?)?\(")
-# sign, coeff, '*', ket: the '|' offset is group 8, the bits groups 9-11.
-_TERM = re.compile(
-    rf"\s*(?:([+-])\s*)?(?:{_COEFF}(?:\*\s*)?)?()\|\s*([01])\s*([01])\s*(?:([01])\s*)?>"
+# sign, coeff, '*', then a ket (the '|' offset is group 8, the bits groups
+# 9-11) or '(' (group 12), which opens a group.
+_PIECE = re.compile(
+    rf"\s*(?:([+-])\s*)?(?:{_COEFF}(?:\*\s*)?)?"
+    r"(?:()\|\s*([01])\s*([01])\s*(?:([01])\s*)?>|(\())"
 )
 _GROUP_TAIL = re.compile(rf"\s*\)\s*(?:/\s*{_ROOT})?\Z")
 _END = re.compile(r"\s*\Z")
@@ -292,33 +121,33 @@ def _scan_coeff(sign, num, i_before, root, den, i_after, den_root):
 
 
 def _scan(text: str):
-    """The raw terms ``_Parser(text).parse_expr()`` returns, read with the
-    compiled patterns above; None for any text they do not take whole.
+    """The raw terms ``tokenparser._Parser(text).parse_expr()`` returns, read
+    with the compiled patterns above; None for any text they do not take whole.
 
     Never raises: text it passes on goes to the token parser, which reads it
     again and reports the error with its offset and expected set.
     """
     if not text.isascii():
         return None
-    head = _HEAD.match(text)
-    if head:
-        group = _scan_coeff(None, *head.groups())
+    group = None
+    m = _PIECE.match(text)
+    if m and m[12]:  # '(' opens a group; no sign comes before its coefficient
+        group = None if m[1] else _scan_coeff(None, *m.groups()[1:7])
         if group is None:
             return None
-        pos = head.end()
-    else:
-        pos = 0
+        m = _PIECE.match(text, m.end())
     terms = []
-    while m := _TERM.match(text, pos):
-        sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2 = m.groups()
+    while m and not m[12]:
+        sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2, _ = m.groups()
         coeff = _scan_coeff(sign, num, i_before, root, den, i_after, den_root)
         if coeff is None or (terms and sign is None):
             return None
         terms.append((*coeff, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)))
         pos = m.end()
+        m = _PIECE.match(text, pos)
     if not terms:
         return None
-    if not head:
+    if group is None:
         return terms if _END.match(text, pos) else None
     tail = _GROUP_TAIL.match(text, pos)
     if tail is None:
@@ -370,7 +199,11 @@ def _merge(terms):
 
 def _parse_terms(text: str):
     """Parse into ``(sums, d, divisor)``, see :func:`_merge`."""
-    raw_terms = _scan(text) or _Parser(text).parse_expr()
+    raw_terms = _scan(text)
+    if raw_terms is None:  # an error: the token parser reads it again to report it
+        from .tokenparser import _Parser
+
+        raw_terms = _Parser(text).parse_expr()
     arity = len(raw_terms[0][2])
     for _, _, bits, off in raw_terms:
         if len(bits) != arity:

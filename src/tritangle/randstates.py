@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 from .scalars import _OPS, gauss_mul, over_lcm
 from .states import BipartiteState, TripartiteState
-from .unitary import apply_local_3, random_rational_unitary2
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
@@ -102,6 +101,8 @@ def random_antipodal_state(rng: random.Random) -> TripartiteState:
 
 def random_rotated_product_state(rng: random.Random) -> TripartiteState:
     """Product state pushed through exact rational local unitaries."""
+    from .unitary import apply_local_3, random_rational_unitary2
+
     s = random_product_state(rng)
     return apply_local_3(
         s,

@@ -11,6 +11,7 @@ from tritangle import (
     BipartiteState,
     GaussianRational,
     KetSyntaxError,
+    NonFinite,
     TripartiteState,
     Unitary2,
 )
@@ -327,9 +328,12 @@ def reference_unitary_from_json(text: str) -> Unitary2:
         else:
             amps = [complex(_reference_float(re), _reference_float(im)) for re, im in entries]
         try:
-            scale2 = 1 / (Fraction(str(root)) if exact else _reference_float(root))
+            value = Fraction(str(root)) if exact else _reference_float(root)
+            scale2 = 1 / value
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
+    if not exact and not math.isfinite(value):
+        raise NonFinite(f"sqrt_scale2 reads as the double {value}")
     return Unitary2(tuple(amps), scale2)

@@ -10,6 +10,7 @@ import pytest
 
 from tritangle import extract_factors, parse_state, state_from_json
 from tritangle.cli import _fmt_display, main
+from tritangle.randstates import KINDS
 from _util import same_physical_state
 
 GHZ = "(|000> + |111>)/sqrt(2)"
@@ -213,6 +214,19 @@ def test_random_kind_product_all_separable(capsys):
     assert all(r["separable"] for r in record["states"])
 
 
+def test_random_kind_choices_are_the_generator_kinds(capsys):
+    """``--kind`` reads its choices from ``randstates.KINDS`` when it needs them."""
+    listed = "{" + ",".join(KINDS) + "}"
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--help"])
+    assert exc.value.code == 0 and f"--kind {listed}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "--kind", "bogus"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus' (choose from " + ", ".join(map(repr, KINDS)) + ")" in err
+
+
 def test_json_state_input(tmp_path, capsys):
     code, out, _ = run(capsys, ["classify", GHZ, "--json"])
     expected = json.loads(out)
@@ -410,7 +424,7 @@ def test_state_json_bad_number_exit2(tmp_path, capsys, amp, backend):
 
 
 def test_check_sep_text_extracts_once(monkeypatch, capsys):
-    import tritangle.cli as cli
+    import tritangle.separability as separability
 
     calls = []
 
@@ -418,7 +432,7 @@ def test_check_sep_text_extracts_once(monkeypatch, capsys):
         calls.append(args)
         return extract_factors(*args)
 
-    monkeypatch.setattr(cli, "extract_factors", counting)
+    monkeypatch.setattr(separability, "extract_factors", counting)
     code, out, _ = run(capsys, ["check-sep", "3|000> + 3|001> - |010> - |011> + 6|100> + 6|101> - 2|110> - 2|111>"])
     assert code == 0 and len(calls) == 1
     assert "factors       : x=('3', '6') y=('1', '-1/3') z=('1', '1')" in out
@@ -463,6 +477,23 @@ def test_negative_sqrt_scale2_exit3(root, capsys):
     u1 = '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": %s}' % root
     code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
     assert code == 3 and out == "" and "scale2 must be positive" in err
+
+
+@pytest.mark.parametrize(
+    "u1",
+    [
+        '{"matrix": [["1","0"],["0","1"]], "sqrt_scale2": 1e400}',
+        '{"matrix": [["1","0"],["0","1"]], "sqrt_scale2": -1e400}',
+        '{"matrix": [[1.0, 0], [0, 1]], "sqrt_scale2": "1e400"}',
+        '{"matrix": [[1.0, 0], [0, 1]], "sqrt_scale2": NaN}',
+    ],
+    ids=["inf", "-inf", "double-text-inf", "nan"],
+)
+def test_nonfinite_double_sqrt_scale2_exit3(u1, capsys):
+    # JSON reads 1e400 as inf, whose reciprocal 0.0 once read as "scale2 must be positive".
+    code, out, err = run(capsys, ["transform", "--u1", u1, "|000>+|111>"])
+    assert code == 3 and out == ""
+    assert "sqrt_scale2 reads as the double" in err and "double range" in err
 
 
 def test_literal_past_the_int_digit_limit_exit2(capsys):

@@ -23,8 +23,9 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
-from tritangle.ketparser import _Parser, _scan
+from tritangle.ketparser import _scan
 from tritangle.scalars import _OPS
+from tritangle.tokenparser import _Parser
 
 from _util import (
     BIG,
