@@ -10,8 +10,8 @@ Exit codes: 0 success; 2 expression/JSON parse error, unreadable state
 file or bad option value; 3 precondition failure (wrong qubit count for
 the command, impossible measurement outcome, factoring a non-separable
 state or a double state that is separable only within eps, a matrix that
-is not unitary, NaN or infinite double-backend values); 4 exact/double
-backend mismatch.
+is not unitary, NaN or infinite double-backend values, a nonzero JSON
+number that reads as the double 0.0); 4 exact/double backend mismatch.
 
 Each process loads only the modules its command runs.  This module imports
 what the commands share (``errors``, ``scalars``, ``states``, ``ketparser``);
@@ -44,7 +44,14 @@ from .errors import (
 )
 from .ketparser import parse_state, state_to_ket
 from .scalars import _OPS, DEFAULT_EPS, GaussianRational, over_lcm
-from .states import Axis, TripartiteState, _json_part, state_from_json, state_to_json
+from .states import (
+    Axis,
+    TripartiteState,
+    _json_float,
+    _json_part,
+    state_from_json,
+    state_to_json,
+)
 
 if TYPE_CHECKING:
     from .unitary import Unitary2
@@ -89,7 +96,7 @@ def _load_tripartite(args) -> TripartiteState:
     if getattr(args, "json_state", None):
         try:
             with open(args.json_state, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_float=_json_float)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFileError(f"cannot read state file {args.json_state!r}: {exc}") from exc
         try:
@@ -124,7 +131,7 @@ def _read_part(part, exact):
 def _unitary_from_json(text: str) -> Unitary2:
     from .unitary import Unitary2
 
-    obj = json.loads(text)
+    obj = json.loads(text, parse_float=_json_float)
     if isinstance(obj, list):
         obj = {"matrix": obj}
     try:
@@ -158,6 +165,8 @@ def _unitary_from_json(text: str) -> Unitary2:
             scale2 = 1 / value
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
+    except NonFinite:  # a ValueError, but a number below the double range exits 3
+        raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
     # Checked and built outside the try: a root or a matrix that is not finite

@@ -41,7 +41,9 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     """2x2 slice of the hypermatrix with ``axis`` frozen to ``outcome``.
 
     The first remaining index becomes the row, the second the column; the
-    global scale2 is carried over unchanged.  Raises ValueError when every
+    global scale2 is carried over unchanged.  The slice of the state's
+    pairs, its d and scale2 passed the construction checks with the state,
+    so only the residual's own check runs: it raises ValueError when every
     entry of the slice is zero (the zero vector is not a valid state);
     :func:`tritangle.measurement.collapse` reports that case as an
     impossible measurement outcome.
@@ -49,7 +51,7 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     _check_outcome(outcome)
     g, d = state._pairs
     pair = _SLICES[2 * axis.value + outcome](g)
-    return BipartiteState._from_pairs(_OPS[state.backend], pair, d, state.scale2)
+    return BipartiteState._from_checked_pairs(_OPS[state.backend], pair, d, state.scale2)
 
 
 # -- one kernel on (re, im) pairs for both backends ---------------------------

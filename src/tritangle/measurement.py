@@ -48,7 +48,10 @@ def collapse(
 
     Raises :class:`ImpossibleOutcome` when the outcome carries zero
     probability (exactly, or at most eps in the approx backend): the
-    residual would be the zero vector.
+    residual would be the zero vector.  The residual stores the slice of
+    the state's pairs with its d and scale2, which passed the construction
+    checks with the state; only the residual's nonzero check runs, so a
+    double zero slice that a negative eps lets through raises ValueError.
     """
     _check_outcome(outcome)
     ops = _OPS[state.backend]
@@ -63,5 +66,5 @@ def collapse(
         raise ImpossibleOutcome(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
-    post = BipartiteState._from_pairs(ops, pair, state._pairs[1], state.scale2)
+    post = BipartiteState._from_checked_pairs(ops, pair, state._pairs[1], state.scale2)
     return CollapseResult(prob, post, gauss_concurrence2(pair, weight, ops.div))

@@ -17,13 +17,17 @@ oracle in ``separability``, local unitaries and the unitarity check in
 differ only in the pairs, the division of a result and the zero test
 (``scalars._OPS``).
 
-The parser, local unitaries, ``measurement.collapse``, ``state_from_json``,
-``to_approx`` and every exact ``randstates`` generator build states from
-their pairs, and the unitaries the library makes likewise (one path,
-``_PairValues._from_pairs``): the reduced pairs and ``scale2`` are what such
-a value stores, and ``amps`` or ``entries`` is built from them on its first
-read and kept.  ``hyperdet.classify`` keeps a state's normalized
-classification on the instance the same way.
+The parser, local unitaries, ``state_from_json``, ``to_approx`` and every
+exact ``randstates`` generator build states from their pairs, and the
+unitaries the library makes likewise (``_PairValues._from_pairs``, which
+checks the pairs and ``scale2`` as the constructor checks the values): the
+reduced pairs and ``scale2`` are what such a value stores, and ``amps`` or
+``entries`` is built from them on its first read and kept (``_kept``).
+``measurement.collapse`` and ``hyperdet.submatrix`` store a slice of a
+state's own pairs with its ``scale2``, which passed those checks with the
+state, so they enter at the store step (``_PairValues._from_checked_pairs``)
+and only the residual's nonzero check runs.  ``hyperdet.classify`` keeps a
+state's normalized classification on the instance the same way.
 
 States are immutable; all operations return new values.
 """
@@ -34,7 +38,6 @@ import cmath
 import enum
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -118,12 +121,35 @@ def _check_scale2(scale2, exact, finite):
 _setattr = object.__setattr__
 
 
+class _kept:
+    """A value computed from an immutable instance on the first read and kept
+    in its ``__dict__`` under the name this descriptor is bound to, where later
+    reads find it first (it defines no ``__set__``).  Unlike
+    ``functools.cached_property`` before Python 3.12, it takes no lock (that
+    lock is one per class, shared by all its instances): two threads that
+    race on a first read compute equal values, and one of them is kept.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class _Value:
     """Immutable value with the fields named in ``_FIELDS``, which its
     constructor sets with ``_setattr``.  It equals only a value of its own
     class with equal fields, hashes them as a tuple and shows as
     ``Name(field=value, ...)``; no attribute can be set or deleted.  Instances
-    keep a ``__dict__``, where ``cached_property`` keeps what it builds.
+    keep a ``__dict__``, where a ``_kept`` value is stored on its first read.
     """
 
     _FIELDS: tuple
@@ -157,7 +183,9 @@ class _PairValues(_Value):
     ``_from_pairs`` takes the pairs, and the values are built from them on
     first read.  Both paths check, in this order: the count, one backend,
     finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
-    unitary).
+    unitary).  ``_from_checked_pairs`` is the store step of ``_from_pairs``,
+    for pairs and a scale2 that already passed its checks; it runs ``_check``
+    only.
     """
 
     N_VALUES: int
@@ -185,6 +213,16 @@ class _PairValues(_Value):
             raise ValueError(f"expected {cls.N_VALUES} values, got {len(g)}")
         exact = ops.backend == "exact"
         _check_scale2(scale2, exact, exact or all(map(math.isfinite, chain.from_iterable(g))))
+        return cls._from_checked_pairs(ops, g, d, scale2)
+
+    @classmethod
+    def _from_checked_pairs(cls, ops, g, d, scale2):
+        """The store step of ``_from_pairs``, entered directly where ``g``, ``d``
+        and ``scale2`` already passed its checks: ``N_VALUES`` pairs of backend
+        ``ops``, finite if doubles, and a positive ``scale2`` of that backend,
+        as a slice of a checked state's pairs with its ``scale2`` is.  Only the
+        subclass's ``_check`` runs.
+        """
         built = object.__new__(cls)
         _setattr(built, "scale2", scale2)  # no instance dict yet: ~100 B less
         _setattr(built, "_pairs", ops.reduce(g, d))
@@ -215,7 +253,7 @@ class _PairValues(_Value):
         scalar = _OPS[self.backend].scalar
         return tuple(scalar(re, im, d) for re, im in g)
 
-    @cached_property
+    @_kept
     def _pairs(self) -> tuple:
         """``(g, d)``, value_n = (g_n[0] + i g_n[1]) / d: the integer form, or
         a double value's own (real, imag) floats over d = 1.  Kept on the instance."""
@@ -227,7 +265,7 @@ class _StateOps(_PairValues):
 
     _FIELD = "amps"
     _FIELDS = (_FIELD, "scale2")
-    amps = cached_property(_PairValues._values)
+    amps = _kept(_PairValues._values)
 
     def __init__(self, amps: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, amps, scale2)
@@ -246,7 +284,7 @@ class _StateOps(_PairValues):
     def approx(cls, amps, scale2=1.0):
         return cls(tuple(map(as_approx, amps)), float(scale2))
 
-    @cached_property
+    @_kept
     def _weight(self):
         """sum |g_n|^2 over the pairs: norm2 * d^2 / scale2.  Kept on the instance."""
         return sum(re * re + im * im for re, im in self._pairs[0])
@@ -312,15 +350,37 @@ def state_to_json(state) -> dict:
     return {"amps": amps, "scale2": scale2, "backend": state.backend}
 
 
+class _BelowDoubleRange(float):
+    """The double 0.0 read from a JSON number literal that is not zero, such as
+    ``1e-400``; ``text`` is the literal."""
+
+
+def _json_float(text):
+    """``parse_float`` for the command line's JSON readers: the literal's
+    double, or a ``_BelowDoubleRange`` if a nonzero literal reads as 0.0, so
+    that a double part reports the underflow and an exact part reads
+    ``str(value)``, 0, as it would from a plain float."""
+    value = float(text)
+    # Nonzero if a mantissa digit is: Fraction(text) would build 10**n for 1e-n.
+    if value or not text.lower().partition("e")[0].strip("-0."):
+        return value
+    below = _BelowDoubleRange(value)
+    below.text = text
+    return below
+
+
 def _json_part(value, exact):
     """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
     ``" 3/4 "``, ``"0.5"`` or ``"1e3"``; else ``float(value)``.  A JSON
-    boolean is neither."""
+    boolean is neither, and a nonzero literal that reads as the double 0.0
+    (``_json_float``) raises NonFinite as a double."""
     if exact:
         return Fraction(str(value)).as_integer_ratio()
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
+    if isinstance(value, _BelowDoubleRange):
+        raise NonFinite(f"the JSON number {value.text} is below the double range: it reads as 0.0")
     return float(value)
 
 

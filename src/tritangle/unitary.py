@@ -29,12 +29,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
 from .scalars import _OPS, as_approx, as_exact, over_lcm
-from .states import BipartiteState, TripartiteState, _PairValues
+from .states import BipartiteState, TripartiteState, _kept, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
@@ -50,7 +49,7 @@ class Unitary2(_PairValues):
     N_VALUES = 4
     _FIELD = "entries"
     _FIELDS = (_FIELD, "scale2")
-    entries = cached_property(_PairValues._values)
+    entries = _kept(_PairValues._values)
 
     def __init__(self, entries: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, entries, scale2)

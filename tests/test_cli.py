@@ -496,6 +496,48 @@ def test_nonfinite_double_sqrt_scale2_exit3(u1, capsys):
     assert "sqrt_scale2 reads as the double" in err and "double range" in err
 
 
+@pytest.mark.parametrize(
+    "u1, literal",
+    [
+        ('{"matrix": [[1.0,0],[0,1]], "sqrt_scale2": 1e-400}', "1e-400"),
+        ('{"matrix": [["1","0"],["0","1"]], "sqrt_scale2": -2.5E-999}', "-2.5E-999"),
+        ('{"matrix": [[1e-400, 0], [0, 1.0]]}', "1e-400"),
+        ('{"matrix": [[1.0, [0, 0.001e-322]], [0, 1]]}', "0.001e-322"),
+    ],
+    ids=["root", "negative-root", "entry", "imaginary-part"],
+)
+def test_double_below_the_range_in_unitary_json_exit3(u1, literal, capsys):
+    # JSON reads each literal as 0.0: the root once read as "must be nonzero" (exit 2).
+    code, out, err = run(capsys, ["transform", "--u1", u1, "|000>+|111>"])
+    assert code == 3 and out == ""
+    assert f"the JSON number {literal} is below the double range" in err
+
+
+@pytest.mark.parametrize(
+    "last, scale2", [("[1, 0]", "1e-400"), ("[1, -3e-500]", "0.5")], ids=["scale2", "part"]
+)
+def test_double_below_the_range_in_state_json_exit3(tmp_path, capsys, last, scale2):
+    # The scale2 once read as "scale2 must be positive" (exit 2), the part as a zero.
+    path = tmp_path / "approx.json"
+    amps = ", ".join(["[1, 0]"] + ["[0, 0]"] * 6 + [last])
+    path.write_text('{"amps": [%s], "scale2": %s, "backend": "approx"}' % (amps, scale2))
+    for json_mode in ([], ["--json"]):
+        code, out, err = run(capsys, ["classify", "--json-state", str(path)] + json_mode)
+        assert code == 3 and out == "" and "is below the double range" in err
+
+
+def test_exact_state_json_reads_a_float_literal_as_before(tmp_path, capsys):
+    # An exact file reads str() of each JSON double: 1e-400 is 0.
+    path = tmp_path / "exact.json"
+    amps = '[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1e-400, 0]]'
+    path.write_text('{"amps": %s, "scale2": 0.5}' % amps)
+    code, out, err = run(capsys, ["classify", "--json-state", str(path), "--json"])
+    assert code == 0 and json.loads(out)["det_abs2"] == "0"
+    path.write_text('{"amps": %s, "scale2": 1e-400}' % amps)
+    code, out, err = run(capsys, ["classify", "--json-state", str(path)])
+    assert code == 2 and "scale2 must be positive" in err
+
+
 def test_literal_past_the_int_digit_limit_exit2(capsys):
     code, out, err = run(capsys, ["classify", "1" * 5000 + "|000>"])
     assert code == 2 and out == "" and "offset 0" in err

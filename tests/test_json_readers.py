@@ -12,15 +12,17 @@ must give an equal state or unitary, or raise the same exception type, and
 import contextlib
 import io
 import json
+import math
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritangle import NonFinite, cli, random_rational_unitary2, random_unitary2, state_to_json
 from tritangle.randstates import random_exact_bipartite, random_tripartite
-from tritangle.states import state_from_json
+from tritangle.states import _json_float, _json_part, state_from_json
 
 from _util import reference_state_from_json, reference_unitary_from_json
 
@@ -182,3 +184,24 @@ def test_nan_with_zero_scale2_reports_the_nan():
     """Non-finite values come before a scale2 that is not positive, on both paths."""
     assert _outcome(state_from_json, _NAN_ZERO) is NonFinite
     assert _outcome(reference_state_from_json, _NAN_ZERO) is NonFinite
+
+
+@pytest.mark.parametrize(
+    "literal, below",
+    [("1e-400", True), ("-2.5E-999", True), ("0.001e-322", True), ("5e-324", False),
+     ("0.0", False), ("-0.0", False), ("0e5", False), ("0.000E-400", False),
+     ("-0.0e-999", False), ("1.5", False), ("1e400", False)],
+)
+def test_float_literals_read_as_json_reads_them(literal, below):
+    # The hook differs from json.loads only in the type of a nonzero literal
+    # below the double range, so an exact reader, on str(value), is unchanged.
+    hooked, plain = json.loads(literal, parse_float=_json_float), json.loads(literal)
+    assert str(hooked) == str(plain) and math.copysign(1, hooked) == math.copysign(1, plain)
+    assert (type(hooked) is not float) == below
+    if below:
+        with pytest.raises(NonFinite, match=f"the JSON number {literal} is below the double range"):
+            _json_part(hooked, False)
+    else:
+        assert str(_json_part(hooked, False)) == str(plain)
+    if math.isfinite(plain):
+        assert _json_part(hooked, True) == _json_part(plain, True)

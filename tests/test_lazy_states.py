@@ -4,16 +4,20 @@
 ``submatrix``, ``state_from_json`` and every exact ``randstates`` generator
 store a state as its reduced pairs and ``scale2``; ``random_rational_unitary2``,
 ``random_unitary2``, ``Unitary2.dagger`` and the ``--u1`` JSON reader do the
-same for a unitary (``_PairValues._from_pairs``).  Each must be
-indistinguishable from the same value built from its amplitudes or entries
-by the constructor; every comparison below starts from a value whose
-amplitudes or entries were not yet read.
+same for a unitary (``_PairValues._from_pairs``, or its store step
+``_from_checked_pairs`` for a residual).  Each must be indistinguishable from
+the same value built from its amplitudes or entries by the constructor; every
+comparison below starts from a value whose amplitudes or entries were not yet
+read.  The values kept on first read (``states._kept``) are computed once and
+stored in the instance ``__dict__``.
 """
 
 import hashlib
 import json
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,7 @@ from tritangle import (
     TripartiteState,
     apply_local_2,
     apply_local_3,
+    classify,
     collapse,
     parse_state,
     state_from_json,
@@ -48,6 +53,7 @@ from tritangle.randstates import (
     random_sparse_state,
 )
 from tritangle.scalars import _OPS, is_fraction, ratio_str
+from tritangle.states import _kept
 from tritangle.unitary import Unitary2, random_rational_unitary2, random_unitary2
 
 from _util import (
@@ -158,6 +164,83 @@ def test_pairs_are_the_stored_value():
     assert s.amps[3] == GaussianRational(0, Fraction(-4, 3))
     eager = TripartiteState(s.amps, s.scale2)
     assert set(eager.__dict__) == {"amps", "scale2"}  # no pairs until a kernel reads them
+
+
+#: Each kept value: its class, its name and a fresh instance that has not computed it.
+_KEPT = [
+    (TripartiteState, "amps", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
+    (TripartiteState, "_pairs", lambda: TripartiteState.exact((1, 0, 0, 3, 0, 0, 0, 5))),
+    (TripartiteState, "_weight", lambda: parse_state("2|000> - 4/3i|011>")),
+    (BipartiteState, "amps", lambda: parse_state("|00> + 1/2|11>")),
+    (Unitary2, "entries", lambda: random_rational_unitary2(random.Random(3))),
+    (Unitary2, "_pairs", lambda: Unitary2.approx([[0.6, 0.8], [-0.8, 0.6]])),
+]
+
+
+@pytest.mark.parametrize("cls, name, fresh", _KEPT, ids=[f"{c.__name__}.{n}" for c, n, _ in _KEPT])
+def test_kept_value_is_computed_once_and_stored_under_its_name(cls, name, fresh, monkeypatch):
+    kept = getattr(cls, name)
+    assert isinstance(kept, _kept) and kept.name == name  # class access: the descriptor
+    assert kept.__doc__ == kept.func.__doc__
+    calls = []
+
+    def counted(instance):
+        calls.append(instance)
+        return func(instance)
+
+    func = kept.func
+    monkeypatch.setattr(kept, "func", counted)
+    value = fresh()
+    assert calls == ([value] if name in value.__dict__ else [])  # Unitary2's check reads _pairs
+    first = getattr(value, name)
+    assert value.__dict__[name] is first
+    assert getattr(value, name) is first and getattr(value, name) is first
+    assert calls == [value]
+    assert first == func(fresh())
+
+
+def test_a_state_that_kept_its_values_behaves_like_a_fresh_copy():
+    def fresh():
+        return apply_local_3(parse_state("(|000> + 2i|011> - 3/2|111>)/sqrt(7)"),
+                             *[random_rational_unitary2(random.Random(5))] * 3)
+
+    read = fresh()
+    read.amps, read._weight, read.norm2()
+    assert {"amps", "_pairs", "_weight"} <= set(read.__dict__)
+    for other in (fresh(), TripartiteState(read.amps, read.scale2)):
+        assert read == other and other == read and hash(read) == hash(other)
+        assert repr(read) == repr(other)
+    back = pickle.loads(pickle.dumps(read))
+    assert back == fresh() and back.__dict__ == read.__dict__
+    assert pickle.loads(pickle.dumps(fresh())) == back
+    # classify keeps its vector beside the kept values, and a fresh copy agrees.
+    vec = classify(read)
+    assert read.__dict__["_classification"] is vec and classify(read) is vec
+    assert vec == classify(fresh()) and read.amps == fresh().amps
+
+
+def test_threads_that_race_on_a_first_read_see_equal_values():
+    # No lock: threads that race on a first read each compute an equal value.
+    states = [parse_state(f"({n}|000> + 2i|011> - 3/2|111>)/sqrt(7)") for n in range(1, 41)]
+    start, seen = threading.Barrier(4, timeout=30), []
+
+    def read():
+        start.wait()
+        seen.append([(s.amps, s._weight) for s in states])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 4
+    assert all(values == seen[0] for values in seen)
+    assert seen[0] == [(s.__dict__["amps"], s.__dict__["_weight"]) for s in states]
 
 
 @pytest.mark.parametrize(

@@ -5,18 +5,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritangle import (
     Axis,
     AXIS_OUTCOME_ORDER,
+    BipartiteState,
     GaussianRational,
     ImpossibleOutcome,
     TripartiteState,
     collapse,
+    parse_state,
+    state_to_ket,
     sub_concurrences2,
+    submatrix,
 )
 from tritangle.catalog import ghz_state, psi_state, w_state
 from tritangle.randstates import random_sparse_state
+from tritangle.scalars import _OPS
+from tritangle.states import _SLICES
+
+from _util import exact_states
 
 
 def test_ghz_collapse_is_separable():
@@ -119,3 +129,41 @@ def test_impossible_outcome_approx():
     with pytest.raises(ImpossibleOutcome):
         collapse(even, Axis.X, 1, eps=0.5)
     assert collapse(even, Axis.X, 1, eps=math.nextafter(0.5, 0)).prob == 0.5
+
+
+_exact_tripartite = st.one_of(
+    exact_states(TripartiteState),
+    exact_states(TripartiteState).map(lambda s: parse_state(state_to_ket(s))),  # from pairs
+    st.randoms(use_true_random=False).map(random_sparse_state),  # zero slices are common
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_exact_tripartite, st.booleans())
+def test_residual_is_the_slice_that_from_pairs_stores(state, to_approx):
+    """collapse and submatrix store a slice of the checked state's pairs without
+    checking them again; the residual equals the same slice through every
+    check of ``_from_pairs``, and a zero slice still raises."""
+    if to_approx:
+        state = state.to_approx()
+    ops = _OPS[state.backend]
+    g, d = state._pairs
+    for slot, (axis, outcome) in enumerate(AXIS_OUTCOME_ORDER):
+        pair = _SLICES[slot](g)
+        if not any(map(any, pair)):
+            with pytest.raises(ImpossibleOutcome):
+                collapse(state, axis, outcome)
+            with pytest.raises(ValueError, match="the zero vector is not a state"):
+                submatrix(state, axis, outcome)
+            if state.backend == "approx":  # a negative eps keeps the zero slice
+                with pytest.raises(ValueError, match="the zero vector is not a state"):
+                    collapse(state, axis, outcome, eps=-1.0)
+            continue
+        expected = BipartiteState._from_pairs(ops, pair, d, state.scale2)
+        for residual in (collapse(state, axis, outcome, eps=-1.0).post_state,
+                         submatrix(state, axis, outcome)):
+            assert residual._pairs == expected._pairs
+            assert residual.scale2 == expected.scale2
+            assert type(residual.scale2) is type(expected.scale2)
+            assert residual.amps == expected.amps
+            assert residual == expected and hash(residual) == hash(expected)
