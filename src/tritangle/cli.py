@@ -250,6 +250,11 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _double_state_text(state_record) -> str:
+    """A double state in text mode: the amplitudes and scale2 its JSON record carries."""
+    return f"amps {json.dumps(state_record['amps'])}, scale2 {state_record['scale2']!r}"
+
+
 def cmd_measure(args) -> int:
     from .measurement import collapse
 
@@ -269,10 +274,8 @@ def cmd_measure(args) -> int:
         return 0
     print(f"prob        : {float(result.prob):g}" + (
         f"  (exact {result.prob})" if state.backend == "exact" else ""))
-    if state.backend == "exact":
-        print(f"post state  : {state_to_ket(result.post_state)}")
-    else:
-        print(f"post state  : {result.post_state.amps}")
+    post = record.get("post_ket") or _double_state_text(record["post_state"])
+    print(f"post state  : {post}")
     print(f"concurrence : {result.concurrence():g}")
     return 0
 
@@ -298,10 +301,7 @@ def cmd_transform(args) -> int:
     if args.json:
         print(json.dumps(record, allow_nan=False))
         return 0
-    if out.backend == "exact":
-        print(state_to_ket(out))
-    else:
-        print(out.amps)
+    print(record.get("ket") or _double_state_text(record["state"]))
     return 0
 
 

@@ -20,20 +20,12 @@ divisor; when the radicals cannot share one (their ratios are not perfect
 squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 :class:`UnsupportedIrrational` rather than approximating.
 
-Two readers share the grammar.  Valid text is read by ``_scan``: a few
-compiled ``re`` patterns, one match per term plus the group head and tail.
-Text it does not take whole (any error, and any non-ASCII character) goes to
-the token parser in :mod:`tritangle.tokenparser`, ``_tokenize`` and the
-recursive-descent ``_Parser``, which reads it again and raises
-:class:`KetSyntaxError` with the character offset and the expected tokens.
-That module is imported only then, so reading valid text never loads it.
-The token parser is also the reference the scanner is tested against: on
-ASCII text both return the same raw terms, or both reject it.
-
-Parsing and rendering run on ints: a coefficient is ``((re, im), den)``, the
-terms of each basis string are summed over the lcm of their ``den``, and
-:func:`parse_state` keeps the sums as the state's integer form.  Text is
-written from int fractions reduced by ``math.gcd``.
+One reader takes valid text in one pass: ``_scan`` matches ``_PIECE`` once
+per term, and ``_sum_terms`` adds each term, as it is matched, into int sums
+per basis string over a running lcm denominator.  Text the patterns do not
+take whole (errors, non-ASCII text) goes to :mod:`tritangle.tokenparser`,
+imported only then: it raises :class:`KetSyntaxError` with the offset and
+the expected tokens, or hands its terms to the same ``_sum_terms``.
 """
 
 from __future__ import annotations
@@ -41,12 +33,19 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import EmptyState, MixedArity, UnsupportedIrrational
-from .scalars import _OPS, gauss_mul, ratio_str
+from .scalars import _OPS, gauss_mul
 from .states import BipartiteState, TripartiteState, _setattr, _Value
 
 _EXACT = _OPS["exact"]
+_ONE = (1, 0, 1, 1)  # no group: the coefficient 1 and no divisor
+_UNIT = Fraction(1)
+#: Amplitude index of each basis string; ``|bits>`` and ``i|bits>`` per amplitude.
+_INDEX = {format(i, f"0{n}b"): i for n in (2, 3) for i in range(1 << n)}
+_LABELS = {1 << n: tuple(f"{u}|{i:0{n}b}>" for i in range(1 << n) for u in ("", "i"))
+           for n in (2, 3)}
 
 
 class KetExpr(_Value):
@@ -74,8 +73,7 @@ class KetExpr(_Value):
         return len(self.terms[0][1])
 
 
-# -- the scanner: valid text in one regex match per term ----------------------
-#
+# -- the reader: one regex match per term -------------------------------------
 # The patterns follow tokenparser._tokenize's lexing: ASCII digits, whitespace
 # between any two tokens (also between the bits of a ket), and a letter run is
 # one word: no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize
@@ -102,135 +100,137 @@ _GROUP_TAIL = re.compile(rf"\s*\)\s*(?:/\s*{_ROOT})?\Z")
 _END = re.compile(r"\s*\Z")
 
 
-def _scan_coeff(sign, num, i_before, root, den, i_after, den_root):
-    """``(((re, im), den), radical)`` of a matched coefficient times its sign,
-    as ``parse_term`` reads it, or None where the parser rejects it."""
-    if i_before and i_after:
-        return None
-    try:
-        value = 1 if num is None else int(num)
-        den = 1 if den is None else int(den)
-        radical = int(root or den_root or 1)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return None
-    if not den or not radical:
-        return None
-    if sign == "-":
-        value = -value
-    return ((0, value) if i_before or i_after else (value, 0), den), radical
-
-
-def _scan(text: str):
-    """The raw terms ``tokenparser._Parser(text).parse_expr()`` returns, read
-    with the compiled patterns above; None for any text they do not take whole.
-
-    Never raises: text it passes on goes to the token parser, which reads it
-    again and reports the error with its offset and expected set.
-    """
+def _scan(text: str, head: list):
+    """Yield each term ``(re, im, den, radical, bits, off)`` as it is matched,
+    reading each coefficient times its sign as ``parse_term`` does; if the
+    patterns take the whole text, then append the group coefficient and the
+    divisor it puts on every term, ``(re, im, den, radical)``, to ``head``.
+    Never raises: the token parser reports the text it passes on."""
     if not text.isascii():
-        return None
+        return
     group = None
+    first = True  # the next piece may come without a sign
+    pos = 0
     m = _PIECE.match(text)
-    if m and m[12]:  # '(' opens a group; no sign comes before its coefficient
-        group = None if m[1] else _scan_coeff(None, *m.groups()[1:7])
-        if group is None:
-            return None
-        m = _PIECE.match(text, m.end())
-    terms = []
-    while m and not m[12]:
-        sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2, _ = m.groups()
-        coeff = _scan_coeff(sign, num, i_before, root, den, i_after, den_root)
-        if coeff is None or (terms and sign is None):
-            return None
-        terms.append((*coeff, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)))
+    while m:
+        sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2, opener = m.groups()
+        if (sign is None and not first) or (i_before and i_after):
+            return
+        try:
+            value, den, radical = int(num or 1), int(den or 1), int(root or den_root or 1)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            return
+        if not den or not radical:
+            return
+        value = -value if sign == "-" else value
+        re, im = (0, value) if i_before or i_after else (value, 0)
+        if not opener:
+            first = False
+            yield re, im, den, radical, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)
+        elif sign or group or not first:  # '(' opens the text, with no sign before it
+            return
+        else:
+            group = re, im, den, radical
         pos = m.end()
         m = _PIECE.match(text, pos)
-    if not terms:
-        return None
+    if first:
+        return
     if group is None:
-        return terms if _END.match(text, pos) else None
-    tail = _GROUP_TAIL.match(text, pos)
-    if tail is None:
-        return None
-    try:
-        divisor = int(tail[1] or 1)
-    except ValueError:
-        return None
-    if not divisor:
-        return None
-    (g_pair, g_den), group_radical = group
-    return [
-        ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
-        for (pair, den), r, bits, off in terms
-    ]
+        if _END.match(text, pos):
+            head.append(_ONE)
+    elif tail := _GROUP_TAIL.match(text, pos):
+        try:
+            divisor = int(tail[1] or 1)
+        except ValueError:
+            return
+        if divisor:
+            head.append((*group[:3], group[3] * divisor))
 
 
-def _fold_radicals(raw_terms):
-    """Rewrite coeff/sqrt(r) terms as (coeff, bits) over one common sqrt divisor."""
-    divisor = math.lcm(*(r for _, r, _, _ in raw_terms))
-    folded = []
-    for ((re, im), den), radical, bits, _ in raw_terms:
-        ratio = divisor // radical
-        root = math.isqrt(ratio)
-        if root * root != ratio:
+def _sum_terms(terms, head: list):
+    """Add terms ``(re, im, den, radical, bits, off)``, as they come, into a
+    Gaussian-integer sum per basis string in order of first appearance, over
+    the running lcm of their den and of their radicals (each rescaled only
+    when a term does not divide it); times the group ``head[0]``, return
+    ``(sums, d, divisor)`` without the sums that cancel, or None if ``head``
+    is empty.  Raises :class:`MixedArity` at the first term of another
+    arity, :class:`UnsupportedIrrational` or :class:`EmptyState`."""
+    sums, d = {}, 1
+    radical = arity = mixed = None
+    for re, im, den, r, bits, off in terms:
+        if r != radical:
+            if radical is None:
+                radical, arity, seen = r, len(bits), [r]
+            else:  # another radical: fold both over their lcm (checked below)
+                seen.append(r)
+                big = math.lcm(radical, r)
+                up, root = math.isqrt(big // radical), math.isqrt(big // r)
+                sums = {b: (x * up, y * up) for b, (x, y) in sums.items()}
+                radical, re, im = big, re * root, im * root
+        if d % den:
+            k = den // math.gcd(d, den)
+            sums = {b: (x * k, y * k) for b, (x, y) in sums.items()}
+            d *= k
+        k = d // den
+        old = sums.get(bits)
+        sums[bits] = (re * k, im * k) if old is None else (old[0] + re * k, old[1] + im * k)
+        if len(bits) != arity and mixed is None:
+            mixed = MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
+    if not head:
+        return None
+    if mixed:
+        raise mixed
+    for r in seen if len(seen) > 1 else ():  # radical is now the lcm of them all
+        ratio = radical // r
+        if math.isqrt(ratio) ** 2 != ratio:
             raise UnsupportedIrrational(
                 "term prefactors cannot be written over one common "
                 f"square-root divisor (needed sqrt({ratio}) to be an integer)"
             )
-        folded.append((((re * root, im * root), den), bits))
-    return folded, divisor
+    g_re, g_im, g_den, factor = head[0]
+    if (g_re, g_im) != (1, 0):
+        sums = {b: gauss_mul(pair, (g_re, g_im)) for b, pair in sums.items()}
+    if (0, 0) in sums.values():
+        sums = {b: pair for b, pair in sums.items() if pair != (0, 0)}
+        if not sums:
+            raise EmptyState("all coefficients cancel to zero")
+    return sums, d * g_den, radical * factor
 
 
-def _merge(terms):
-    """Sum the (((re, im), den), bits) terms of each basis string over d, the
-    lcm of their den: ``({bits: (re, im)}, d)`` in order of first appearance,
-    without the sums that cancel.  Raises :class:`EmptyState` if all do."""
-    d = math.lcm(*(den for (_, den), _ in terms))
-    sums: dict = {}
-    for ((re, im), den), bits in terms:
-        k = d // den
-        r0, i0 = sums.get(bits, (0, 0))
-        sums[bits] = (r0 + re * k, i0 + im * k)
-    sums = {bits: pair for bits, pair in sums.items() if any(pair)}
-    if not sums:
-        raise EmptyState("all coefficients cancel to zero")
-    return sums, d
+def _read(text: str):
+    """``(sums, d, divisor)`` of text the patterns take whole; None for other text."""
+    head = []
+    return _sum_terms(_scan(text, head), head)
 
 
-def _parse_terms(text: str):
-    """Parse into ``(sums, d, divisor)``, see :func:`_merge`."""
-    raw_terms = _scan(text)
-    if raw_terms is None:  # an error: the token parser reads it again to report it
+def _sums(text: str):
+    """``(sums, d, divisor)`` of any text, see :func:`_sum_terms`."""
+    found = _read(text)
+    if found is None:  # an error or non-ASCII text: the token parser reads it again
         from .tokenparser import _Parser
 
-        raw_terms = _Parser(text).parse_expr()
-    arity = len(raw_terms[0][2])
-    for _, _, bits, off in raw_terms:
-        if len(bits) != arity:
-            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
-    folded, divisor = _fold_radicals(raw_terms)
-    return (*_merge(folded), divisor)
+        raw = _Parser(text).parse_expr()
+        found = _sum_terms(((*p, den, r, bits, off) for (p, den), r, bits, off in raw), [_ONE])
+    return found
 
 
-def _build_state(sums, d, divisor):
+def _state(sums, d, divisor):
     """The exact state  sum (sums[bits] / d)|bits>  /  sqrt(divisor), built on ints."""
-    n = len(next(iter(sums)))
-    g = [(0, 0)] * (1 << n)
+    g = [(0, 0)] * (1 << len(next(iter(sums))))
     for bits, pair in sums.items():
-        g[int(bits, 2)] = pair
-    cls = TripartiteState if n == 3 else BipartiteState
-    return cls._from_pairs(_EXACT, tuple(g), d, Fraction(1, divisor))
+        g[_INDEX[bits]] = pair
+    cls = TripartiteState if len(g) == 8 else BipartiteState
+    return cls._from_pairs(_EXACT, tuple(g), d, _UNIT if divisor == 1 else Fraction(1, divisor))
 
 
 def parse(text: str) -> KetExpr:
     """Parse an expression into a :class:`KetExpr`.
 
-    Raises :class:`KetSyntaxError` (with character offset),
-    :class:`MixedArity`, :class:`EmptyState` or
-    :class:`UnsupportedIrrational`; never anything else, for any input
-    string.
+    Raises the first of :class:`KetSyntaxError` (with character offset),
+    :class:`MixedArity`, :class:`UnsupportedIrrational` and
+    :class:`EmptyState` that applies; never anything else, for any string.
     """
-    sums, d, divisor = _parse_terms(text)
+    sums, d, divisor = _sums(text)
     terms = tuple((_EXACT.scalar(re, im, d), bits) for bits, (re, im) in sums.items())
     return KetExpr(terms, divisor)
 
@@ -238,44 +238,44 @@ def parse(text: str) -> KetExpr:
 def to_state(expr: KetExpr):
     """Build the exact state a :class:`KetExpr` denotes."""
     g, d = _EXACT.pairs([coeff for coeff, _ in expr.terms])
-    terms = [((pair, d), bits) for pair, (_, bits) in zip(g, expr.terms)]
-    return _build_state(*_merge(terms), expr.global_divisor)
+    terms = ((re, im, d, 1, bits, 0) for (re, im), (_, bits) in zip(g, expr.terms))
+    return _state(*_sum_terms(terms, [(1, 0, 1, expr.global_divisor)]))
 
 
 def parse_state(text: str):
     """Parse and build in one step."""
-    return _build_state(*_parse_terms(text))
+    return _state(*_sums(text))
 
 
-def _render(terms, divisor: int) -> str:
-    """Text of  sum (x + i y)|bits> / sqrt(divisor)  from ``(bits, (x, y))`` terms,
-    x and y as (int numerator, positive int denominator)."""
-    body = ""
-    for bits, parts in terms:
-        for (num, den), unit in zip(parts, ("", "i")):
-            if num:
-                mag = ratio_str(abs(num), den)
-                text = f"{'' if mag == '1' else mag}{unit}|{bits}>"
-                if body:
-                    body += f" - {text}" if num < 0 else f" + {text}"
-                else:
-                    body = f"-{text}" if num < 0 else text
+def _render(g, d, labels, divisor: int, mult: int = 1) -> str:
+    """Text of  sum (g_n * mult / d)|bits_n>  /  sqrt(divisor), each nonzero
+    part reduced by its gcd with d and written before its label, ``labels[2n]``
+    (``|bits_n>``) or ``labels[2n + 1]`` (``i|bits_n>``)."""
+    gcd = math.gcd
+    out = []
+    for num, label in zip(chain.from_iterable(g), labels):
+        if num:
+            num *= mult
+            out.append(" - " if num < 0 else " + ")
+            k = gcd(num, d)
+            num, den = abs(num) // k, d // k
+            out.append(f"{num}/{den}{label}" if den > 1 else f"{num}{label}" if num > 1 else label)
+    out[:1] = ["-"] if out and out[0] == " - " else []  # the sign of the first part
+    body = "".join(out)
     return f"({body})/sqrt({divisor})" if divisor > 1 else body
 
 
 def render(expr: KetExpr) -> str:
     """Canonical text for an expression; reparses to the same state."""
-    return _render(
-        ((bits, (c.re.as_integer_ratio(), c.im.as_integer_ratio())) for c, bits in expr.terms),
-        expr.global_divisor,
-    )
+    g, d = _EXACT.pairs([coeff for coeff, _ in expr.terms])
+    labels = [f"{unit}|{bits}>" for _, bits in expr.terms for unit in ("", "i")]
+    return _render(g, d, labels, expr.global_divisor)
 
 
 def state_to_ket(state) -> str:
     """Render an exact state back into ket notation; reparses identically."""
     if state.backend != "exact":
         raise ValueError("only exact states render to ket notation")
-    width = "03b" if isinstance(state, TripartiteState) else "02b"
     num, den = state.scale2.numerator, state.scale2.denominator
     # scale2 = num/den means a global prefactor sqrt(num)/sqrt(den).  Fold
     # sqrt(num) into the coefficients: either as its integer root, or by
@@ -283,5 +283,4 @@ def state_to_ket(state) -> str:
     root = math.isqrt(num)
     mult, divisor = (root, den) if root * root == num else (num, den * num)
     g, d = state.integer_form
-    terms = ((format(i, width), ((re * mult, d), (im * mult, d))) for i, (re, im) in enumerate(g))
-    return _render(terms, divisor)
+    return _render(g, d, _LABELS[len(g)], divisor, mult)

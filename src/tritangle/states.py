@@ -355,14 +355,21 @@ class _BelowDoubleRange(float):
     ``1e-400``; ``text`` is the literal."""
 
 
+def _underflows(text: str, value: float) -> bool:
+    """Whether the number ``text``, which ``float`` reads as ``value``, is
+    nonzero but reads as 0.0.  Blanks and a sign around it are what ``float``
+    accepts; the number is nonzero if a mantissa digit is (``Fraction(text)``
+    would build 10**n for 1e-n)."""
+    return not value and bool(text.strip().lstrip("+-").lower().partition("e")[0].strip("0._"))
+
+
 def _json_float(text):
     """``parse_float`` for the command line's JSON readers: the literal's
     double, or a ``_BelowDoubleRange`` if a nonzero literal reads as 0.0, so
     that a double part reports the underflow and an exact part reads
     ``str(value)``, 0, as it would from a plain float."""
     value = float(text)
-    # Nonzero if a mantissa digit is: Fraction(text) would build 10**n for 1e-n.
-    if value or not text.lower().partition("e")[0].strip("-0."):
+    if not _underflows(text, value):
         return value
     below = _BelowDoubleRange(value)
     below.text = text
@@ -373,15 +380,18 @@ def _json_part(value, exact):
     """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
     ``" 3/4 "``, ``"0.5"`` or ``"1e3"``; else ``float(value)``.  A JSON
-    boolean is neither, and a nonzero literal that reads as the double 0.0
-    (``_json_float``) raises NonFinite as a double."""
+    boolean is neither, and a nonzero number or string that reads as the
+    double 0.0 (``_json_float``, ``_underflows``) raises NonFinite as a double."""
     if exact:
         return Fraction(str(value)).as_integer_ratio()
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     if isinstance(value, _BelowDoubleRange):
         raise NonFinite(f"the JSON number {value.text} is below the double range: it reads as 0.0")
-    return float(value)
+    part = float(value)
+    if isinstance(value, str) and _underflows(value, part):
+        raise NonFinite(f"the JSON string {value!r} is below the double range: it reads as 0.0")
+    return part
 
 
 def state_from_json(obj: dict):

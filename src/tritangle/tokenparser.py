@@ -4,8 +4,9 @@ recursive-descent ``_Parser`` over the grammar in :mod:`tritangle.ketparser`.
 :func:`tritangle.ketparser.parse_state` reads valid text with compiled
 patterns and imports this module only for text those reject, to raise
 :class:`KetSyntaxError` with the character offset and the expected tokens.
-The tests check the patterns against this parser: on ASCII text both
-return the same raw terms, or both reject it.
+Valid text it reads (non-ASCII blanks) returns raw terms, which the reader
+sums as it sums its own.  The tests check the reader against this parser:
+on ASCII text the reader takes exactly the texts this parser accepts.
 """
 
 from __future__ import annotations

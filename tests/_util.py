@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 
 from tritangle import (
     BipartiteState,
+    EmptyState,
     GaussianRational,
+    KetExpr,
     KetSyntaxError,
+    MixedArity,
     NonFinite,
     TripartiteState,
     Unitary2,
+    UnsupportedIrrational,
 )
 from tritangle.randstates import random_qubit_vector
+from tritangle.scalars import _OPS
+from tritangle.tokenparser import _Parser
 
 BIG = 10**6
 big_fracs = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
@@ -258,6 +264,74 @@ def reference_ket(state):
     n = 3 if len(state.amps) == 8 else 2
     terms = [(a * mult, format(idx, f"0{n}b")) for idx, a in enumerate(state.amps) if a]
     return reference_render(terms, divisor)
+
+
+# The ket reader as it was written in passes: the token parser's raw terms,
+# checked for one arity, folded over one common square-root divisor, summed
+# per basis string over the lcm of their denominators, and built.
+
+
+def _fold_radicals(raw_terms):
+    """Rewrite coeff/sqrt(r) terms as (coeff, bits) over one common sqrt divisor."""
+    divisor = math.lcm(*(r for _, r, _, _ in raw_terms))
+    folded = []
+    for ((re, im), den), radical, bits, _ in raw_terms:
+        ratio = divisor // radical
+        root = math.isqrt(ratio)
+        if root * root != ratio:
+            raise UnsupportedIrrational(
+                "term prefactors cannot be written over one common "
+                f"square-root divisor (needed sqrt({ratio}) to be an integer)"
+            )
+        folded.append((((re * root, im * root), den), bits))
+    return folded, divisor
+
+
+def _merge(terms):
+    """Sum the (((re, im), den), bits) terms of each basis string over d, the
+    lcm of their den: ``({bits: (re, im)}, d)`` in order of first appearance,
+    without the sums that cancel.  Raises :class:`EmptyState` if all do."""
+    d = math.lcm(*(den for (_, den), _ in terms))
+    sums: dict = {}
+    for ((re, im), den), bits in terms:
+        k = d // den
+        r0, i0 = sums.get(bits, (0, 0))
+        sums[bits] = (r0 + re * k, i0 + im * k)
+    sums = {bits: pair for bits, pair in sums.items() if any(pair)}
+    if not sums:
+        raise EmptyState("all coefficients cancel to zero")
+    return sums, d
+
+
+def _build_state(sums, d, divisor):
+    """The exact state  sum (sums[bits] / d)|bits>  /  sqrt(divisor), built on ints."""
+    n = len(next(iter(sums)))
+    g = [(0, 0)] * (1 << n)
+    for bits, pair in sums.items():
+        g[int(bits, 2)] = pair
+    cls = TripartiteState if n == 3 else BipartiteState
+    return cls._from_pairs(_OPS["exact"], tuple(g), d, Fraction(1, divisor))
+
+
+def reference_parse_terms(text: str):
+    """``(sums, d, divisor)`` of the token parser's raw terms, in passes."""
+    raw_terms = _Parser(text).parse_expr()
+    arity = len(raw_terms[0][2])
+    for _, _, bits, off in raw_terms:
+        if len(bits) != arity:
+            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
+    folded, divisor = _fold_radicals(raw_terms)
+    return (*_merge(folded), divisor)
+
+
+def reference_parse(text: str) -> KetExpr:
+    sums, d, divisor = reference_parse_terms(text)
+    terms = tuple((_OPS["exact"].scalar(re, im, d), bits) for bits, (re, im) in sums.items())
+    return KetExpr(terms, divisor)
+
+
+def reference_parse_state(text: str):
+    return _build_state(*reference_parse_terms(text))
 
 
 # The JSON readers as they were written on scalars: every part through

@@ -2,13 +2,14 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tritangle import extract_factors, parse_state, state_from_json
+from tritangle import NonFinite, extract_factors, parse_state, state_from_json
 from tritangle.cli import _fmt_display, main
 from tritangle.randstates import KINDS
 from _util import same_physical_state
@@ -562,3 +563,52 @@ def test_command_prints_exact_values_past_the_int_digit_limit(json_mode):
         assert record["display"][0] == 1.0 and not record["separable"]
     else:
         assert "separable          : no" in proc.stdout
+
+
+@pytest.mark.parametrize("text", ["1e-400", " -2.5E-999 ", "+0.001e-322"])
+def test_double_string_below_the_range_exit3(tmp_path, capsys, text):
+    # Each string once read as 0.0 without a word: the file classified, the matrix applied.
+    obj = {"amps": [[1, 0]] + [[0, 0]] * 6 + [[text, 0]], "scale2": 0.5, "backend": "approx"}
+    with pytest.raises(NonFinite, match=re.escape(f"the JSON string {text!r} is below the double")):
+        state_from_json(obj)
+    path = tmp_path / "approx.json"
+    path.write_text(json.dumps(obj))
+    u1 = json.dumps({"matrix": [[1.0, [text, 0]], [0, 1.0]]})
+    for argv in (["classify", "--json-state", str(path)], ["transform", "--float", "--u1", u1, GHZ]):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == "" and "below the double range" in err
+
+
+@pytest.mark.parametrize("text", ["0", " 0.0 ", "+0", "-0", "0e999", "-0.0e-5"])
+def test_double_string_zero_reads_as_zero(tmp_path, capsys, text):
+    obj = {"amps": [[1, 0]] + [[0, 0]] * 6 + [[text, 0]], "scale2": 1.0, "backend": "approx"}
+    assert state_from_json(obj).amps[7] == 0
+    path = tmp_path / "approx.json"
+    path.write_text(json.dumps(obj))
+    u1 = json.dumps({"matrix": [[1.0, [text, 0]], [0, 1.0]]})
+    for argv in (["classify", "--json-state", str(path)], ["transform", "--float", "--u1", u1, GHZ]):
+        assert run(capsys, argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, key, shown",
+    [
+        (
+            ["measure", "--float", "--qubit", "1", "--outcome", "0", GHZ],
+            "post_state",
+            "post state  : amps [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], scale2 0.5\n",
+        ),
+        (
+            ["transform", "--float", "--u1", '{"matrix": [[1.0, 0], [0, 1.0]]}', GHZ],
+            "state",
+            f"amps [[1.0, 0.0], {'[0.0, 0.0], ' * 6}[1.0, 0.0]], scale2 0.5\n",
+        ),
+    ],
+    ids=["measure", "transform"],
+)
+def test_float_text_shows_the_amplitudes_and_scale2_of_the_json_record(argv, key, shown, capsys):
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and shown in out.splitlines(keepends=True)
+    code, out, _ = run(capsys, argv + ["--json"])
+    record = json.loads(out)[key]
+    assert shown.endswith(f"amps {json.dumps(record['amps'])}, scale2 {record['scale2']!r}\n")

@@ -12,6 +12,7 @@ from tritangle import (
     BipartiteState,
     EmptyState,
     GaussianRational,
+    KetExpr,
     KetSyntaxError,
     MixedArity,
     TripartiteState,
@@ -23,7 +24,7 @@ from tritangle import (
     state_to_ket,
     to_state,
 )
-from tritangle.ketparser import _scan
+from tritangle.ketparser import _read
 from tritangle.scalars import _OPS
 from tritangle.tokenparser import _Parser
 
@@ -31,6 +32,9 @@ from _util import (
     BIG,
     exact_states,
     reference_ket,
+    reference_parse,
+    reference_parse_state,
+    reference_parse_terms,
     reference_render,
     same_physical_state,
     wide_scalars,
@@ -289,7 +293,7 @@ def test_terms_that_cancel_are_empty(text):
         parse_state(text)
 
 
-# -- the scanner against the token parser ---------------------------------------
+# -- the one-pass reader against the token parser -------------------------------
 
 _BLANKS = st.sampled_from(("", "", " ", "\t", "\n", "\x1c", "  "))
 _MUTATION_CHARS = "0123456789+-*/()|<>isqrtx \t\x1c"
@@ -359,12 +363,29 @@ def _token_parse(text):
         return None
 
 
+def _outcome(read, text):
+    """What ``read(text)`` gives: a state as its class, integer form and
+    scale2, an error as its class, message and offset, anything else as is."""
+    try:
+        value = read(text)
+    except TritangleError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    if isinstance(value, (TripartiteState, BipartiteState)):
+        return type(value), value.integer_form, value.scale2
+    return value
+
+
 @settings(max_examples=1500, deadline=None)
 @given(grammar_texts())
 def test_scanner_reads_what_the_token_parser_reads(text):
-    """On ASCII text the scanner takes exactly the texts the token parser
-    accepts, and returns its raw terms, pipe offsets included."""
-    assert _scan(text) == _token_parse(text)
+    """``parse_state`` and ``parse`` give what the token parser's raw terms
+    give when checked, folded, merged and built in passes, or the same error.
+    On ASCII text the one-pass reader takes exactly the texts the token
+    parser accepts, and gives the same sums or raises the same error."""
+    assert _outcome(parse_state, text) == _outcome(reference_parse_state, text)
+    assert _outcome(parse, text) == _outcome(reference_parse, text)
+    accepted = _token_parse(text) is not None
+    assert _outcome(_read, text) == (_outcome(reference_parse_terms, text) if accepted else None)
 
 
 @pytest.mark.parametrize(
@@ -373,6 +394,8 @@ def test_scanner_reads_what_the_token_parser_reads(text):
         "i/2i|00>",  # 'i' on both sides of the denominator
         "i/2i(|00>)",
         "|00>|11>",  # no sign before the second term
+        "-(|00>)",  # no sign before a group
+        "+1/2(|00> + |11>)",
         "*|00>",
         "/2|00>",
         "1/0|00>",
@@ -388,12 +411,84 @@ def test_scanner_reads_what_the_token_parser_reads(text):
     ],
 )
 def test_scanner_passes_on_what_it_does_not_take(text):
-    assert _scan(text) is None
+    assert _read(text) is None
 
 
 @settings(deadline=None)
 @given(st.one_of(exact_states(TripartiteState), exact_states(BipartiteState)))
 def test_rendered_text_takes_the_scanner(state):
     text = state_to_ket(state)
-    scanned = _scan(text)
-    assert scanned is not None and scanned == _Parser(text).parse_expr()
+    read = _read(text)
+    assert read is not None and read == reference_parse_terms(text)
+
+
+# -- which error a text that breaks two rules raises -----------------------------
+
+_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, error, offset",
+    [
+        # A syntax error anywhere comes first.
+        ("|00> + |000> + @", KetSyntaxError, 15),
+        ("|00> + |000> +", KetSyntaxError, 14),
+        (f"|00> + |000> + {_DIGITS}|11>", KetSyntaxError, 15),
+        ("1/sqrt(2)|00> + 1/2|11> )", KetSyntaxError, 24),
+        ("|00> - |00> + ", KetSyntaxError, 14),
+        ("(|00> + |000>)/sqrt(0)", KetSyntaxError, 20),
+        ("|00> + |000>\u2003+ 2 sqrtx(2)|11>", KetSyntaxError, 17),
+        # Then a mixed arity, at the first term of another arity.
+        ("1/sqrt(2)|00> + 1/2|111>", MixedArity, 19),
+        ("|00> + |000> + |111>", MixedArity, 7),
+        ("|00> - |00> + |111> - |111>", MixedArity, 14),
+        ("0(|00> + |111>)", MixedArity, 9),
+        ("|000>\u2003+ 1/sqrt(2)|11> + 1/2|01>", MixedArity, 17),
+        # Then radicals that share no square-root divisor.
+        ("1/sqrt(2)|00> - 1/sqrt(2)|00> + 1/2|11> - 1/2|11>", UnsupportedIrrational, None),
+        ("0(1/sqrt(2)|00> + 1/sqrt(3)|11>)", UnsupportedIrrational, None),
+        ("1/sqrt(2)|00>\u2003+ 1/sqrt(3)|00> - 1/sqrt(3)|00>", UnsupportedIrrational, None),
+        # Last, sums that all cancel.
+        ("1/sqrt(2)|00> - 1/sqrt(8)|00> - 1/sqrt(8)|00>", EmptyState, None),
+        ("0(|00> + |11>)/sqrt(3)", EmptyState, None),
+    ],
+)
+def test_a_text_that_breaks_two_rules_raises_the_first(text, error, offset):
+    expected = _outcome(reference_parse, text)
+    assert expected[0] is error and expected[2] == offset
+    assert _outcome(parse, text) == _outcome(parse_state, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, needed",
+    [
+        ("1/sqrt(2)|00> + 1/sqrt(3)|11>", 3),  # the first term already fails
+        ("1/sqrt(8)|00> + 1/sqrt(18)|01> + 1/sqrt(3)|10>", 24),
+        ("1/sqrt(8)|00> + 1/sqrt(18)|01> + 1/sqrt(72)|10> + 1/sqrt(3)|11>", 24),
+        ("1/sqrt(2)(|00> + 1/sqrt(3)|11>)/sqrt(5)", 3),
+    ],
+)
+def test_radicals_that_do_not_fold_name_the_first_term_that_fails(text, needed):
+    with pytest.raises(UnsupportedIrrational, match=rf"needed sqrt\({needed}\) to be") as err:
+        parse_state(text)
+    assert str(err.value) == _outcome(reference_parse, text)[1]
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("1/sqrt(2)|000> + 1/sqrt(8)|111>", "(2|000> + |111>)/sqrt(8)"),
+        ("1/sqrt(8)|00> + 1/sqrt(18)|11>", "(3|00> + 2|11>)/sqrt(72)"),
+        ("1/sqrt(18)|00> + 1/sqrt(8)|11> - 1/sqrt(72)|01>", "(2|00> - |01> + 3|11>)/sqrt(72)"),
+        ("1/sqrt(2)(|00> + 1/sqrt(4)|11>)/sqrt(3)", "(2|00> + |11>)/sqrt(24)"),
+    ],
+)
+def test_radicals_fold_over_their_lcm(text, rendered):
+    assert _read(text) == reference_parse_terms(text)
+    assert state_to_ket(parse_state(text)) == rendered
+    assert parse(text) == reference_parse(text)
+
+
+def test_parse_keeps_first_appearance_order():
+    assert render(parse("|111> + 1/2|000>")) == "|111> + 1/2|000>"
+    assert [bits for _, bits in parse("|10> + |01> + |10>").terms] == ["10", "01"]
