@@ -121,11 +121,25 @@ class _ArityError(TritangleError):
 
 
 def _read_part(part, exact):
-    """One part of a ``--u1`` cell: a text cell's part arrives read as
-    ``(num, den)``, any other is a JSON value, read as a rational if exact."""
-    if isinstance(part, tuple):
-        return part if exact else part[0] / part[1]
-    return _json_part(part, exact)
+    """One part of a ``--u1`` cell.  A text cell's part arrives as ``(text,
+    (num, den))``, read as a rational with its cell: ``(num, den)`` if exact,
+    else the correctly rounded num / den, which raises NonFinite when it is
+    beyond the double range or nonzero and reads as 0.0.  Any other part is a
+    JSON value, read as a rational if exact."""
+    if not isinstance(part, tuple):
+        return _json_part(part, exact)
+    text, (num, den) = part
+    if exact:
+        return num, den
+    try:
+        value = num / den
+    except OverflowError:
+        raise NonFinite(f"the text cell part {text.strip()!r} is beyond the double range") from None
+    if num and not value:
+        raise NonFinite(
+            f"the text cell part {text.strip()!r} is below the double range: it reads as 0.0"
+        )
+    return value
 
 
 def _unitary_from_json(text: str) -> Unitary2:
@@ -151,7 +165,7 @@ def _unitary_from_json(text: str) -> Unitary2:
                     parts = cell.split(",")
                     if len(parts) > 2:
                         raise ValueError(f"cell {cell!r} has more than one comma")
-                    cells.append([_json_part(part, True) for part in (parts + ["0"])[:2]])
+                    cells.append([(part, _json_part(part, True)) for part in (parts + ["0"])[:2]])
                     continue
                 if not isinstance(cell, list):
                     cell = [cell, 0]

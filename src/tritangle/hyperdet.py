@@ -152,7 +152,7 @@ class ClassificationVector(_Value):
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """True when every entry vanishes (exactly, or at most eps)."""
         zero = _OPS[self.backend].is_zero
-        return all(zero(v, eps) for v in self.values2())
+        return zero(self.det_abs2, eps) and all(zero(v, eps) for v in self.sub2)
 
 
 def classify(state: TripartiteState, normalized: bool = True) -> ClassificationVector:

@@ -29,6 +29,10 @@ DEFAULT_EPS = 1e-10
 
 _EXACT_INPUTS = (int, Fraction)
 
+#: The exact zero that ``_ExactOps.div`` returns for a zero numerator, one
+#: shared value instead of a new Fraction reduced by a gcd each time.
+_ZERO = Fraction(0)
+
 
 class GaussianRational:
     """Complex number with exact rational real and imaginary parts."""
@@ -238,9 +242,9 @@ def over_lcm(parts) -> tuple:
     so that value_n = (g_n[0] + i g_n[1]) / d.  For reduced parts d is the
     least common denominator and gcd(d, every part) is 1.
     """
-    d = math.lcm(*(den for scalar in parts for _, den in scalar))
+    d = math.lcm(*[den for scalar in parts for _, den in scalar])
     return tuple(
-        (re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts
+        [(re * (d // re_den), im * (d // im_den)) for (re, re_den), (im, im_den) in parts]
     ), d
 
 
@@ -272,7 +276,8 @@ class _ExactOps:
 
     @staticmethod
     def div(num, den, what=None):
-        return Fraction(num, den)
+        """num / den as a Fraction; a zero numerator gives the shared ``_ZERO``."""
+        return Fraction(num, den) if num else _ZERO
 
     @staticmethod
     def scalar(re, im, den):

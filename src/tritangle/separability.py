@@ -11,8 +11,6 @@ for cross-checking.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
 from .scalars import _OPS, DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul
@@ -62,9 +60,14 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
         fx[i] = a(i, j*, k*),   fy[j] = a(i*, j, k*) / a*,
         fz[k] = a(i*, j*, k) / a*.
 
-    The outer product is then verified against all eight amplitudes; in
-    the exact backend on the integer form g, as
-    g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g(i, j, k) g*^2.
+    The outer product is then verified against the amplitudes.  In the
+    exact backend this is done on the integer form g, as
+    g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g(i, j, k) g*^2, at the four
+    positions (i, j, k) that differ from the anchor in two or three
+    indices.  At the anchor and at the three positions that differ from it
+    in one index, two of the three factors on the left are g* and the third
+    is g(i, j, k) itself, so the equation holds for any integers and is not
+    tested.  The doubles are compared at all eight positions.
     Raises :class:`NotSeparable` when the state fails the separability
     test and :class:`ResidualNonzero` if verification fails: never in the
     exact backend, and for doubles when the state is separable only within
@@ -92,34 +95,53 @@ def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factori
     return fact
 
 
+#: For each anchor position a*, the rebuild checks that are not identities,
+#: as ``(n, x, y, z)``: the four positions n that differ from a* in two or
+#: three indices, each with the positions x, y, z on the x, y and z lines
+#: through a* that take n's index on that axis.
+_REBUILD_CHECKS = tuple(
+    tuple(
+        (n, (n & 4) | (star & 3), (star & 5) | (n & 2), (star & 6) | (n & 1))
+        for n in (star ^ 3, star ^ 5, star ^ 6, star ^ 7)
+    )
+    for star in range(8)
+)
+
+
 def _extract_exact(state: TripartiteState) -> Factorization:
     g = state.integer_form[0]
     star = next(n for n in range(8) if g[n] != (0, 0))
-    ai, aj, ak = star >> 2, (star >> 1) & 1, star & 1
     anchor2 = gauss_mul(g[star], g[star])
-    for n in range(8):
-        x = g[4 * (n >> 2) + 2 * aj + ak]
-        y = g[4 * ai + (n & 2) + ak]
-        z = g[4 * ai + 2 * aj + (n & 1)]
-        if gauss_mul(gauss_mul(x, y), z) != gauss_mul(g[n], anchor2):
+    for n, x, y, z in _REBUILD_CHECKS[star]:
+        if gauss_mul(gauss_mul(g[x], g[y]), g[z]) != gauss_mul(g[n], anchor2):
             raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
     # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
     sr, si = g[star]
     norm = sr * sr + si * si
+    div = _OPS["exact"].div
 
     def ratio(n):
         re, im = gauss_mul(g[n], (sr, -si))
-        return GaussianRational(Fraction(re, norm), Fraction(im, norm))
+        return GaussianRational(div(re, norm), div(im, norm))
 
     amps = state.amps
-    fx = (amps[2 * aj + ak], amps[4 + 2 * aj + ak])
-    fy = (ratio(4 * ai + ak), ratio(4 * ai + 2 + ak))
-    fz = (ratio(4 * ai + 2 * aj), ratio(4 * ai + 2 * aj + 1))
+    fx = (amps[star & 3], amps[4 | (star & 3)])
+    fy = (ratio(star & 5), ratio((star & 5) | 2))
+    fz = (ratio(star & 6), ratio((star & 6) | 1))
     return Factorization(fx, fy, fz)
 
 
 #: Column index pairs of a 2x4 matrix, for minor enumeration.
 _COLUMN_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+#: The 18 flattening minors as ``(c00, c01, c10, c11)`` amplitude positions:
+#: axis by axis, the ``_COLUMN_PAIRS`` minors of the 2x4 flattening whose
+#: rows are that axis's two slices in ``SLICE_INDEX``.
+_MINORS = tuple(
+    (top[p], top[q], bottom[p], bottom[q])
+    for top, bottom in zip(SLICE_INDEX[::2], SLICE_INDEX[1::2])
+    for p, q in _COLUMN_PAIRS
+)
 
 
 def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
@@ -135,12 +157,10 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     """
     zero = _OPS[state.backend].is_zero
     g, n = state._pairs[0], state._weight
-    for axis in range(3):
-        top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
-        for p, q in _COLUMN_PAIRS:
-            re, im = gauss_det2(g[top[p]], g[top[q]], g[bottom[p]], g[bottom[q]])
-            if not zero(re * re + im * im, eps, n, n):
-                return False
+    for p, q, r, s in _MINORS:
+        re, im = gauss_det2(g[p], g[q], g[r], g[s])
+        if not zero(re * re + im * im, eps, n, n):
+            return False
     return True
 
 

@@ -10,17 +10,21 @@ from hypothesis import strategies as st
 from tritangle import (
     BipartiteState,
     EmptyState,
+    Factorization,
     GaussianRational,
     KetExpr,
     KetSyntaxError,
     MixedArity,
     NonFinite,
+    ResidualNonzero,
     TripartiteState,
     Unitary2,
     UnsupportedIrrational,
 )
 from tritangle.randstates import random_qubit_vector
-from tritangle.scalars import _OPS
+from tritangle.scalars import _OPS, gauss_det2, gauss_mul
+from tritangle.separability import _COLUMN_PAIRS
+from tritangle.states import SLICE_INDEX
 from tritangle.tokenparser import _Parser
 
 BIG = 10**6
@@ -148,6 +152,67 @@ def reference_to_approx(value):
         return value
     values = value.entries if isinstance(value, Unitary2) else value.amps
     return type(value)(tuple(v.to_complex() for v in values), float(value.scale2))
+
+
+def reference_extract_exact(state):
+    """The exact factor extraction with its rebuild check at all eight
+    positions n, as g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g_n g*^2, and
+    each factor ratio built as a new ``Fraction``.  Raises
+    :class:`ResidualNonzero` when a position fails."""
+    g = state.integer_form[0]
+    star = next(n for n in range(8) if g[n] != (0, 0))
+    ai, aj, ak = star >> 2, (star >> 1) & 1, star & 1
+    anchor2 = gauss_mul(g[star], g[star])
+    for n in range(8):
+        x = g[4 * (n >> 2) + 2 * aj + ak]
+        y = g[4 * ai + (n & 2) + ak]
+        z = g[4 * ai + 2 * aj + (n & 1)]
+        if gauss_mul(gauss_mul(x, y), z) != gauss_mul(g[n], anchor2):
+            raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
+    sr, si = g[star]
+    norm = sr * sr + si * si
+
+    def ratio(n):
+        re, im = gauss_mul(g[n], (sr, -si))
+        return GaussianRational(Fraction(re, norm), Fraction(im, norm))
+
+    amps = state.amps
+    fx = (amps[2 * aj + ak], amps[4 + 2 * aj + ak])
+    fy = (ratio(4 * ai + ak), ratio(4 * ai + 2 + ak))
+    fz = (ratio(4 * ai + 2 * aj), ratio(4 * ai + 2 * aj + 1))
+    return Factorization(fx, fy, fz)
+
+
+def reference_first_nonzero_minor(state):
+    """``rank1_oracle``'s loop over the flattening minors of an exact state,
+    axis by axis and column pair by column pair: ``(k, cells)`` for the k-th
+    minor, the first that is not zero, and its four ``(re, im)`` pairs as
+    passed to ``gauss_det2``; ``None`` when all 18 are zero."""
+    g = state._pairs[0]
+    k = 0
+    for axis in range(3):
+        top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
+        for p, q in _COLUMN_PAIRS:
+            cells = (g[top[p]], g[top[q]], g[bottom[p]], g[bottom[q]])
+            if gauss_det2(*cells) != (0, 0):
+                return k, cells
+            k += 1
+    return None
+
+
+def perturbed(state, rng):
+    """A copy of an exact state with one amplitude plus a small nonzero
+    Gaussian rational, drawn again if the sum is the zero vector."""
+    while True:
+        amps = list(state.amps)
+        n = rng.randrange(8)
+        delta = GaussianRational(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+        amps[n] = amps[n] + delta
+        if delta and any(amps):
+            return TripartiteState(tuple(amps), state.scale2)
 
 
 def random_fraction(rng, span=9, max_den=3):

@@ -612,3 +612,50 @@ def test_float_text_shows_the_amplitudes_and_scale2_of_the_json_record(argv, key
     code, out, _ = run(capsys, argv + ["--json"])
     record = json.loads(out)[key]
     assert shown.endswith(f"amps {json.dumps(record['amps'])}, scale2 {record['scale2']!r}\n")
+
+
+@pytest.mark.parametrize(
+    "cell, where",
+    [("1e-400", "below"), ("1e400", "beyond"), ("0, -1e-400", "below")],
+    ids=["below", "beyond", "imaginary-part"],
+)
+def test_double_text_cell_beyond_the_range_exit3(capsys, cell, where):
+    # A text cell of a double matrix was divided without a check: 1e-400
+    # read as 0.0 and the X gate applied (exit 0), 1e400 overflowed the int
+    # division (exit 2).
+    u1 = json.dumps({"matrix": [[cell, 1.0], [1.0, 0]]})
+    code, out, err = run(capsys, ["transform", "--float", "--u1", u1, "|000>"])
+    assert code == 3 and out == ""
+    assert f"the text cell part {cell.split(',')[-1].strip()!r} is {where} the double range" in err
+
+
+def test_double_text_cell_reads_its_rational(capsys):
+    text_cells = json.dumps({"matrix": [["1/2, 1/2", "1/2,-1/2"], ["1/2, -1/2", [0.5, 0.5]]]})
+    list_cells = json.dumps({"matrix": [[[0.5, 0.5], [0.5, -0.5]], [[0.5, -0.5], [0.5, 0.5]]]})
+    outs = [run(capsys, ["transform", "--float", "--u1", u1, GHZ]) for u1 in (text_cells, list_cells)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+PRODUCT_KETS = {
+    "anchor-000": (
+        "2|000> + 2/3|001> - |010> - 1/3|011> + 2i|100> + 2/3i|101> - i|110> - 1/3i|111>",
+        '{"separable": true, "factors": {"fx": [["2", "0"], ["0", "2"]], '
+        '"fy": [["1", "0"], ["-1/2", "0"]], "fz": [["1", "0"], ["1/3", "0"]]}, "oracle_agrees": true}',
+    ),
+    "anchor-100": (
+        "|100> - |101> + i|110> - i|111>",
+        '{"separable": true, "factors": {"fx": [["0", "0"], ["1", "0"]], '
+        '"fy": [["1", "0"], ["0", "1"]], "fz": [["1", "0"], ["-1", "0"]]}, "oracle_agrees": true}',
+    ),
+}
+
+
+@pytest.mark.parametrize("ket, check_sep", PRODUCT_KETS.values(), ids=PRODUCT_KETS.keys())
+def test_product_state_json_records_are_unchanged(capsys, ket, check_sep):
+    # Seven exact zeros print as "0", and the factors as their reduced ratios.
+    classify_record = (
+        '{"det_abs2": "0", "sub2": ["0", "0", "0", "0", "0", "0"], '
+        '"display": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], "separable": true}'
+    )
+    for argv, expected in (("classify", classify_record), ("check-sep", check_sep)):
+        assert run(capsys, [argv, "--json", ket]) == (0, expected + "\n", "")

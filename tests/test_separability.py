@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from tritangle import (
+    ClassificationVector,
     GaussianRational,
     NotSeparable,
+    ResidualNonzero,
     TripartiteState,
     antipodal_pair_states,
     cayley_det,
@@ -18,14 +20,23 @@ from tritangle import (
     rank1_oracle,
     sub_concurrences2,
 )
+from tritangle import separability
 from tritangle.catalog import ghz_state, w_state
 from tritangle.randstates import (
     mixed_pool,
     random_product_state,
     random_tripartite,
 )
+from tritangle.scalars import _ZERO
+from tritangle.separability import _COLUMN_PAIRS, _MINORS, _extract_exact
+from tritangle.states import SLICE_INDEX
 
-from _util import random_fraction
+from _util import (
+    perturbed,
+    random_fraction,
+    reference_extract_exact,
+    reference_first_nonzero_minor,
+)
 
 
 def test_products_are_separable():
@@ -174,3 +185,75 @@ def test_decision_matches_oracle_on_mixed_pool():
 def test_kind_selector_rejects_unknown():
     with pytest.raises(ValueError):
         random_tripartite(random.Random(0), "bogus")
+
+
+def test_exact_rebuild_check_rejects_what_the_eight_position_check_rejects():
+    # Called directly, past is_separable: the four positions on the lines
+    # through the anchor are identities, so the other four decide alone.
+    rng = random.Random(18)
+    counts = {"factored": 0, "rejected": 0}
+    for s in mixed_pool(seed=101, count=2000):
+        for state in (s, perturbed(s, rng)):
+            try:
+                expected = reference_extract_exact(state)
+            except ResidualNonzero:
+                with pytest.raises(ResidualNonzero):
+                    _extract_exact(state)
+                counts["rejected"] += 1
+                continue
+            assert _extract_exact(state) == expected
+            counts["factored"] += 1
+    assert min(counts.values()) > 400, counts
+
+
+def test_minor_table_lists_the_flattening_minors_in_order():
+    built = []
+    for axis in range(3):
+        top, bottom = SLICE_INDEX[2 * axis], SLICE_INDEX[2 * axis + 1]
+        built += [(top[p], top[q], bottom[p], bottom[q]) for p, q in _COLUMN_PAIRS]
+    assert _MINORS == tuple(built) and len(set(_MINORS)) == 18
+
+
+def test_rank1_oracle_stops_at_the_first_nonzero_minor(monkeypatch):
+    seen = []
+    det2 = separability.gauss_det2
+
+    def recording(*cells):
+        seen.append(cells)
+        return det2(*cells)
+
+    monkeypatch.setattr(separability, "gauss_det2", recording)
+    rng = random.Random(19)
+    pool = list(mixed_pool(seed=20_240_817, count=10_000))
+    stops = set()
+    for state in pool + [perturbed(s, rng) for s in pool[:2000]]:
+        seen.clear()
+        first = reference_first_nonzero_minor(state)
+        assert rank1_oracle(state) is (first is None)
+        if first is None:
+            assert len(seen) == 18
+        else:
+            k, cells = first
+            assert len(seen) == k + 1 and seen[-1] == cells
+            stops.add(k)
+    assert len(stops) > 6, stops
+
+
+def test_separable_states_classify_to_seven_exact_zeros():
+    # A zero entry is the one shared zero: it compares, hashes and prints
+    # as Fraction(0, 1) does.
+    zero = Fraction(0, 1)
+    zero_vec = ClassificationVector(zero, (zero,) * 6)
+    separable_seen = zeros_seen = 0
+    for s in mixed_pool(seed=101, count=2000):
+        vec = classify(s)
+        for v in vec.values2():
+            assert type(v) is Fraction
+            if not v:
+                assert v is _ZERO and v == zero and hash(v) == hash(zero) and str(v) == "0"
+                zeros_seen += 1
+        if rank1_oracle(s):
+            separable_seen += 1
+            assert vec.values2() == (zero,) * 7
+            assert vec == zero_vec and hash(vec) == hash(zero_vec)
+    assert separable_seen > 400 and zeros_seen > 7 * separable_seen
