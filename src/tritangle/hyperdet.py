@@ -65,7 +65,7 @@ def _entries_g(g):
     """``(Det_g, dets)`` on the pairs g, each a ``(re, im)`` pair: the
     hyperdeterminant, as the x-pencil discriminant of :func:`cayley_det`, and
     the six slice determinants in ``SLICE_INDEX`` order, each computed once."""
-    dets = tuple(gauss_det2(g[p], g[q], g[r], g[s]) for p, q, r, s in SLICE_INDEX)
+    dets = tuple([gauss_det2(g[p], g[q], g[r], g[s]) for p, q, r, s in SLICE_INDEX])
     (r0, i0), (r1, i1), (r2, i2), (r3, i3), (r4, i4), (r5, i5), (r6, i6), (r7, i7) = g
     # beta = a000 a111 + a011 a100 - a001 a110 - a010 a101
     br = (r0 * r7 - i0 * i7) + (r3 * r4 - i3 * i4) - (r1 * r6 - i1 * i6) - (r2 * r5 - i2 * i5)
@@ -175,19 +175,22 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
         kept = state.__dict__.get("_classification")
         if kept is not None:
             return kept
-    div = _OPS[state.backend].div
-    g = state._pairs[0]
+    ops = _OPS[state.backend]
+    div = ops.div
+    g, d = state._pairs
     (re, im), dets = _entries_g(g)
-    det2, sub2 = re * re + im * im, tuple(r * r + i * i for r, i in dets)
+    det2 = re * re + im * im
     if normalized:
         num, den = 1, state._weight * state._weight
     else:
         # A degree-2 polynomial of the physical amplitudes is scale2 / d^2
         # times its value on g; the hyperdeterminant carries its square.
-        num, den = state.scale2 * state.scale2, state._pairs[1] ** 4
+        # With scale2 = s / q, an exact entry is divided on ints.
+        s, q = ops.ratio(state.scale2)
+        num, den = s * s, (q * d * d) ** 2
     vec = ClassificationVector(
         div(det2 * num * num, den * den, "classification entry"),
-        tuple(div(v * num, den, "classification entry") for v in sub2),
+        tuple([div((r * r + i * i) * num, den, "classification entry") for r, i in dets]),
         computed_on_normalized=normalized,
     )
     if normalized:
@@ -214,4 +217,4 @@ def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tu
         div2 = max(vec.sub2)
     else:
         return (0.0,) * 7
-    return tuple(0.0 if zero(v, eps) else ops.sqrt_ratio(v, div2) for v in vec.values2())
+    return tuple([0.0 if zero(v, eps) else ops.sqrt_ratio(v, div2) for v in vec.values2()])

@@ -18,7 +18,6 @@ import cmath
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from .errors import NonFinite
 
@@ -32,6 +31,21 @@ _EXACT_INPUTS = (int, Fraction)
 #: The exact zero that ``_ExactOps.div`` returns for a zero numerator, one
 #: shared value instead of a new Fraction reduced by a gcd each time.
 _ZERO = Fraction(0)
+
+#: The smallest positive normal double, read once.
+_FLOAT_MIN = sys.float_info.min
+
+_new = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """The Fraction num / den of coprime ints with den > 0, stored into its two
+    slots without the constructor's type dispatch and gcd, as Python 3.12's
+    ``Fraction._from_coprime_ints`` stores it."""
+    q = _new(Fraction)
+    q._numerator = num
+    q._denominator = den
+    return q
 
 
 class GaussianRational:
@@ -70,7 +84,7 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _gaussian(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -78,22 +92,22 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return _gaussian(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _gaussian(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
         if isinstance(other, _EXACT_INPUTS):
             # A real factor scales both parts: two products, no sums.
-            return GaussianRational(self.re * other, self.im * other)
+            return _gaussian(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
+        return _gaussian(
             self.re * o.re - self.im * o.im,
             self.re * o.im + self.im * o.re,
         )
@@ -107,7 +121,7 @@ class GaussianRational:
         d = o.abs2()
         if d == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
+        return _gaussian(
             (self.re * o.re + self.im * o.im) / d,
             (self.im * o.re - self.re * o.im) / d,
         )
@@ -119,13 +133,13 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re, -self.im)
 
     def __pos__(self):
         return self
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -168,6 +182,19 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _gaussian(re: Fraction, im: Fraction) -> GaussianRational:
+    """The GaussianRational re + i im of two Fractions, stored without the
+    constructor's type checks: arithmetic on Fractions yields Fractions."""
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def as_exact(value) -> GaussianRational:
@@ -267,21 +294,39 @@ class _ExactOps:
         return over_lcm([(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values])
 
     @staticmethod
+    def ratio(value):
+        """A Fraction as its int ``(numerator, denominator)``, for ``div``."""
+        return value.as_integer_ratio()
+
+    @staticmethod
     def reduce(g, d):
         """Divide out gcd(d, every part), leaving d the least common denominator."""
-        k = math.gcd(d, *chain.from_iterable(g))
-        if k == 1:
-            return g, d
+        k = d
+        for re, im in g:
+            k = math.gcd(k, re, im)
+            if k == 1:
+                return g, d
         return tuple((re // k, im // k) for re, im in g), d // k
 
     @staticmethod
     def div(num, den, what=None):
-        """num / den as a Fraction; a zero numerator gives the shared ``_ZERO``."""
-        return Fraction(num, den) if num else _ZERO
+        """num / den as a Fraction in lowest terms, for ints num and den with
+        den > 0.  A zero numerator gives the shared ``_ZERO``; any other is
+        reduced by one gcd and stored as it is (``_fraction``), so the
+        Fraction constructor's type dispatch never runs.
+        """
+        if not num:
+            return _ZERO
+        k = math.gcd(num, den)
+        if k == 1:
+            return _fraction(num, den)
+        return _fraction(num // k, den // k)
 
     @staticmethod
     def scalar(re, im, den):
-        return GaussianRational(Fraction(re, den), Fraction(im, den))
+        """(re + i im) / den for ints with den > 0, each part built by ``div``."""
+        div = _ExactOps.div
+        return _gaussian(div(re, den), div(im, den))
 
     @staticmethod
     def is_zero(num, eps, *dens):
@@ -299,7 +344,7 @@ class _ExactOps:
         num, den = v.numerator * w.denominator, v.denominator * w.numerator
         try:
             q = num / den
-            if q >= sys.float_info.min:
+            if q >= _FLOAT_MIN:
                 return math.sqrt(q)
         except OverflowError:
             pass
@@ -324,6 +369,11 @@ class _DoubleOps:
     @staticmethod
     def pairs(values):
         return tuple((z.real, z.imag) for z in values), 1
+
+    @staticmethod
+    def ratio(value):
+        """A double as ``(value, 1)``."""
+        return value, 1
 
     @staticmethod
     def reduce(g, d):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import _OPS, DEFAULT_EPS, GaussianRational, abs2, gauss_det2, gauss_mul
+from .scalars import _OPS, DEFAULT_EPS, abs2, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
 
 
@@ -118,11 +118,11 @@ def _extract_exact(state: TripartiteState) -> Factorization:
     # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
     sr, si = g[star]
     norm = sr * sr + si * si
-    div = _OPS["exact"].div
+    scalar = _OPS["exact"].scalar
 
     def ratio(n):
         re, im = gauss_mul(g[n], (sr, -si))
-        return GaussianRational(div(re, norm), div(im, norm))
+        return scalar(re, im, norm)
 
     amps = state.amps
     fx = (amps[star & 3], amps[4 | (star & 3)])

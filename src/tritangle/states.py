@@ -305,7 +305,9 @@ class _StateOps(_PairValues):
     def norm2(self):
         """Squared norm, scale2 * sum of squared amplitude moduli."""
         d = self._pairs[1]
-        return _OPS[self.backend].div(self.scale2 * self._weight, d * d, "norm2")
+        ops = _OPS[self.backend]
+        s, q = ops.ratio(self.scale2)
+        return ops.div(s * self._weight, q * d * d, "norm2")
 
     def scale(self, k):
         """Multiply every amplitude by the nonzero scalar k."""

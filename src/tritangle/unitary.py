@@ -60,7 +60,7 @@ class Unitary2(_PairValues):
         # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
         ops = _OPS[self.backend]
         ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
-        s, q = self.scale2.as_integer_ratio() if ops is _OPS["exact"] else (self.scale2, 1)
+        s, q = ops.ratio(self.scale2)
         d2 = d * d
         # Squared by multiplying: a double that overflows gives inf, which
         # is_zero raises as NonFinite (``float ** 2`` raises OverflowError).
@@ -125,13 +125,16 @@ def _apply_local(state, units):
             raise BackendMismatch(f"cannot apply a {u.backend} unitary to a {state.backend} state")
     ops = _OPS[state.backend]
     amps, d = state._pairs
-    scale2 = state.scale2
+    # The product of the scale2 values as s / q: on ints, divided once at the
+    # end, in the exact backend; in order, over q = 1, as doubles.
+    s, q = ops.ratio(state.scale2)
     mats = []
     for u in units:
         m, d_u = u._pairs
         mats.append(m)
         d *= d_u
-        scale2 = scale2 * u.scale2
+        u_s, u_q = ops.ratio(u.scale2)
+        s, q = s * u_s, q * u_q
     amps = list(amps)
     bit = len(amps)
     for m in mats:
@@ -139,7 +142,7 @@ def _apply_local(state, units):
         for lo in range(len(amps)):
             if not lo & bit:
                 amps[lo], amps[lo | bit] = _combine_gauss(amps[lo], amps[lo | bit], m)
-    return type(state)._from_pairs(ops, tuple(amps), d, scale2)
+    return type(state)._from_pairs(ops, tuple(amps), d, ops.div(s, q, "scale2"))
 
 
 def apply_local_3(

@@ -183,6 +183,43 @@ def reference_extract_exact(state):
     return Factorization(fx, fy, fz)
 
 
+def reference_quotients(state):
+    """The exact quotients the kernels return for an exact state, in the
+    order ``kernel_quotients`` in ``test_intkernel.py`` lists them, each
+    built as ``Fraction(num, den)`` from the integer form (g, d):
+
+    the amplitude parts; ``norm2``; the seven ``classify`` entries,
+    normalized and then not; the probability and residual concurrence^2 of
+    each ``collapse`` in ``_SLICE_INDEX`` order whose slice is nonzero; and,
+    for a separable state, the parts of the factors fy and fz
+    (``reference_extract_exact``).
+    """
+    g, d = state.integer_form
+    s = Fraction(state.scale2)
+    weight = sum(re * re + im * im for re, im in g)
+    out = [Fraction(part, d) for pair in g for part in pair]
+    out.append(s * Fraction(weight, d * d))
+    re, im = reference_cayley_g(g)
+    det2 = re * re + im * im
+    slices = [[g[n] for n in cells] for cells in _SLICE_INDEX.values()]
+    sub2 = []
+    for c00, c01, c10, c11 in slices:
+        re, im = gauss_mul(c00, c11)
+        re2, im2 = gauss_mul(c01, c10)
+        sub2.append((re - re2) ** 2 + (im - im2) ** 2)
+    out += [Fraction(det2, weight**4)] + [Fraction(v, weight**2) for v in sub2]
+    out += [s**4 * Fraction(det2, d**8)] + [s * s * Fraction(v, d**4) for v in sub2]
+    for cells, v in zip(slices, sub2):
+        w = sum(re * re + im * im for re, im in cells)
+        if w:
+            out += [Fraction(w, weight), Fraction(4 * v, w * w)]
+    try:
+        fact = reference_extract_exact(state)
+    except ResidualNonzero:
+        return out
+    return out + [part for z in fact.fy + fact.fz for part in (z.re, z.im)]
+
+
 def reference_first_nonzero_minor(state):
     """``rank1_oracle``'s loop over the flattening minors of an exact state,
     axis by axis and column pair by column pair: ``(k, cells)`` for the k-th

@@ -19,6 +19,10 @@ States built on ints (parsed, or rotated by local unitaries) keep their
 integer form; it must equal what ``_OPS["exact"].pairs`` computes from
 their amplitudes.
 
+Every exact quotient a kernel returns is stored from one gcd, without the
+``Fraction`` constructor; each must be a ``Fraction`` in lowest terms with a
+positive denominator, equal to ``_util.reference_quotients``.
+
 The double backend runs the same kernels on its own float pairs; the last
 properties compare it with the exact backend on the same states.
 """
@@ -59,7 +63,7 @@ from tritangle import (
     submatrix,
 )
 from tritangle.hyperdet import _entries_g
-from tritangle.randstates import random_approx_tripartite, random_product_state
+from tritangle.randstates import mixed_pool, random_approx_tripartite, random_product_state
 from tritangle.scalars import _OPS
 
 from _util import (
@@ -67,8 +71,10 @@ from _util import (
     brute_apply_local,
     brute_subdet2,
     exact_states,
+    perturbed,
     reference_cayley_g,
     reference_product_state,
+    reference_quotients,
     same_physical_state,
     wide_scalars,
 )
@@ -299,6 +305,60 @@ def test_pair_concurrence_matches_gaussian_rational_formula(state):
     n2 = reference_norm2(state)
     assert concurrence2(state) == 4 * state.scale2**2 * det.abs2() / n2**2
     assert is_separable_bipartite(state) == (not det)
+
+
+# -- quotients in lowest terms ------------------------------------------------
+
+
+def kernel_quotients(state):
+    """The exact quotients the kernels return for ``state``, in the order of
+    ``_util.reference_quotients``."""
+    out = [part for a in state.amps for part in (a.re, a.im)]
+    out.append(state.norm2())
+    out += classify(state).values2() + classify(state, normalized=False).values2()
+    for axis, outcome in AXIS_OUTCOME_ORDER:
+        try:
+            result = collapse(state, axis, outcome)
+        except ImpossibleOutcome:
+            continue
+        out += [result.prob, result.concurrence2]
+    try:
+        fact = extract_factors(state)
+    except NotSeparable:
+        return out
+    return out + [part for z in fact.fy + fact.fz for part in (z.re, z.im)]
+
+
+def assert_reduced_quotients(state):
+    found, expected = kernel_quotients(state), reference_quotients(state)
+    assert len(found) == len(expected)
+    for q, ref in zip(found, expected):
+        assert type(q) is Fraction
+        num, den = q.numerator, q.denominator
+        assert den > 0 and math.gcd(num, den) == 1, (num, den)
+        assert (num, den) == (ref.numerator, ref.denominator)
+
+
+def test_pool_quotients_are_reduced_fractions():
+    rng = random.Random(19)
+    for s in mixed_pool(seed=101, count=2000):
+        for state in (s, perturbed(s, rng)):
+            assert_reduced_quotients(state)
+
+
+@settings(deadline=None)
+@given(states)
+def test_quotients_are_reduced_fractions(state):
+    assert_reduced_quotients(state)
+
+
+@settings(deadline=None)
+@given(states, st.randoms(use_true_random=False))
+def test_rotated_scale2_is_the_reduced_product(state, rng):
+    units = [random_rational_unitary2(rng) for _ in range(3)]
+    scale2 = apply_local_3(state, *units).scale2
+    assert type(scale2) is Fraction and math.gcd(scale2.numerator, scale2.denominator) == 1
+    assert scale2 == state.scale2 * units[0].scale2 * units[1].scale2 * units[2].scale2
 
 
 # -- integer forms kept by states built on ints ------------------------------

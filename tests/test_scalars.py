@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: closure, field identities, backend isolation."""
 
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational, NonFinite
-from tritangle.scalars import _OPS, abs2, as_approx, as_exact
+from tritangle.scalars import _OPS, _fraction, _gaussian, abs2, as_approx, as_exact
 
 fracs = st.fractions(max_denominator=40)
 scalars = st.builds(GaussianRational, fracs, fracs)
@@ -127,3 +128,82 @@ def test_double_division_messages(num, den, message):
     with pytest.raises(NonFinite) as err:
         _OPS["approx"].div(num, den, "entry")
     assert str(err.value) == message
+
+
+# -- quotients stored from one gcd --------------------------------------------
+
+#: Zero, small and beyond 2^256, of either sign.
+ints = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.integers(2**256, 2**320),
+    st.integers(-(2**320), -(2**256)),
+)
+pos_ints = st.one_of(st.integers(1, 10**6), st.integers(2**256, 2**320))
+#: An int numerator and positive denominator with a common factor drawn too.
+quotients = st.builds(lambda n, d, k: (n * k, d * k), ints, pos_ints, pos_ints)
+
+
+def assert_same_fraction(q, ref):
+    assert type(q) is Fraction
+    assert (q.numerator, q.denominator) == (ref.numerator, ref.denominator)
+    assert q == ref and hash(q) == hash(ref)
+    assert str(q) == str(ref) and repr(q) == repr(ref)
+    back = pickle.loads(pickle.dumps(q))
+    assert type(back) is Fraction and back == ref
+    third = Fraction(1, 3)
+    assert q + third == ref + third and q * 3 == ref * 3 and -q == -ref
+    assert q - ref == 0 and (q <= ref) and not (q < ref)
+    if ref:
+        assert 1 / q == 1 / ref
+
+
+def assert_same_gaussian(z, ref):
+    assert type(z) is GaussianRational
+    assert_same_fraction(z.re, ref.re)
+    assert_same_fraction(z.im, ref.im)
+    assert z == ref and hash(z) == hash(ref)
+    assert str(z) == str(ref) and repr(z) == repr(ref)
+    back = pickle.loads(pickle.dumps(z))
+    assert type(back) is GaussianRational and back == ref
+    w = GaussianRational(Fraction(2, 3), -1)
+    assert z * w == ref * w and z + w == ref + w and z.conjugate() == ref.conjugate()
+    if ref:
+        assert w / z == w / ref
+
+
+@given(quotients)
+def test_stored_fraction_matches_the_constructor(q):
+    num, den = q
+    k = math.gcd(num, den)
+    assert_same_fraction(_fraction(num // k, den // k), Fraction(num, den))
+
+
+@given(quotients)
+def test_exact_div_matches_the_constructor(q):
+    assert_same_fraction(_OPS["exact"].div(*q), Fraction(*q))
+
+
+@given(ints, ints, pos_ints, pos_ints)
+def test_exact_scalar_matches_the_constructor(re, im, den, k):
+    ref = GaussianRational(Fraction(re * k, den * k), Fraction(im * k, den * k))
+    assert_same_gaussian(_OPS["exact"].scalar(re * k, im * k, den * k), ref)
+
+
+@given(scalars, scalars)
+def test_arithmetic_results_are_stored_fraction_pairs(a, b):
+    """Each operator's result equals the one the checked constructor builds."""
+    results = [
+        (a + b, (a.re + b.re, a.im + b.im)),
+        (a - b, (a.re - b.re, a.im - b.im)),
+        (a * b, (a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)),
+        (-a, (-a.re, -a.im)),
+        (a.conjugate(), (a.re, -a.im)),
+        (a * 3, (a.re * 3, a.im * 3)),
+        (_gaussian(a.re, b.im), (a.re, b.im)),
+    ]
+    if b:
+        n = b.abs2()
+        results.append((a / b, ((a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n)))
+    for z, (re, im) in results:
+        assert_same_gaussian(z, GaussianRational(re, im))
