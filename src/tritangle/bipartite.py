@@ -30,14 +30,14 @@ def det2(state: BipartiteState):
     return _OPS[state.backend].scalar(re, im, d * d)
 
 
-def gauss_concurrence2(g: tuple, total, div):
-    """Squared concurrence 4 |det g|^2 / total^2 of a pair given as (re, im) pairs.
+def gauss_concurrence2(det: tuple, total, div):
+    """Squared concurrence 4 |det|^2 / total^2 of a pair given as (re, im) pairs.
 
-    ``g`` holds the four amplitudes c00, c01, c10, c11 as ``(re, im)``
-    pairs over any common denominator, ``total`` is sum |g_n|^2 and ``div``
-    is the backend's division.
+    ``det`` is ``gauss_det2`` of the four amplitudes c00, c01, c10, c11 as
+    ``(re, im)`` pairs over any common denominator, ``total`` is their
+    sum |g_n|^2 and ``div`` is the backend's division.
     """
-    re, im = gauss_det2(*g)
+    re, im = det
     return div(4 * (re * re + im * im), total * total, "concurrence^2")
 
 
@@ -48,7 +48,8 @@ def concurrence2(state: BipartiteState):
     Fraction in the exact backend, a float in the approx backend.  On the
     pairs (g, d) scale2 and d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.
     """
-    return gauss_concurrence2(state._pairs[0], state._weight, _OPS[state.backend].div)
+    det = gauss_det2(*state._pairs[0])
+    return gauss_concurrence2(det, state._weight, _OPS[state.backend].div)
 
 
 def concurrence(state: BipartiteState) -> float:

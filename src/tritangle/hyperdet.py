@@ -24,17 +24,8 @@ import cmath
 from fractions import Fraction
 
 from .errors import NonFinite
-from .scalars import _OPS, DEFAULT_EPS, gauss_det2, is_fraction
-from .states import (
-    _SLICES,
-    SLICE_INDEX,
-    Axis,
-    BipartiteState,
-    TripartiteState,
-    _check_outcome,
-    _setattr,
-    _Value,
-)
+from .scalars import _OPS, DEFAULT_EPS, is_fraction
+from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
 
 
 def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteState:
@@ -48,10 +39,9 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     :func:`tritangle.measurement.collapse` reports that case as an
     impossible measurement outcome.
     """
-    _check_outcome(outcome)
+    slot = _slot(axis, outcome)
     g, d = state._pairs
-    pair = _SLICES[2 * axis.value + outcome](g)
-    return BipartiteState._from_checked_pairs(_OPS[state.backend], pair, d, state.scale2)
+    return BipartiteState._from_checked_pairs(_OPS[state.backend], _SLICES[slot](g), d, state.scale2)
 
 
 # -- one kernel on (re, im) pairs for both backends ---------------------------
@@ -61,17 +51,17 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
 # cancels, only in the backend's final division (``scalars._OPS``).
 
 
-def _entries_g(g):
-    """``(Det_g, dets)`` on the pairs g, each a ``(re, im)`` pair: the
-    hyperdeterminant, as the x-pencil discriminant of :func:`cayley_det`, and
-    the six slice determinants in ``SLICE_INDEX`` order, each computed once."""
-    dets = tuple([gauss_det2(g[p], g[q], g[r], g[s]) for p, q, r, s in SLICE_INDEX])
+def _entries_g(g, dets):
+    """Det_g on the pairs g as a ``(re, im)`` pair: the hyperdeterminant, as the
+    x-pencil discriminant of :func:`cayley_det`, whose end coefficients are the
+    first two of the six slice determinants ``dets`` (a state's kept
+    ``_slice_dets``), so that a state computes each of them once."""
     (r0, i0), (r1, i1), (r2, i2), (r3, i3), (r4, i4), (r5, i5), (r6, i6), (r7, i7) = g
     # beta = a000 a111 + a011 a100 - a001 a110 - a010 a101
     br = (r0 * r7 - i0 * i7) + (r3 * r4 - i3 * i4) - (r1 * r6 - i1 * i6) - (r2 * r5 - i2 * i5)
     bi = (r0 * i7 + i0 * r7) + (r3 * i4 + i3 * r4) - (r1 * i6 + i1 * r6) - (r2 * i5 + i2 * r5)
     (xr, xi), (yr, yi) = dets[0], dets[1]
-    return (br * br - bi * bi - 4 * (xr * yr - xi * yi), 2 * br * bi - 4 * (xr * yi + xi * yr)), dets
+    return br * br - bi * bi - 4 * (xr * yr - xi * yi), 2 * br * bi - 4 * (xr * yi + xi * yr)
 
 
 def cayley_det(state: TripartiteState):
@@ -88,7 +78,7 @@ def cayley_det(state: TripartiteState):
     norm2^2.  It is evaluated on the pairs g and divided by d^4.
     """
     g, d = state._pairs
-    (re, im), _ = _entries_g(g)
+    re, im = _entries_g(g, state._slice_dets)
     return _OPS[state.backend].scalar(re, im, d ** 4)
 
 
@@ -178,7 +168,8 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
     ops = _OPS[state.backend]
     div = ops.div
     g, d = state._pairs
-    (re, im), dets = _entries_g(g)
+    dets = state._slice_dets
+    re, im = _entries_g(g, dets)
     det2 = re * re + im * im
     if normalized:
         num, den = 1, state._weight * state._weight

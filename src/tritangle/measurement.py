@@ -18,7 +18,7 @@ from fractions import Fraction
 from .bipartite import gauss_concurrence2
 from .errors import ImpossibleOutcome
 from .scalars import _OPS, DEFAULT_EPS
-from .states import _SLICES, Axis, BipartiteState, TripartiteState, _check_outcome, _setattr, _Value
+from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
 
 
 class CollapseResult(_Value):
@@ -53,18 +53,23 @@ def collapse(
     checks with the state; only the residual's nonzero check runs, so a
     double zero slice that a negative eps lets through raises ValueError.
     """
-    _check_outcome(outcome)
+    slot = _slot(axis, outcome)
     ops = _OPS[state.backend]
     # scale2 / d^2 cancels from the probability and the concurrence on the
-    # pairs; the slice's weight is the residual's sum |g_n|^2, added left to
-    # right as ``sum`` adds it, so a double probability keeps every bit.
-    pair = _SLICES[2 * axis.value + outcome](state._pairs[0])
-    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = pair
-    weight = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1) + (r2 * r2 + i2 * i2) + (r3 * r3 + i3 * i3)
+    # pairs.  The slice's weight, the residual's sum |g_n|^2, adds the state's
+    # kept |g_n|^2 left to right in slice order, and its determinant is the
+    # state's kept one: C^2 = 4 |det|^2 / weight^2.
+    take = _SLICES[slot]
+    w0, w1, w2, w3 = take(state._abs2)
+    weight = w0 + w1 + w2 + w3
     prob = ops.div(weight, state._weight, "outcome probability")
     if ops.is_zero(prob, eps):
         raise ImpossibleOutcome(
             f"outcome {outcome} on qubit {axis.qubit} has probability 0"
         )
-    post = BipartiteState._from_checked_pairs(ops, pair, state._pairs[1], state.scale2)
-    return CollapseResult(prob, post, gauss_concurrence2(pair, weight, ops.div))
+    g, d = state._pairs
+    post = BipartiteState._from_checked_pairs(ops, take(g), d, state.scale2)
+    c2 = gauss_concurrence2(state._slice_dets[slot], weight, ops.div)
+    result = object.__new__(CollapseResult)  # its fields in one write, past __setattr__
+    result.__dict__.update(prob=prob, post_state=post, concurrence2=c2)
+    return result

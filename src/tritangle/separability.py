@@ -152,8 +152,10 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     requires every 2x2 minor (6 per flattening) to be zero, i.e. each
     flattening to have rank 1.  Evaluates nothing shared with the
     hyperdeterminant/sub-determinant path, so the two tests cross-check
-    each other.  A minor counts as zero when its squared modulus over
-    (sum |g_n|^2)^2 is, on the pairs g, where scale2 and d cancel.
+    each other: it reads neither the slice determinants nor the |g_n|^2 a
+    state keeps for them (``_slice_dets``, ``_abs2``).  A minor counts as
+    zero when its squared modulus over (sum |g_n|^2)^2 is, on the pairs g,
+    where scale2 and d cancel.
     """
     zero = _OPS[state.backend].is_zero
     g, n = state._pairs[0], state._weight

@@ -29,6 +29,16 @@ state, so they enter at the store step (``_PairValues._from_checked_pairs``)
 and only the residual's nonzero check runs.  ``hyperdet.classify`` keeps a
 state's normalized classification on the instance the same way.
 
+Values of the pairs are kept the same way, so that a state computes each
+once however it is classified and measured: ``_weight``, sum |g_n|^2;
+``_abs2``, the |g_n|^2 of each pair; and, on a three-qubit state,
+``_slice_dets``, the six slice determinants in SLICE_INDEX order.
+``classify`` and ``cayley_det`` read the determinants; ``collapse`` adds
+its slice's four ``_abs2`` values left to right for the slice weight and
+reads its slot's determinant for the residual's concurrence.  The
+independent oracles ``rank1_oracle`` and ``cayley_det_schlafli`` read
+neither ``_abs2`` nor ``_slice_dets``.
+
 States are immutable; all operations return new values.
 """
 
@@ -46,6 +56,7 @@ from .scalars import (
     _OPS,
     as_approx,
     as_exact,
+    gauss_det2,
     is_exact_scalar,
     is_fraction,
     over_lcm,
@@ -100,10 +111,16 @@ SLICE_INDEX = tuple(
 _SLICES = tuple(itemgetter(*index) for index in SLICE_INDEX)
 
 
-def _check_outcome(outcome: int) -> int:
-    if outcome not in (0, 1):
+def _slot(axis: Axis, outcome: int) -> int:
+    """The slot ``2 * axis + outcome`` of AXIS_OUTCOME_ORDER.  ``outcome``
+    must be an integer 0 or 1 (``True`` and ``False`` are); any other value,
+    a float such as 1.0 among them, raises ValueError.  An ``axis`` that is
+    not an :class:`Axis` raises AttributeError.
+    """
+    # 1.0 == 1, but a float cannot index the slot tables: it has no __index__.
+    if outcome not in (0, 1) or not hasattr(outcome, "__index__"):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
-    return outcome
+    return 2 * axis._value_ + outcome
 
 
 def _check_scale2(scale2, exact, finite):
@@ -183,9 +200,9 @@ class _PairValues(_Value):
     ``_from_pairs`` takes the pairs, and the values are built from them on
     first read.  Both paths check, in this order: the count, one backend,
     finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
-    unitary).  ``_from_checked_pairs`` is the store step of ``_from_pairs``,
-    for pairs and a scale2 that already passed its checks; it runs ``_check``
-    only.
+    unitary), to which the constructor passes the values.
+    ``_from_checked_pairs`` is the store step of ``_from_pairs``, for pairs
+    and a scale2 that already passed its checks; it runs ``_check`` only.
     """
 
     N_VALUES: int
@@ -201,7 +218,7 @@ class _PairValues(_Value):
             if is_exact_scalar(a) != exact:
                 raise BackendMismatch("values mix exact and double backends")
         _check_scale2(scale2, exact, exact or all(map(cmath.isfinite, values)))
-        self._check()
+        self._check(values)
 
     @classmethod
     def _from_pairs(cls, ops, g, d, scale2):
@@ -270,9 +287,10 @@ class _StateOps(_PairValues):
     def __init__(self, amps: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, amps, scale2)
 
-    def _check(self):
-        # On the amps if stored: an eager state keeps no pairs before a kernel reads them.
-        amps = self.__dict__.get("amps")
+    def _check(self, amps=None):
+        # On the amps the constructor passes: an eager state keeps no pairs
+        # before a kernel reads them.  Stored from its pairs, a state has no
+        # amps yet, and its instance dict is not made to look for them.
         if not (any(amps) if amps is not None else any(map(any, self._pairs[0]))):
             raise ValueError("the zero vector is not a state")
 
@@ -324,6 +342,20 @@ class TripartiteState(_StateOps):
 
     def amp(self, i: int, j: int, k: int):
         return self.amps[4 * i + 2 * j + k]
+
+    @_kept
+    def _abs2(self) -> tuple:
+        """|g_n|^2 = re^2 + im^2 of each pair, in basis order, for the slice
+        weights of ``collapse``.  Kept on the instance."""
+        return tuple([re * re + im * im for re, im in self._pairs[0]])
+
+    @_kept
+    def _slice_dets(self) -> tuple:
+        """The determinant c00 c11 - c01 c10 (``gauss_det2``) of each slice of
+        the pairs, as a ``(re, im)`` pair in SLICE_INDEX order: x0, x1, y0, y1,
+        z0, z1.  Kept on the instance."""
+        g = self._pairs[0]
+        return tuple([gauss_det2(g[p], g[q], g[r], g[s]) for p, q, r, s in SLICE_INDEX])
 
 
 class BipartiteState(_StateOps):

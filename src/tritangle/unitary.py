@@ -54,7 +54,7 @@ class Unitary2(_PairValues):
     def __init__(self, entries: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, entries, scale2)
 
-    def _check(self):
+    def _check(self, entries=None):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
         # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.

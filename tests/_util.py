@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from tritangle import (
     BipartiteState,
+    CollapseResult,
     EmptyState,
     Factorization,
     GaussianRational,
+    ImpossibleOutcome,
     KetExpr,
     KetSyntaxError,
     MixedArity,
@@ -22,7 +24,7 @@ from tritangle import (
     UnsupportedIrrational,
 )
 from tritangle.randstates import random_qubit_vector
-from tritangle.scalars import _OPS, gauss_det2, gauss_mul
+from tritangle.scalars import _OPS, DEFAULT_EPS, gauss_det2, gauss_mul
 from tritangle.separability import _COLUMN_PAIRS
 from tritangle.states import SLICE_INDEX
 from tritangle.tokenparser import _Parser
@@ -92,6 +94,26 @@ def brute_subdet2(state: TripartiteState, axis_name: str, outcome: int):
     mod2 = det.abs2() if isinstance(det, GaussianRational) else abs(det) ** 2
     n2 = state.norm2()
     return mod2 * state.scale2 * state.scale2 / (n2 * n2)
+
+
+def reference_collapse(state, axis, outcome, eps=DEFAULT_EPS):
+    """``collapse`` computed on the slice itself, reading no value the state
+    keeps but its pairs: the slice's weight added left to right from its four
+    |g_n|^2, the state's as ``sum`` adds its eight, C^2 = 4 |det|^2 /
+    weight^2 with det by ``gauss_det2`` of the slice, and the residual
+    through every check of ``_from_pairs``.  For doubles every step rounds
+    as ``collapse`` does, so the results agree bit for bit."""
+    ops = _OPS[state.backend]
+    g, d = state._pairs
+    pair = tuple(g[n] for n in _SLICE_INDEX[(axis.name.lower(), outcome)])
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = pair
+    weight = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1) + (r2 * r2 + i2 * i2) + (r3 * r3 + i3 * i3)
+    prob = ops.div(weight, sum(re * re + im * im for re, im in g), "outcome probability")
+    if ops.is_zero(prob, eps):
+        raise ImpossibleOutcome(f"outcome {outcome} on qubit {axis.qubit} has probability 0")
+    post = BipartiteState._from_pairs(ops, pair, d, state.scale2)
+    re, im = gauss_det2(*pair)
+    return CollapseResult(prob, post, ops.div(4 * (re * re + im * im), weight * weight, "concurrence^2"))
 
 
 def brute_display(state: TripartiteState, det_abs2, eps=0):

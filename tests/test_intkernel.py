@@ -3,8 +3,9 @@
 Exact states are classified, collapsed and measured for concurrence on
 their integer form (Gaussian-integer numerators over one common
 denominator).  ``classify`` and ``cayley_det`` read one kernel,
-``hyperdet._entries_g``, which takes the six slice determinants once and
-forms Det as the discriminant of the x-pencil from two of them.  These
+``hyperdet._entries_g``, which forms Det as the discriminant of the x-pencil
+from two of the six slice determinants a state computes once and keeps
+(``_slice_dets``).  These
 properties compare every exact path that runs on the integer form with a
 reference that does not: Cayley's expansion in the antipodal products
 (``_util.reference_cayley_g``), the discriminants of the x-, y- and
@@ -165,7 +166,8 @@ def pencil_discriminant(amps, axis):
 @given(kernel_states)
 def test_kernel_det_is_cayleys_expansion_on_ints(state):
     g, d = state._pairs
-    (re, im), dets = _entries_g(g)
+    dets = state._slice_dets
+    re, im = _entries_g(g, dets)
     assert (re, im) == reference_cayley_g(g)
     assert cayley_det(state) == GaussianRational(Fraction(re, d**4), Fraction(im, d**4))
     a = state.amps
@@ -195,7 +197,8 @@ def test_double_kernel_matches_cayleys_expansion(state):
     """
     g = state._pairs[0]
     n2 = state._weight * state._weight
-    (re, im), dets = _entries_g(g)
+    dets = state._slice_dets
+    re, im = _entries_g(g, dets)
     ref_re, ref_im = reference_cayley_g(g)
     assert abs(complex(re, im) - complex(ref_re, ref_im)) <= 1e-12 * n2
     if n2 * n2 and math.isfinite(n2 * n2):

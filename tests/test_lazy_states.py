@@ -20,6 +20,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,9 +34,12 @@ from tritangle import (
     TripartiteState,
     apply_local_2,
     apply_local_3,
+    cayley_det,
+    cayley_det_schlafli,
     classify,
     collapse,
     parse_state,
+    rank1_oracle,
     state_from_json,
     state_to_json,
     state_to_ket,
@@ -45,6 +49,7 @@ from tritangle.cli import _unitary_from_json
 from tritangle.randstates import (
     mixed_pool,
     random_antipodal_state,
+    random_approx_tripartite,
     random_exact_bipartite,
     random_generic_state,
     random_product_state,
@@ -171,6 +176,8 @@ _KEPT = [
     (TripartiteState, "amps", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
     (TripartiteState, "_pairs", lambda: TripartiteState.exact((1, 0, 0, 3, 0, 0, 0, 5))),
     (TripartiteState, "_weight", lambda: parse_state("2|000> - 4/3i|011>")),
+    (TripartiteState, "_abs2", lambda: parse_state("2|000> - 4/3i|011>")),
+    (TripartiteState, "_slice_dets", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
     (BipartiteState, "amps", lambda: parse_state("|00> + 1/2|11>")),
     (Unitary2, "entries", lambda: random_rational_unitary2(random.Random(3))),
     (Unitary2, "_pairs", lambda: Unitary2.approx([[0.6, 0.8], [-0.8, 0.6]])),
@@ -216,7 +223,55 @@ def test_a_state_that_kept_its_values_behaves_like_a_fresh_copy():
     # classify keeps its vector beside the kept values, and a fresh copy agrees.
     vec = classify(read)
     assert read.__dict__["_classification"] is vec and classify(read) is vec
+    assert "_slice_dets" in read.__dict__ and "_abs2" not in read.__dict__  # collapse builds it
     assert vec == classify(fresh()) and read.amps == fresh().amps
+
+
+def _kernel_states():
+    """Fresh states of both backends: entangled, separable and one with zero slices."""
+    exact = [
+        parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)"),
+        parse_state("(|001> + |010> + |100>)/sqrt(3)"),
+        parse_state("(|000> + |001>)/sqrt(2)"),
+        random_product_state(random.Random(4)),
+        random_generic_state(random.Random(5)),
+    ]
+    return exact + [s.to_approx() for s in exact] + [random_approx_tripartite(np.random.default_rng(11))]
+
+
+def test_slice_determinants_are_computed_once_per_state(monkeypatch):
+    kept = TripartiteState._slice_dets
+    func, calls = kept.func, []
+    monkeypatch.setattr(kept, "func", lambda state: calls.append(state) or func(state))
+    for state in _kernel_states():
+        calls.clear()
+        classify(state)
+        classify(state, normalized=False)
+        cayley_det(state)
+        for axis, outcome in AXIS_OUTCOME_ORDER:
+            try:
+                collapse(state, axis, outcome)
+            except ImpossibleOutcome:
+                pass
+        assert calls == [state]
+
+
+def test_the_oracles_read_no_kept_kernel_value(monkeypatch):
+    """rank1_oracle and cayley_det_schlafli share no arithmetic with classify
+    and collapse: they give their values with the kept |g_n|^2 and slice
+    determinants made unreadable."""
+    expected = [(rank1_oracle(s), cayley_det_schlafli(s)) for s in _kernel_states()]
+
+    def unreadable(state):
+        raise LookupError("a kept kernel value was read")
+
+    for name in ("_abs2", "_slice_dets"):
+        monkeypatch.setattr(getattr(TripartiteState, name), "func", unreadable)
+    for state, (oracle, det) in zip(_kernel_states(), expected):
+        assert rank1_oracle(state) == oracle
+        assert cayley_det_schlafli(state) == det
+        with pytest.raises(LookupError):  # the kernel path does read them
+            cayley_det(state)
 
 
 def test_threads_that_race_on_a_first_read_see_equal_values():

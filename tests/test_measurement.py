@@ -1,9 +1,12 @@
 """Single-qubit collapse: probabilities, residual entanglement, errors."""
 
 import math
+import pickle
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from tritangle import (
     GaussianRational,
     ImpossibleOutcome,
     TripartiteState,
+    classify,
     collapse,
     parse_state,
     state_to_ket,
@@ -22,11 +26,11 @@ from tritangle import (
     submatrix,
 )
 from tritangle.catalog import ghz_state, psi_state, w_state
-from tritangle.randstates import random_sparse_state
+from tritangle.randstates import random_approx_tripartite, random_sparse_state
 from tritangle.scalars import _OPS
 from tritangle.states import _SLICES
 
-from _util import exact_states
+from _util import exact_states, reference_collapse
 
 
 def test_ghz_collapse_is_separable():
@@ -118,6 +122,27 @@ def test_impossible_outcome():
         collapse(basis, Axis.X, 2)
 
 
+@pytest.mark.parametrize("outcome", [2, -1, 0.5, None, "0", 1.0, 0.0, Fraction(1), np.float64(0)])
+def test_outcome_must_be_the_integer_0_or_1(outcome):
+    """1.0 == 1, but a float outcome is refused as the other values are, not
+    let through to fail as a tuple index."""
+    message = re.escape(f"outcome must be 0 or 1, got {outcome}")
+    for measure in (collapse, submatrix):
+        with pytest.raises(ValueError, match=message):
+            measure(w_state(), Axis.X, outcome)
+
+
+def test_integer_outcomes_and_the_axis_check():
+    s = w_state()
+    for outcome in (True, np.int64(1)):
+        assert collapse(s, Axis.Y, outcome) == collapse(s, Axis.Y, 1)
+        assert submatrix(s, Axis.Y, outcome) == submatrix(s, Axis.Y, 1)
+    assert collapse(s, Axis.Z, False) == collapse(s, Axis.Z, 0)
+    for measure in (collapse, submatrix):
+        with pytest.raises(AttributeError):
+            measure(s, 0, 1)
+
+
 def test_impossible_outcome_approx():
     basis = TripartiteState.approx((1.0, 0, 0, 0, 0, 0, 0, 0))
     with pytest.raises(ImpossibleOutcome):
@@ -167,3 +192,60 @@ def test_residual_is_the_slice_that_from_pairs_stores(state, to_approx):
             assert type(residual.scale2) is type(expected.scale2)
             assert residual.amps == expected.amps
             assert residual == expected and hash(residual) == hash(expected)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values of one type; for doubles, equal bits (``repr`` of a
+    float round-trips)."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _check_collapses(state):
+    """Every collapse of ``state`` equals ``reference_collapse``: the same
+    probability and concurrence^2 to the bit for doubles, the same residual
+    pairs, or the same error."""
+    for axis, outcome in AXIS_OUTCOME_ORDER:
+        for eps in (1e-12, -1.0):
+            try:
+                expected = reference_collapse(state, axis, outcome, eps)
+            except (ImpossibleOutcome, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    collapse(state, axis, outcome, eps)
+                continue
+            got = collapse(state, axis, outcome, eps)
+            assert _same_bits(got.prob, expected.prob)
+            assert _same_bits(got.concurrence2, expected.concurrence2)
+            assert repr(got.post_state._pairs) == repr(expected.post_state._pairs)
+            assert _same_bits(got.post_state.scale2, expected.post_state.scale2)
+            assert got == expected and got.__dict__ == expected.__dict__
+
+
+_haar = st.integers(0, 2**32).map(lambda seed: random_approx_tripartite(np.random.default_rng(seed)))
+_kept_states = st.one_of(
+    _haar,
+    _exact_tripartite,
+    _exact_tripartite.map(lambda s: s.to_approx()),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_kept_states)
+def test_collapse_from_kept_values_matches_the_reference(state):
+    """collapse reads the slice weight and determinant the state keeps
+    (``_abs2``, ``_slice_dets``); in any order of classify and collapse, and
+    on a pickled copy that kept them, it gives the reference's results."""
+    blob = pickle.dumps(state)  # before any kept value is computed
+    fresh = pickle.loads(blob)
+    vec = classify(fresh)
+    assert "_slice_dets" in fresh.__dict__
+    _check_collapses(fresh)  # classify first
+    assert "_abs2" in fresh.__dict__
+
+    later = pickle.loads(blob)
+    _check_collapses(later)  # collapse first
+    assert classify(later) == vec
+
+    back = pickle.loads(pickle.dumps(fresh))
+    assert back.__dict__["_abs2"] == fresh._abs2
+    assert back.__dict__["_slice_dets"] == fresh._slice_dets
+    _check_collapses(back)
