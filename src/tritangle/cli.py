@@ -99,6 +99,8 @@ def _load_tripartite(args) -> TripartiteState:
                 raw = json.load(fh, parse_float=_json_float)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFileError(f"cannot read state file {args.json_state!r}: {exc}") from exc
+        except RecursionError as exc:  # nested deeper than the decoder goes
+            raise KetSyntaxError(f"bad state JSON: {exc}", 0) from exc
         try:
             state = state_from_json(raw)
         except NonFinite:
@@ -145,7 +147,10 @@ def _read_part(part, exact):
 def _unitary_from_json(text: str) -> Unitary2:
     from .unitary import Unitary2
 
-    obj = json.loads(text, parse_float=_json_float)
+    try:
+        obj = json.loads(text, parse_float=_json_float)
+    except RecursionError as exc:  # nested deeper than the decoder goes
+        raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
     if isinstance(obj, list):
         obj = {"matrix": obj}
     try:

@@ -20,12 +20,12 @@ divisor; when the radicals cannot share one (their ratios are not perfect
 squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 :class:`UnsupportedIrrational` rather than approximating.
 
-One reader takes valid text in one pass: ``_scan`` matches ``_PIECE`` once
-per term, and ``_sum_terms`` adds each term, as it is matched, into int sums
-per basis string over a running lcm denominator.  Text the patterns do not
-take whole (errors, non-ASCII text) goes to :mod:`tritangle.tokenparser`,
-imported only then: it raises :class:`KetSyntaxError` with the offset and
-the expected tokens, or hands its terms to the same ``_sum_terms``.
+One reader takes every valid text in one pass: ``_scan`` matches ``_PIECE``
+once per term, and ``_sum_terms`` adds each term, as it is matched, into int
+sums per basis string over a running lcm denominator.  Text the patterns do
+not take whole is malformed; it goes to :mod:`tritangle.tokenparser`,
+imported only then, which builds nothing and only raises
+:class:`KetSyntaxError` with the offset and the expected tokens.
 """
 
 from __future__ import annotations
@@ -74,9 +74,10 @@ class KetExpr(_Value):
 
 
 # -- the reader: one regex match per term -------------------------------------
-# The patterns follow tokenparser._tokenize's lexing: ASCII digits, whitespace
-# between any two tokens (also between the bits of a ket), and a letter run is
-# one word: no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize
+# The patterns follow tokenparser._tokenize's lexing: ASCII digits ('[0-9]'),
+# whitespace between any two tokens (also between the bits of a ket; '\s' is
+# str.isspace on every code point, U+2003 included), and a letter run is one
+# word: no pattern puts a letter next to 'i' or 'sqrt', so text _tokenize
 # rejects as an unknown word never matches.  Whitespace is read only after a
 # token that matched, so no two '\s*' meet and a long blank run costs linear
 # time.  The grammar needs one token of lookahead, so a match never depends on
@@ -106,8 +107,6 @@ def _scan(text: str, head: list):
     patterns take the whole text, then append the group coefficient and the
     divisor it puts on every term, ``(re, im, den, radical)``, to ``head``.
     Never raises: the token parser reports the text it passes on."""
-    if not text.isascii():
-        return
     group = None
     first = True  # the next piece may come without a sign
     pos = 0
@@ -204,13 +203,13 @@ def _read(text: str):
 
 
 def _sums(text: str):
-    """``(sums, d, divisor)`` of any text, see :func:`_sum_terms`."""
+    """``(sums, d, divisor)`` of valid text, see :func:`_sum_terms`; on text
+    the patterns do not take, the token parser raises where it fails."""
     found = _read(text)
-    if found is None:  # an error or non-ASCII text: the token parser reads it again
+    if found is None:
         from .tokenparser import _Parser
 
-        raw = _Parser(text).parse_expr()
-        found = _sum_terms(((*p, den, r, bits, off) for (p, den), r, bits, off in raw), [_ONE])
+        _Parser(text).parse_expr()
     return found
 
 

@@ -1,21 +1,20 @@
-"""The token parser for ket expressions: ``_tokenize`` and the
-recursive-descent ``_Parser`` over the grammar in :mod:`tritangle.ketparser`.
+"""The error reporter for ket expressions: ``_tokenize`` and the
+recursive-descent recognizer ``_Parser`` over the grammar in
+:mod:`tritangle.ketparser`.
 
-:func:`tritangle.ketparser.parse_state` reads valid text with compiled
-patterns and imports this module only for text those reject, to raise
-:class:`KetSyntaxError` with the character offset and the expected tokens.
-Valid text it reads (non-ASCII blanks) returns raw terms, which the reader
-sums as it sums its own.  The tests check the reader against this parser:
-on ASCII text the reader takes exactly the texts this parser accepts.
+:func:`tritangle.ketparser.parse_state` reads every valid text with
+compiled patterns and imports this module only for text those reject.  The
+recognizer builds no values: it walks the tokens and raises
+:class:`KetSyntaxError` with the character offset and the expected tokens
+where the text fails.  The tests check that it fails on exactly the texts
+the patterns reject.
 """
 
 from __future__ import annotations
 
 from .errors import KetSyntaxError
-from .scalars import gauss_mul
 
 _PUNCT = "()+-/*|>"
-_ONE = (((1, 0), 1), 1)  # the coefficient 1, as parse_coeff returns it
 
 
 def _tokenize(text: str):
@@ -64,6 +63,13 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def accept(self, *kinds) -> bool:
+        """Consume the next token if it is one of ``kinds``; say whether it was."""
+        if self.peek() in kinds:
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, kind, what=None):
         tok = self.tokens[self.pos]
         if tok[0] != kind:
@@ -83,47 +89,31 @@ class _Parser:
                 f"integer of {len(tok[1])} digits exceeds the int conversion limit", tok[2]
             ) from None
 
-    def parse_posint(self, what) -> int:
+    def parse_posint(self, what):
         tok = self.expect("int", what)
-        value = self.int_value(tok)
-        if value <= 0:
+        if self.int_value(tok) <= 0:
             raise KetSyntaxError(f"{what} must be positive", tok[2], (what,))
-        return value
 
-    def parse_sqrt_arg(self) -> int:
+    def parse_sqrt_arg(self):
         self.expect("sqrt", "sqrt")
         self.expect("(", "(")
-        value = self.parse_posint("sqrt argument")
+        self.parse_posint("sqrt argument")
         self.expect(")", ")")
-        return value
 
     def parse_coeff(self):
-        """Return (((re, im), den), radical n) meaning (re + i im) / den / sqrt(n)."""
-        numer = None
-        imag = False
+        """A coefficient; both callers see INT or 'i' next."""
         if self.peek() == "int":
-            numer = self.int_value(self.advance())
-        if self.peek() == "i":
-            self.advance()
-            imag = True
-        if numer is None and not imag:
-            tok = self.tokens[self.pos]
-            raise KetSyntaxError("expected a coefficient", tok[2], ("int", "i"))
-        numer = 1 if numer is None else numer
-        den = radical = 1
-        if self.peek() == "/":
-            self.advance()
+            self.int_value(self.advance())
+        imag = self.accept("i")
+        if self.accept("/"):
             if self.peek() == "sqrt":
-                radical = self.parse_sqrt_arg()
+                self.parse_sqrt_arg()
             else:
-                den = self.parse_posint("denominator")
-                if self.peek() == "i" and not imag:
-                    self.advance()
-                    imag = True
-                if self.peek() == "/":
-                    self.advance()
-                    radical = self.parse_sqrt_arg()
-        return ((0, numer) if imag else (numer, 0), den), radical
+                self.parse_posint("denominator")
+                if not imag:
+                    self.accept("i")
+                if self.accept("/"):
+                    self.parse_sqrt_arg()
 
     def parse_ket(self):
         pipe = self.expect("|", "|")
@@ -135,54 +125,39 @@ class _Parser:
             raise KetSyntaxError(f"basis labels must be bits, got |{bits}>", pipe[2])
         if len(bits) not in (2, 3):
             raise KetSyntaxError(f"kets must have 2 or 3 qubits, got |{bits}>", pipe[2])
-        return bits, pipe[2]
 
-    def parse_term(self, sign=1):
-        """One summand times ``sign``: optional coefficient, optional '*', a ket."""
-        ((re, im), den), radical = _ONE
+    def parse_term(self):
+        """One summand: optional coefficient, optional '*', a ket."""
         if self.peek() in ("int", "i"):
-            ((re, im), den), radical = self.parse_coeff()
-            if self.peek() == "*":
-                self.advance()
-        bits, off = self.parse_ket()
-        return ((sign * re, sign * im), den), radical, bits, off
+            self.parse_coeff()
+            self.accept("*")
+        self.parse_ket()
 
-    def parse_rest_of_sum(self, terms):
-        while self.peek() in ("+", "-"):
-            terms.append(self.parse_term(-1 if self.advance()[0] == "-" else 1))
-        return terms
+    def parse_rest_of_sum(self):
+        while self.accept("+", "-"):
+            self.parse_term()
 
     def parse_sum(self):
-        sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        return self.parse_rest_of_sum([self.parse_term(sign)])
+        self.accept("+", "-")
+        self.parse_term()
+        self.parse_rest_of_sum()
 
-    def parse_expr(self):
+    def parse_expr(self) -> None:
         """Top level: a parenthesized group with optional prefactor and
         trailing /sqrt(n), or a plain sum of terms."""
         had_coeff = self.peek() in ("int", "i")
-        group_coeff, group_radical = self.parse_coeff() if had_coeff else _ONE
-        if had_coeff and self.peek() == "*":
-            self.advance()
-        if self.peek() == "(":
-            self.advance()
-            terms = self.parse_sum()
+        if had_coeff:
+            self.parse_coeff()
+            self.accept("*")
+        if self.accept("("):
+            self.parse_sum()
             self.expect(")", ")")
-            divisor = 1
-            if self.peek() == "/":
-                self.advance()
-                divisor = self.parse_sqrt_arg()
-            g_pair, g_den = group_coeff
-            terms = [
-                ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
-                for (pair, den), r, bits, off in terms
-            ]
+            if self.accept("/"):
+                self.parse_sqrt_arg()
         elif had_coeff:
             # The coefficient belongs to the first term of a plain sum.
-            bits, off = self.parse_ket()
-            terms = self.parse_rest_of_sum([(group_coeff, group_radical, bits, off)])
+            self.parse_ket()
+            self.parse_rest_of_sum()
         else:
-            terms = self.parse_sum()
+            self.parse_sum()
         self.expect("end", "end of input")
-        return terms

@@ -390,9 +390,114 @@ def reference_ket(state):
     return reference_render(terms, divisor)
 
 
-# The ket reader as it was written in passes: the token parser's raw terms,
+# The ket reader as it was written in passes: a token parser's raw terms,
 # checked for one arity, folded over one common square-root divisor, summed
 # per basis string over the lcm of their denominators, and built.
+
+_ONE = (((1, 0), 1), 1)  # the coefficient 1, as parse_coeff returns it
+
+
+class TermParser(_Parser):
+    """The token parser as it was before it became the library's recognizer:
+    on the same tokens (``peek``, ``advance``, ``expect``), ``parse_expr()``
+    returns the raw terms ``(((re, im), den), radical, bits, off)``, each
+    times its sign and the group coefficient and divisor."""
+
+    def parse_posint(self, what) -> int:
+        tok = self.expect("int", what)
+        value = self.int_value(tok)
+        if value <= 0:
+            raise KetSyntaxError(f"{what} must be positive", tok[2], (what,))
+        return value
+
+    def parse_sqrt_arg(self) -> int:
+        self.expect("sqrt", "sqrt")
+        self.expect("(", "(")
+        value = self.parse_posint("sqrt argument")
+        self.expect(")", ")")
+        return value
+
+    def parse_coeff(self):
+        """Return (((re, im), den), radical n) meaning (re + i im) / den / sqrt(n)."""
+        numer = self.int_value(self.advance()) if self.peek() == "int" else 1
+        imag = False
+        if self.peek() == "i":
+            self.advance()
+            imag = True
+        den = radical = 1
+        if self.peek() == "/":
+            self.advance()
+            if self.peek() == "sqrt":
+                radical = self.parse_sqrt_arg()
+            else:
+                den = self.parse_posint("denominator")
+                if self.peek() == "i" and not imag:
+                    self.advance()
+                    imag = True
+                if self.peek() == "/":
+                    self.advance()
+                    radical = self.parse_sqrt_arg()
+        return ((0, numer) if imag else (numer, 0), den), radical
+
+    def parse_ket(self):
+        pipe = self.expect("|", "|")
+        bits = ""
+        while self.peek() == "int":
+            bits += self.advance()[1]
+        self.expect(">", ">")
+        if not all(b in "01" for b in bits):
+            raise KetSyntaxError(f"basis labels must be bits, got |{bits}>", pipe[2])
+        if len(bits) not in (2, 3):
+            raise KetSyntaxError(f"kets must have 2 or 3 qubits, got |{bits}>", pipe[2])
+        return bits, pipe[2]
+
+    def parse_term(self, sign=1):
+        """One summand times ``sign``: optional coefficient, optional '*', a ket."""
+        ((re, im), den), radical = _ONE
+        if self.peek() in ("int", "i"):
+            ((re, im), den), radical = self.parse_coeff()
+            if self.peek() == "*":
+                self.advance()
+        bits, off = self.parse_ket()
+        return ((sign * re, sign * im), den), radical, bits, off
+
+    def parse_rest_of_sum(self, terms):
+        while self.peek() in ("+", "-"):
+            terms.append(self.parse_term(-1 if self.advance()[0] == "-" else 1))
+        return terms
+
+    def parse_sum(self):
+        sign = 1
+        if self.peek() in ("+", "-"):
+            sign = -1 if self.advance()[0] == "-" else 1
+        return self.parse_rest_of_sum([self.parse_term(sign)])
+
+    def parse_expr(self):
+        had_coeff = self.peek() in ("int", "i")
+        group_coeff, group_radical = self.parse_coeff() if had_coeff else _ONE
+        if had_coeff and self.peek() == "*":
+            self.advance()
+        if self.peek() == "(":
+            self.advance()
+            terms = self.parse_sum()
+            self.expect(")", ")")
+            divisor = 1
+            if self.peek() == "/":
+                self.advance()
+                divisor = self.parse_sqrt_arg()
+            g_pair, g_den = group_coeff
+            terms = [
+                ((gauss_mul(pair, g_pair), den * g_den), r * group_radical * divisor, bits, off)
+                for (pair, den), r, bits, off in terms
+            ]
+        elif had_coeff:
+            # The coefficient belongs to the first term of a plain sum.
+            bits, off = self.parse_ket()
+            terms = self.parse_rest_of_sum([(group_coeff, group_radical, bits, off)])
+        else:
+            terms = self.parse_sum()
+        self.expect("end", "end of input")
+        return terms
 
 
 def _fold_radicals(raw_terms):
@@ -439,7 +544,7 @@ def _build_state(sums, d, divisor):
 
 def reference_parse_terms(text: str):
     """``(sums, d, divisor)`` of the token parser's raw terms, in passes."""
-    raw_terms = _Parser(text).parse_expr()
+    raw_terms = TermParser(text).parse_expr()
     arity = len(raw_terms[0][2])
     for _, _, bits, off in raw_terms:
         if len(bits) != arity:

@@ -247,6 +247,17 @@ def test_json_state_malformed_exit2(tmp_path, capsys):
     assert code == 2
 
 
+def test_deeply_nested_json_exit2(tmp_path, capsys):
+    """JSON nested past the decoder's depth limit is bad JSON, not a crash."""
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = run(capsys, ["classify", "--json-state", str(path)])
+    assert code == 2 and out == "" and "bad state JSON" in err
+    code, out, err = run(capsys, ["transform", "|000>", "--u1", deep])
+    assert code == 2 and out == "" and "bad unitary JSON" in err
+
+
 def test_no_expression_exit2(capsys):
     code, _, err = run(capsys, ["classify"])
     assert code == 2

@@ -26,10 +26,10 @@ from tritangle import (
 )
 from tritangle.ketparser import _read
 from tritangle.scalars import _OPS
-from tritangle.tokenparser import _Parser
 
 from _util import (
     BIG,
+    TermParser,
     exact_states,
     reference_ket,
     reference_parse,
@@ -295,8 +295,10 @@ def test_terms_that_cancel_are_empty(text):
 
 # -- the one-pass reader against the token parser -------------------------------
 
-_BLANKS = st.sampled_from(("", "", " ", "\t", "\n", "\x1c", "  "))
-_MUTATION_CHARS = "0123456789+-*/()|<>isqrtx \t\x1c"
+_BLANKS = st.sampled_from(("", "", " ", "\t", "\n", "\x1c", "  ", "\u2003", "\u00a0", "\u3000"))
+# Characters outside ASCII: the tokenizer's isalpha() takes 'ä' into a word,
+# and '٣', '²', '１' and 'Ⅰ' are digits or numerals that neither reader takes.
+_MUTATION_CHARS = "0123456789+-*/()|<>isqrtx \t\x1cä٣²１Ⅰ\u2003"
 
 
 @st.composite
@@ -358,18 +360,19 @@ def grammar_texts(draw):
 
 def _token_parse(text):
     try:
-        return _Parser(text).parse_expr()
+        return TermParser(text).parse_expr()
     except KetSyntaxError:
         return None
 
 
 def _outcome(read, text):
     """What ``read(text)`` gives: a state as its class, integer form and
-    scale2, an error as its class, message and offset, anything else as is."""
+    scale2, an error as its class, message, offset and expected tokens,
+    anything else as is."""
     try:
         value = read(text)
     except TritangleError as exc:
-        return type(exc), str(exc), getattr(exc, "offset", None)
+        return type(exc), str(exc), getattr(exc, "offset", None), getattr(exc, "expected", None)
     if isinstance(value, (TripartiteState, BipartiteState)):
         return type(value), value.integer_form, value.scale2
     return value
@@ -380,8 +383,8 @@ def _outcome(read, text):
 def test_scanner_reads_what_the_token_parser_reads(text):
     """``parse_state`` and ``parse`` give what the token parser's raw terms
     give when checked, folded, merged and built in passes, or the same error.
-    On ASCII text the one-pass reader takes exactly the texts the token
-    parser accepts, and gives the same sums or raises the same error."""
+    The one-pass reader takes exactly the texts the token parser accepts,
+    and gives the same sums or raises the same error."""
     assert _outcome(parse_state, text) == _outcome(reference_parse_state, text)
     assert _outcome(parse, text) == _outcome(reference_parse, text)
     accepted = _token_parse(text) is not None
@@ -405,13 +408,20 @@ def test_scanner_reads_what_the_token_parser_reads(text):
         "|0000>",
         "ii|00>",
         "2 sqrtx(2)|00>",
-        "1/2\u2003|00>",  # whitespace to the token parser, not ASCII
+        "1/2ä|00>",  # a letter outside ASCII is a word to the token parser
+        "1/２|00>",  # a digit outside ASCII is no INT
         "{}|000>".format("1" * 5000),  # past the int digit limit
         "(|000>+|111>)/sqrt({})".format("1" * 5000),
     ],
 )
 def test_scanner_passes_on_what_it_does_not_take(text):
     assert _read(text) is None
+
+
+@pytest.mark.parametrize("text", ["1/2\u2003|00>", "(|000>\u00a0+\u30002/4|111>)/sqrt(2)"])
+def test_scanner_takes_blanks_outside_ascii(text):
+    read = _read(text)
+    assert read is not None and read == reference_parse_terms(text)
 
 
 @settings(deadline=None)

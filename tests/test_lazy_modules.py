@@ -18,7 +18,8 @@ PARSE = {"cli", "errors", "ketparser", "scalars", "states"}
 #: Classification and the separability decision.
 DECIDE = {"hyperdet", "separability"}
 #: The ``tritangle.*`` modules each command loads; the token parser only
-#: reads text the compiled patterns reject.
+#: reports where text the compiled patterns reject fails, and the patterns
+#: take blanks outside ASCII.
 LOADED = {
     "classify": PARSE | DECIDE,
     "classify-float": PARSE | DECIDE,
@@ -29,8 +30,13 @@ LOADED = {
     "table": PARSE | DECIDE | {"catalog"},
     "random": PARSE | DECIDE | {"randstates"},
     "malformed": PARSE | {"tokenparser"},
+    "non-ascii": PARSE | DECIDE,
 }
-ARGV = dict(COMMANDS, malformed=["classify", "|000> +"])
+ARGV = {
+    **COMMANDS,
+    "malformed": ["classify", "|000> +"],
+    "non-ascii": ["classify", "(|000>\u2003+ |111>)/sqrt(2)"],
+}
 
 
 def loaded_after(argv):
