@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import _OPS, DEFAULT_EPS, gauss_det2
+from .scalars import DEFAULT_EPS, gauss_det2
 from .states import BipartiteState
 
 
@@ -27,7 +27,7 @@ def det2(state: BipartiteState):
     """
     g, d = state._pairs
     re, im = gauss_det2(*g)
-    return _OPS[state.backend].scalar(re, im, d * d)
+    return state._ops.scalar(re, im, d * d)
 
 
 def gauss_concurrence2(det: tuple, total, div):
@@ -49,7 +49,7 @@ def concurrence2(state: BipartiteState):
     pairs (g, d) scale2 and d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.
     """
     det = gauss_det2(*state._pairs[0])
-    return gauss_concurrence2(det, state._weight, _OPS[state.backend].div)
+    return gauss_concurrence2(det, state._weight, state._ops.div)
 
 
 def concurrence(state: BipartiteState) -> float:
@@ -64,4 +64,4 @@ def is_separable_bipartite(state: BipartiteState, eps: float = DEFAULT_EPS) -> b
     normalized squared determinant |det|^2 / norm2^2 = C^2 / 4 must not
     exceed eps.
     """
-    return _OPS[state.backend].is_zero(concurrence2(state), 4 * eps)
+    return state._ops.is_zero(concurrence2(state), 4 * eps)

@@ -43,10 +43,11 @@ from .errors import (
     ZeroScale,
 )
 from .ketparser import parse_state, state_to_ket
-from .scalars import _OPS, DEFAULT_EPS, GaussianRational, over_lcm
+from .scalars import DEFAULT_EPS, GaussianRational, _DoubleOps, _ExactOps, over_lcm
 from .states import (
     Axis,
     TripartiteState,
+    _clip,
     _json_float,
     _json_part,
     state_from_json,
@@ -136,10 +137,10 @@ def _read_part(part, exact):
     try:
         value = num / den
     except OverflowError:
-        raise NonFinite(f"the text cell part {text.strip()!r} is beyond the double range") from None
+        raise NonFinite(f"the text cell part {_clip(repr(text.strip()))} is beyond the double range") from None
     if num and not value:
         raise NonFinite(
-            f"the text cell part {text.strip()!r} is below the double range: it reads as 0.0"
+            f"the text cell part {_clip(repr(text.strip()))} is below the double range: it reads as 0.0"
         )
     return value
 
@@ -169,21 +170,21 @@ def _unitary_from_json(text: str) -> Unitary2:
                 if isinstance(cell, str):
                     parts = cell.split(",")
                     if len(parts) > 2:
-                        raise ValueError(f"cell {cell!r} has more than one comma")
+                        raise ValueError(f"cell {_clip(repr(cell))} has more than one comma")
                     cells.append([(part, _json_part(part, True)) for part in (parts + ["0"])[:2]])
                     continue
                 if not isinstance(cell, list):
                     cell = [cell, 0]
                 elif len(cell) != 2:
-                    raise ValueError(f"cell {cell!r} is not one [re, im] pair")
+                    raise ValueError(f"cell {_clip(repr(cell))} is not one [re, im] pair")
                 cells.append(cell)
                 exact = exact and not any(isinstance(v, float) for v in cell)
         g = [tuple(_read_part(part, exact) for part in cell) for cell in cells]
         try:
-            value = Fraction(str(root)) if exact else _json_part(root, False)
+            value = Fraction(*_json_part(root, True)) if exact else _json_part(root, False)
             scale2 = 1 / value
         except ZeroDivisionError:
-            raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
+            raise ValueError(f"sqrt_scale2 must be nonzero, got {_clip(repr(root))}") from None
     except NonFinite:  # a ValueError, but a number below the double range exits 3
         raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
@@ -195,8 +196,8 @@ def _unitary_from_json(text: str) -> Unitary2:
             f"sqrt_scale2 reads as the double {value}, not a finite number in the double range"
         )
     if exact:
-        return Unitary2._from_pairs(_OPS["exact"], *over_lcm(g), scale2)
-    return Unitary2._from_pairs(_OPS["approx"], tuple(g), 1, scale2)
+        return Unitary2._from_pairs(_ExactOps, *over_lcm(g), scale2)
+    return Unitary2._from_pairs(_DoubleOps, tuple(g), 1, scale2)
 
 
 def _classification_record(state, eps):
@@ -303,16 +304,10 @@ def cmd_transform(args) -> int:
     from .unitary import Unitary2, apply_local_3
 
     state = _load_tripartite(args)
-    backend = state.backend
     units = []
     for text in (args.u1, args.u2, args.u3):
-        if text is None:
-            units.append(Unitary2.identity(backend))
-        else:
-            u = _unitary_from_json(text)
-            if backend == "approx":
-                u = u.to_approx()
-            units.append(u)
+        u = Unitary2.identity(state.backend) if text is None else _unitary_from_json(text)
+        units.append(u.to_approx() if state.backend == "approx" else u)
     out = apply_local_3(state, *units)
     record = {"state": state_to_json(out)}
     if out.backend == "exact":

@@ -20,11 +20,9 @@ float display layer.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 
-from .errors import NonFinite
-from .scalars import _OPS, DEFAULT_EPS, is_fraction
+from .scalars import DEFAULT_EPS, _DoubleOps, _ExactOps, is_fraction
 from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
 
 
@@ -41,14 +39,14 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     """
     slot = _slot(axis, outcome)
     g, d = state._pairs
-    return BipartiteState._from_checked_pairs(_OPS[state.backend], _SLICES[slot](g), d, state.scale2)
+    return BipartiteState._from_checked_pairs(state._ops, _SLICES[slot](g), d, state.scale2)
 
 
 # -- one kernel on (re, im) pairs for both backends ---------------------------
 #
 # Every quantity below is a homogeneous polynomial in the amplitudes, so it is
 # evaluated on the pairs g over d of ``state._pairs``, and d is put back, or
-# cancels, only in the backend's final division (``scalars._OPS``).
+# cancels, only in the final division by the state's ops (``state._ops``).
 
 
 def _entries_g(g, dets):
@@ -79,7 +77,7 @@ def cayley_det(state: TripartiteState):
     """
     g, d = state._pairs
     re, im = _entries_g(g, state._slice_dets)
-    return _OPS[state.backend].scalar(re, im, d ** 4)
+    return state._ops.scalar(re, im, d ** 4)
 
 
 def cayley_det_schlafli(state: TripartiteState):
@@ -96,12 +94,7 @@ def cayley_det_schlafli(state: TripartiteState):
     alpha = a000 * a110 - a010 * a100
     gamma = a001 * a111 - a011 * a101
     beta = a000 * a111 + a001 * a110 - a010 * a101 - a011 * a100
-    det = beta * beta - 4 * alpha * gamma
-    if state.backend == "approx" and not cmath.isfinite(det):
-        raise NonFinite(
-            f"double-backend hyperdeterminant is {det}: the values overflow the double range"
-        )
-    return det
+    return state._ops.finite(beta * beta - 4 * alpha * gamma, "hyperdeterminant")
 
 
 def sub_concurrences2(state: TripartiteState) -> tuple:
@@ -119,7 +112,7 @@ class ClassificationVector(_Value):
     ``det_abs2`` is |Det|^2 and ``sub2`` the six squared sub-concurrences
     (order x0, x1, y0, y1, z0, z1), all for the normalized state when
     ``computed_on_normalized`` is set.  Rational in the exact backend,
-    floats in the approx backend.
+    floats in the approx backend; ``_ops`` is their backend's ops.
     """
 
     _FIELDS = ("det_abs2", "sub2", "computed_on_normalized")
@@ -130,6 +123,7 @@ class ClassificationVector(_Value):
         _setattr(self, "det_abs2", det_abs2)
         _setattr(self, "sub2", sub2)
         _setattr(self, "computed_on_normalized", computed_on_normalized)
+        _setattr(self, "_ops", _ExactOps if is_fraction(det_abs2) else _DoubleOps)
 
     def values2(self) -> tuple:
         """All seven squared entries, hyperdeterminant first."""
@@ -137,11 +131,11 @@ class ClassificationVector(_Value):
 
     @property
     def backend(self) -> str:
-        return "exact" if is_fraction(self.det_abs2) else "approx"
+        return self._ops.backend
 
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """True when every entry vanishes (exactly, or at most eps)."""
-        zero = _OPS[self.backend].is_zero
+        zero = self._ops.is_zero
         return zero(self.det_abs2, eps) and all(zero(v, eps) for v in self.sub2)
 
 
@@ -165,7 +159,7 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
         kept = state.__dict__.get("_classification")
         if kept is not None:
             return kept
-    ops = _OPS[state.backend]
+    ops = state._ops
     div = ops.div
     g, d = state._pairs
     dets = state._slice_dets
@@ -179,11 +173,11 @@ def classify(state: TripartiteState, normalized: bool = True) -> ClassificationV
         # With scale2 = s / q, an exact entry is divided on ints.
         s, q = ops.ratio(state.scale2)
         num, den = s * s, (q * d * d) ** 2
-    vec = ClassificationVector(
-        div(det2 * num * num, den * den, "classification entry"),
-        tuple([div((r * r + i * i) * num, den, "classification entry") for r, i in dets]),
-        computed_on_normalized=normalized,
-    )
+    vec = object.__new__(ClassificationVector)  # the constructor's fields, and the state's ops
+    vec.__dict__.update(
+        det_abs2=div(det2 * num * num, den * den, "classification entry"),
+        sub2=tuple([div((r * r + i * i) * num, den, "classification entry") for r, i in dets]),
+        computed_on_normalized=normalized, _ops=ops)
     if normalized:
         state.__dict__["_classification"] = vec
     return vec
@@ -196,11 +190,11 @@ def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tu
     entry reads 1), otherwise by the largest sub-concurrence (so the
     largest surviving entry reads 1), otherwise returns all zeros.  The
     result is a 7-tuple of floats; the leading entry is always 0 or 1.
-    Each root is taken by ``scalars._OPS[backend].sqrt_ratio``: a nonzero
+    Each root is taken by the vector's ``_ops.sqrt_ratio``: a nonzero
     exact entry never reads 0.0, and one whose root lies beyond the double
     range raises :class:`NonFinite`.
     """
-    ops = _OPS[vec.backend]
+    ops = vec._ops
     zero = ops.is_zero
     if not zero(vec.det_abs2, eps):
         div2 = vec.det_abs2

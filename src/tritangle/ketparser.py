@@ -36,10 +36,9 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import EmptyState, MixedArity, UnsupportedIrrational
-from .scalars import _OPS, gauss_mul
+from .scalars import _ExactOps, gauss_mul
 from .states import BipartiteState, TripartiteState, _setattr, _Value
 
-_EXACT = _OPS["exact"]
 _ONE = (1, 0, 1, 1)  # no group: the coefficient 1 and no divisor
 _UNIT = Fraction(1)
 #: Amplitude index of each basis string; ``|bits>`` and ``i|bits>`` per amplitude.
@@ -219,7 +218,7 @@ def _state(sums, d, divisor):
     for bits, pair in sums.items():
         g[_INDEX[bits]] = pair
     cls = TripartiteState if len(g) == 8 else BipartiteState
-    return cls._from_pairs(_EXACT, tuple(g), d, _UNIT if divisor == 1 else Fraction(1, divisor))
+    return cls._from_pairs(_ExactOps, tuple(g), d, _UNIT if divisor == 1 else Fraction(1, divisor))
 
 
 def parse(text: str) -> KetExpr:
@@ -230,13 +229,13 @@ def parse(text: str) -> KetExpr:
     :class:`EmptyState` that applies; never anything else, for any string.
     """
     sums, d, divisor = _sums(text)
-    terms = tuple((_EXACT.scalar(re, im, d), bits) for bits, (re, im) in sums.items())
+    terms = tuple((_ExactOps.scalar(re, im, d), bits) for bits, (re, im) in sums.items())
     return KetExpr(terms, divisor)
 
 
 def to_state(expr: KetExpr):
     """Build the exact state a :class:`KetExpr` denotes."""
-    g, d = _EXACT.pairs([coeff for coeff, _ in expr.terms])
+    g, d = _ExactOps.pairs([coeff for coeff, _ in expr.terms])
     terms = ((re, im, d, 1, bits, 0) for (re, im), (_, bits) in zip(g, expr.terms))
     return _state(*_sum_terms(terms, [(1, 0, 1, expr.global_divisor)]))
 
@@ -266,7 +265,7 @@ def _render(g, d, labels, divisor: int, mult: int = 1) -> str:
 
 def render(expr: KetExpr) -> str:
     """Canonical text for an expression; reparses to the same state."""
-    g, d = _EXACT.pairs([coeff for coeff, _ in expr.terms])
+    g, d = _ExactOps.pairs([coeff for coeff, _ in expr.terms])
     labels = [f"{unit}|{bits}>" for _, bits in expr.terms for unit in ("", "i")]
     return _render(g, d, labels, expr.global_divisor)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .bipartite import gauss_concurrence2
 from .errors import ImpossibleOutcome
-from .scalars import _OPS, DEFAULT_EPS
+from .scalars import DEFAULT_EPS
 from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
 
 
@@ -54,7 +54,7 @@ def collapse(
     double zero slice that a negative eps lets through raises ValueError.
     """
     slot = _slot(axis, outcome)
-    ops = _OPS[state.backend]
+    ops = state._ops
     # scale2 / d^2 cancels from the probability and the concurrence on the
     # pairs.  The slice's weight, the residual's sum |g_n|^2, adds the state's
     # kept |g_n|^2 left to right in slice order, and its determinant is the

@@ -24,13 +24,12 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import _OPS, gauss_mul, over_lcm
+from .scalars import _ExactOps, gauss_mul, over_lcm
 from .states import BipartiteState, TripartiteState
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
 
-_EXACT = _OPS["exact"]
 
 POOL_WEIGHTS = (
     ("product", 0.30),
@@ -60,13 +59,13 @@ def _nonzero_draws(rng, n, span=4):
 
 
 def _exact_state(cls, parts):
-    return cls._from_pairs(_EXACT, *over_lcm(parts), Fraction(1))
+    return cls._from_pairs(_ExactOps, *over_lcm(parts), Fraction(1))
 
 
 def random_qubit_vector(rng: random.Random) -> tuple:
     """A nonzero pair of small Gaussian rationals."""
     g, d = over_lcm(_nonzero_draws(rng, 2))
-    return tuple(_EXACT.scalar(re, im, d) for re, im in g)
+    return tuple(_ExactOps.scalar(re, im, d) for re, im in g)
 
 
 def random_product_state(rng: random.Random) -> TripartiteState:
@@ -74,7 +73,7 @@ def random_product_state(rng: random.Random) -> TripartiteState:
     integer forms: a_ijk = gx_i gy_j gz_k / (dx dy dz)."""
     (gx, dx), (gy, dy), (gz, dz) = (over_lcm(_nonzero_draws(rng, 2)) for _ in range(3))
     g = tuple(gauss_mul(gauss_mul(x, y), z) for x in gx for y in gy for z in gz)
-    return TripartiteState._from_pairs(_EXACT, g, dx * dy * dz, Fraction(1))
+    return TripartiteState._from_pairs(_ExactOps, g, dx * dy * dz, Fraction(1))
 
 
 def random_generic_state(rng: random.Random) -> TripartiteState:

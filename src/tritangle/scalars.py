@@ -217,10 +217,6 @@ def as_approx(value) -> complex:
     return complex(value)
 
 
-def is_exact_scalar(value) -> bool:
-    return isinstance(value, GaussianRational)
-
-
 def is_fraction(value) -> bool:
     """``isinstance(value, Fraction)``, deciding a float or a Fraction on its
     concrete type: for a float the ABC test costs about ten times as much."""
@@ -243,7 +239,7 @@ def abs2(value):
 
 def require_finite(value, what: str):
     """Return a double-backend result; raise NonFinite if it overflowed to inf/NaN."""
-    if not math.isfinite(value):
+    if not cmath.isfinite(value):
         raise NonFinite(f"double-backend {what} is {value}: the values overflow the double range")
     return value
 
@@ -279,14 +275,18 @@ def over_lcm(parts) -> tuple:
 #
 # Both backends run one formula per quantity on (re, im) pairs over a
 # denominator d.  They differ only in where the pairs come from, how a result
-# is divided, how zero is tested and how a display root is taken; each public
-# function looks up _OPS once.
+# is divided, how zero is tested and how a display root is taken.  Each value
+# carries its backend's ops class from construction, as ``_ops``.
 
 
 class _ExactOps:
     """Gaussian-integer pairs over their common denominator, Fraction results, exact zero."""
 
     backend = "exact"
+
+    @staticmethod
+    def finite(value, what):  # an exact result cannot overflow
+        return value
 
     @staticmethod
     def pairs(values):
@@ -365,6 +365,7 @@ class _DoubleOps:
     """Float pairs over d = 1, checked float division, zero within eps."""
 
     backend = "approx"
+    finite = staticmethod(require_finite)
 
     @staticmethod
     def pairs(values):
@@ -396,10 +397,7 @@ class _DoubleOps:
 
     @staticmethod
     def scalar(re, im, den):
-        z = complex(re / den, im / den)
-        if not cmath.isfinite(z):
-            raise NonFinite(f"double-backend value is {z}: the values overflow the double range")
-        return z
+        return require_finite(complex(re / den, im / den), "value")
 
     @staticmethod
     def sqrt_ratio(v, w):
@@ -415,3 +413,10 @@ class _DoubleOps:
 
 
 _OPS = {"exact": _ExactOps, "approx": _DoubleOps}
+
+
+def _ops_named(backend):
+    """The ops of a backend named in text, ``"exact"`` or ``"approx"``."""
+    if backend not in ("exact", "approx"):
+        raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
+    return _OPS[backend]

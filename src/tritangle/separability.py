@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import _OPS, DEFAULT_EPS, abs2, gauss_det2, gauss_mul
+from .scalars import DEFAULT_EPS, _ExactOps, abs2, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
 
 
@@ -118,11 +118,10 @@ def _extract_exact(state: TripartiteState) -> Factorization:
     # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
     sr, si = g[star]
     norm = sr * sr + si * si
-    scalar = _OPS["exact"].scalar
 
     def ratio(n):
         re, im = gauss_mul(g[n], (sr, -si))
-        return scalar(re, im, norm)
+        return _ExactOps.scalar(re, im, norm)
 
     amps = state.amps
     fx = (amps[star & 3], amps[4 | (star & 3)])
@@ -157,7 +156,7 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     zero when its squared modulus over (sum |g_n|^2)^2 is, on the pairs g,
     where scale2 and d cancel.
     """
-    zero = _OPS[state.backend].is_zero
+    zero = state._ops.is_zero
     g, n = state._pairs[0], state._weight
     for p, q, r, s in _MINORS:
         re, im = gauss_det2(g[p], g[q], g[r], g[s])

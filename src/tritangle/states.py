@@ -14,8 +14,8 @@ floats over d = 1.  Classification in ``hyperdet``, the decision and rank-1
 oracle in ``separability``, local unitaries and the unitarity check in
 ``unitary``, concurrence and product test in ``bipartite``, collapse in
 ``measurement`` and the norm here run one formula on either; the backends
-differ only in the pairs, the division of a result and the zero test
-(``scalars._OPS``).
+differ only in the pairs, the division of a result and the zero test: the
+methods of the ``scalars`` ops class that a value carries as ``_ops``.
 
 The parser, local unitaries, ``state_from_json``, ``to_approx`` and every
 exact ``randstates`` generator build states from their pairs, and the
@@ -53,11 +53,13 @@ from operator import itemgetter
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
 from .scalars import (
-    _OPS,
+    GaussianRational,
+    _DoubleOps,
+    _ExactOps,
+    _ops_named,
     as_approx,
     as_exact,
     gauss_det2,
-    is_exact_scalar,
     is_fraction,
     over_lcm,
     ratio_str,
@@ -123,8 +125,9 @@ def _slot(axis: Axis, outcome: int) -> int:
     return 2 * axis._value_ + outcome
 
 
-def _check_scale2(scale2, exact, finite):
-    """The checks on scale2, given whether the values are exact and finite."""
+def _check_scale2(scale2, ops, finite):
+    """The checks on scale2, given the values' ops and whether they are finite."""
+    exact = ops is _ExactOps
     if exact != is_fraction(scale2):
         raise BackendMismatch("scale2 backend must match the values")
     if not exact and not (finite and math.isfinite(scale2)):
@@ -195,8 +198,8 @@ class _Value:
 
 class _PairValues(_Value):
     """Shared by states and unitaries: ``N_VALUES`` values of one backend, a
-    squared prefactor ``scale2`` and the pairs ``(g, d)``, value_n = (g_n[0] +
-    i g_n[1]) / d, that the kernels read.  The constructor takes the values;
+    squared prefactor ``scale2``, their ``_ops`` and the pairs ``(g, d)``, value_n
+    = g_n / d, that the kernels read.  The constructor picks ``_ops`` by type;
     ``_from_pairs`` takes the pairs, and the values are built from them on
     first read.  Both paths check, in this order: the count, one backend,
     finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
@@ -213,11 +216,13 @@ class _PairValues(_Value):
         _setattr(self, "scale2", scale2)
         if len(values) != self.N_VALUES:
             raise ValueError(f"expected {self.N_VALUES} values, got {len(values)}")
-        exact = is_exact_scalar(values[0])
+        exact = isinstance(values[0], GaussianRational)
         for a in values:
-            if is_exact_scalar(a) != exact:
+            if isinstance(a, GaussianRational) != exact:
                 raise BackendMismatch("values mix exact and double backends")
-        _check_scale2(scale2, exact, exact or all(map(cmath.isfinite, values)))
+        ops = _ExactOps if exact else _DoubleOps
+        _setattr(self, "_ops", ops)
+        _check_scale2(scale2, ops, exact or all(map(cmath.isfinite, values)))
         self._check(values)
 
     @classmethod
@@ -228,8 +233,7 @@ class _PairValues(_Value):
         """
         if len(g) != cls.N_VALUES:
             raise ValueError(f"expected {cls.N_VALUES} values, got {len(g)}")
-        exact = ops.backend == "exact"
-        _check_scale2(scale2, exact, exact or all(map(math.isfinite, chain.from_iterable(g))))
+        _check_scale2(scale2, ops, ops is _ExactOps or all(map(math.isfinite, chain.from_iterable(g))))
         return cls._from_checked_pairs(ops, g, d, scale2)
 
     @classmethod
@@ -242,18 +246,19 @@ class _PairValues(_Value):
         """
         built = object.__new__(cls)
         _setattr(built, "scale2", scale2)  # no instance dict yet: ~100 B less
+        _setattr(built, "_ops", ops)
         _setattr(built, "_pairs", ops.reduce(g, d))
         built._check()
         return built
 
     @property
     def backend(self) -> str:
-        return "exact" if is_fraction(self.scale2) else "approx"
+        return self._ops.backend
 
     def to_approx(self):
         """Explicit one-way conversion to the double backend: each double is
         ``part / d`` on the kept pairs, the correctly rounded ``float(Fraction(part, d))``."""
-        if self.backend == "approx":
+        if self._ops is _DoubleOps:
             return self
         g, d = self._pairs
         try:
@@ -262,19 +267,19 @@ class _PairValues(_Value):
             raise NonFinite("an exact value is beyond the double range") from exc
         if not scale2:
             raise NonFinite("scale2 is below the double range: it converts to 0.0")
-        return type(self)._from_pairs(_OPS["approx"], pairs, 1, scale2)
+        return type(self)._from_pairs(_DoubleOps, pairs, 1, scale2)
 
     def _values(self) -> tuple:
         """Read on a value built from its pairs: the values, built once and kept."""
         g, d = self._pairs
-        scalar = _OPS[self.backend].scalar
+        scalar = self._ops.scalar
         return tuple(scalar(re, im, d) for re, im in g)
 
     @_kept
     def _pairs(self) -> tuple:
         """``(g, d)``, value_n = (g_n[0] + i g_n[1]) / d: the integer form, or
         a double value's own (real, imag) floats over d = 1.  Kept on the instance."""
-        return _OPS[self.backend].pairs(getattr(self, self._FIELD))
+        return self._ops.pairs(getattr(self, self._FIELD))
 
 
 class _StateOps(_PairValues):
@@ -323,13 +328,13 @@ class _StateOps(_PairValues):
     def norm2(self):
         """Squared norm, scale2 * sum of squared amplitude moduli."""
         d = self._pairs[1]
-        ops = _OPS[self.backend]
+        ops = self._ops
         s, q = ops.ratio(self.scale2)
         return ops.div(s * self._weight, q * d * d, "norm2")
 
     def scale(self, k):
         """Multiply every amplitude by the nonzero scalar k."""
-        k = (as_exact if self.backend == "exact" else as_approx)(k)
+        k = (as_exact if self._ops is _ExactOps else as_approx)(k)
         if not k:
             raise ZeroScale("cannot scale a state by zero")
         return type(self)(tuple(a * k for a in self.amps), self.scale2)
@@ -410,21 +415,28 @@ def _json_float(text):
     return below
 
 
+def _clip(text: str) -> str:
+    """``text`` for an error message that echoes an input, cut to 60 characters."""
+    return text if len(text) <= 60 else f"{text[:45]}... ({len(text)} chars)"
+
+
 def _json_part(value, exact):
     """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
     ``" 3/4 "``, ``"0.5"`` or ``"1e3"``; else ``float(value)``.  A JSON
     boolean is neither, and a nonzero number or string that reads as the
-    double 0.0 (``_json_float``, ``_underflows``) raises NonFinite as a double."""
-    if exact:
-        return Fraction(str(value)).as_integer_ratio()
+    double 0.0 (``_json_float``, ``_underflows``) raises NonFinite as a double;
+    a message echoes the value cut short (``_clip``)."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
-    if isinstance(value, _BelowDoubleRange):
-        raise NonFinite(f"the JSON number {value.text} is below the double range: it reads as 0.0")
-    part = float(value)
-    if isinstance(value, str) and _underflows(value, part):
-        raise NonFinite(f"the JSON string {value!r} is below the double range: it reads as 0.0")
+    if not exact and isinstance(value, _BelowDoubleRange):
+        raise NonFinite(f"the JSON number {_clip(value.text)} is below the double range: it reads as 0.0")
+    try:
+        part = Fraction(str(value)).as_integer_ratio() if exact else float(value)
+    except ValueError:
+        raise ValueError(f"{_clip(repr(value))} is not a number") from None
+    if not exact and isinstance(value, str) and _underflows(value, part):
+        raise NonFinite(f"the JSON string {_clip(repr(value))} is below the double range: it reads as 0.0")
     return part
 
 
@@ -433,11 +445,9 @@ def state_from_json(obj: dict):
     if len(amps_raw) not in (4, 8):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")
     cls = TripartiteState if len(amps_raw) == 8 else BipartiteState
-    backend = obj.get("backend", "exact")
-    if backend not in ("exact", "approx"):
-        raise ValueError(f"unknown backend {backend!r}; expected 'exact' or 'approx'")
-    if backend == "exact":
+    ops = _ops_named(obj.get("backend", "exact"))
+    if ops is _ExactOps:
         g, d = over_lcm([(_json_part(re, True), _json_part(im, True)) for re, im in amps_raw])
-        return cls._from_pairs(_OPS["exact"], g, d, Fraction(str(obj.get("scale2", "1"))))
+        return cls._from_pairs(ops, g, d, Fraction(*_json_part(obj.get("scale2", "1"), True)))
     g = tuple((_json_part(re, False), _json_part(im, False)) for re, im in amps_raw)
-    return cls._from_pairs(_OPS["approx"], g, 1, _json_part(obj.get("scale2", 1.0), False))
+    return cls._from_pairs(ops, g, 1, _json_part(obj.get("scale2", 1.0), False))

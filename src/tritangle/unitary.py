@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
-from .scalars import _OPS, as_approx, as_exact, over_lcm
+from .scalars import _DoubleOps, _ExactOps, _ops_named, as_approx, as_exact, over_lcm
 from .states import BipartiteState, TripartiteState, _kept, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
@@ -58,7 +58,7 @@ class Unitary2(_PairValues):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
         # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
-        ops = _OPS[self.backend]
+        ops = self._ops
         ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
         s, q = ops.ratio(self.scale2)
         d2 = d * d
@@ -84,12 +84,12 @@ class Unitary2(_PairValues):
 
     @classmethod
     def identity(cls, backend: str = "exact") -> "Unitary2":
-        return (cls.exact if backend == "exact" else cls.approx)([[1, 0], [0, 1]])
+        return (cls.exact if _ops_named(backend) is _ExactOps else cls.approx)([[1, 0], [0, 1]])
 
     def dagger(self) -> "Unitary2":
         g, d = self._pairs
         conj = tuple((g[n][0], -g[n][1]) for n in (0, 2, 1, 3))
-        return Unitary2._from_pairs(_OPS[self.backend], conj, d, self.scale2)
+        return Unitary2._from_pairs(self._ops, conj, d, self.scale2)
 
     def to_matrix(self) -> np.ndarray:
         """Physical operator g*M as a dense complex array."""
@@ -120,16 +120,15 @@ def _apply_local(state, units):
     denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
     doubles); the output is built from its pairs over d * prod(d_u) once.
     """
-    for u in units:
-        if u.backend != state.backend:
-            raise BackendMismatch(f"cannot apply a {u.backend} unitary to a {state.backend} state")
-    ops = _OPS[state.backend]
+    ops = state._ops
     amps, d = state._pairs
     # The product of the scale2 values as s / q: on ints, divided once at the
     # end, in the exact backend; in order, over q = 1, as doubles.
     s, q = ops.ratio(state.scale2)
     mats = []
     for u in units:
+        if u._ops is not ops:
+            raise BackendMismatch(f"cannot apply a {u.backend} unitary to a {state.backend} state")
         m, d_u = u._pairs
         mats.append(m)
         d *= d_u
@@ -185,7 +184,7 @@ def random_unitary2(rng) -> Unitary2:
         -phase * cmath.exp(-1j * beta) * s,
         phase * cmath.exp(-1j * alpha) * c,
     )
-    return Unitary2._from_pairs(_OPS["approx"], tuple((z.real, z.imag) for z in entries), 1, 1.0)
+    return Unitary2._from_pairs(_DoubleOps, tuple((z.real, z.imag) for z in entries), 1, 1.0)
 
 
 def random_rational_unitary2(rng) -> Unitary2:
@@ -204,4 +203,4 @@ def random_rational_unitary2(rng) -> Unitary2:
     ((ar, ai), (br, bi)), d = over_lcm([draws[:2], draws[2:]])
     g = ((ar, ai), (br, bi), (-br, bi), (ar, -ai))
     scale2 = Fraction(d * d, ar * ar + ai * ai + br * br + bi * bi)
-    return Unitary2._from_pairs(_OPS["exact"], g, d, scale2)
+    return Unitary2._from_pairs(_ExactOps, g, d, scale2)

@@ -258,6 +258,37 @@ def test_deeply_nested_json_exit2(tmp_path, capsys):
     assert code == 2 and out == "" and "bad unitary JSON" in err
 
 
+_NESTED = json.loads("[" * 900 + "]" * 900)
+_ZEROS = [[0, 0]] * 6 + [[1, 0]]
+
+
+@pytest.mark.parametrize(
+    "state, u1",
+    [
+        ({"amps": [[_NESTED, 0]] + _ZEROS}, None),
+        ({"amps": [["1" * 5000 + "x", 0]] + _ZEROS}, None),
+        (None, {"matrix": [[_NESTED, 0], [0, 1]]}),
+        ({"amps": [["1" * 5000 + "x", 0]] + _ZEROS, "backend": "approx"}, None),
+        ({"amps": [[1, 0]] + _ZEROS, "scale2": _NESTED}, None),
+        (None, {"matrix": [["1,2," + "3" * 5000, 0], [0, 1]]}),
+        (None, {"matrix": [["1" * 5000 + "x", 0], [0, 1]]}),
+        (None, {"matrix": [[1, 0], [0, 1]], "sqrt_scale2": _NESTED}),
+    ],
+    ids=["nested-part", "long-string", "nested-cell", "long-double-string", "nested-scale2",
+         "long-comma-cell", "long-text-cell", "nested-root"],
+)
+def test_bad_json_messages_cut_the_value_short(state, u1, tmp_path, capsys):
+    """A malformed value is echoed cut short: the message stays under 200 characters."""
+    if state is None:
+        argv, prefix = ["transform", "|000>", "--u1", json.dumps(u1)], "bad unitary JSON: "
+    else:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        argv, prefix = ["classify", "--json-state", str(path)], "bad state JSON: "
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err.startswith(f"error: {prefix}") and len(err) < 200, err
+
+
 def test_no_expression_exit2(capsys):
     code, _, err = run(capsys, ["classify"])
     assert code == 2

@@ -27,7 +27,9 @@ from hypothesis import strategies as st
 
 from tritangle import (
     AXIS_OUTCOME_ORDER,
+    Axis,
     BipartiteState,
+    ClassificationVector,
     GaussianRational,
     ImpossibleOutcome,
     NonFinite,
@@ -57,7 +59,7 @@ from tritangle.randstates import (
     random_rotated_product_state,
     random_sparse_state,
 )
-from tritangle.scalars import _OPS, is_fraction, ratio_str
+from tritangle.scalars import _OPS, _ExactOps, is_fraction, ratio_str
 from tritangle.states import _kept
 from tritangle.unitary import Unitary2, random_rational_unitary2, random_unitary2
 
@@ -163,12 +165,62 @@ def test_random_product_states_equal_eager_states(seed):
 
 def test_pairs_are_the_stored_value():
     s = parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")
-    assert s.__dict__ == {"scale2": Fraction(1, 5), "_pairs": (
+    assert s.__dict__ == {"scale2": Fraction(1, 5), "_ops": _ExactOps, "_pairs": (
         ((6, 0), (0, 0), (0, 0), (0, -4), (0, 0), (0, 0), (0, 0), (18, 0)), 3)}
     assert s.backend == "exact"
     assert s.amps[3] == GaussianRational(0, Fraction(-4, 3))
     eager = TripartiteState(s.amps, s.scale2)
-    assert set(eager.__dict__) == {"amps", "scale2"}  # no pairs until a kernel reads them
+    assert set(eager.__dict__) == {"amps", "scale2", "_ops"}  # no pairs until a kernel reads them
+
+
+def _state(backend, text="(|000> + |111>)/sqrt(2)"):
+    s = parse_state(text)
+    return s if backend == "exact" else s.to_approx()
+
+
+def _unitary(backend):
+    if backend == "exact":
+        return random_rational_unitary2(random.Random(8))
+    return random_unitary2(np.random.default_rng(8))
+
+
+#: path -> build(backend): a value built along that path in the named backend.
+_PATHS = {
+    "constructor": lambda b: TripartiteState(_state(b).amps, _state(b).scale2),
+    ".exact/.approx": lambda b: getattr(TripartiteState, b)([1, 0, 0, 0, 0, 0, 0, 1], 2),
+    "Unitary2.exact/.approx": lambda b: getattr(Unitary2, b)([[0, 1], [1, 0]]),
+    "Unitary2.identity": Unitary2.identity,
+    "parser/to_approx": _state,
+    "JSON reader": lambda b: state_from_json(state_to_json(_state(b))),
+    "random unitary": _unitary,
+    "dagger": lambda b: _unitary(b).dagger(),
+    "collapse residual": lambda b: collapse(_state(b), Axis.X, 0).post_state,
+    "submatrix": lambda b: submatrix(_state(b), Axis.Y, 1),
+    "apply_local_3": lambda b: apply_local_3(_state(b), *[_unitary(b)] * 3),
+    "apply_local_2": lambda b: apply_local_2(_state(b, "(|00> + 2i|11>)/sqrt(5)"), *[_unitary(b)] * 2),
+    "classify": lambda b: classify(_state(b)),
+    "classify(normalized=False)": lambda b: classify(_state(b), normalized=False),
+    "ClassificationVector()": lambda b: ClassificationVector(classify(_state(b)).det_abs2, ()),
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize("path", _PATHS)
+def test_the_carried_backend_survives_every_path(path, backend):
+    value = _PATHS[path](backend)
+    assert value.backend == backend and value._ops is _OPS[backend]
+    back = pickle.loads(pickle.dumps(value))
+    assert back.backend == backend and back._ops is value._ops
+
+
+def test_an_exact_state_and_its_double_copy_differ_but_hash_alike():
+    """Cross-backend value semantics: equal fields are compared as they are, so
+    an exact state never equals its double copy; with dyadic real values both
+    hash their fields alike."""
+    for text in ("(|000> + |111>)/sqrt(2)", "|000> - 3/4|011>", "(|00> + |11>)/sqrt(2)"):
+        s = parse_state(text)
+        assert s != s.to_approx() and s.to_approx() != s
+        assert hash(s) == hash(s.to_approx())
 
 
 #: Each kept value: its class, its name and a fresh instance that has not computed it.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tritangle import (
+    Axis,
     ClassificationVector,
     GaussianRational,
     NotSeparable,
@@ -15,8 +16,10 @@ from tritangle import (
     antipodal_pair_states,
     cayley_det,
     classify,
+    collapse,
     extract_factors,
     is_separable,
+    parse_state,
     rank1_oracle,
     sub_concurrences2,
 )
@@ -114,6 +117,16 @@ def test_rank1_oracle_ghz_false():
     # In doubles its normalized |minor|^2 is 1/4 exactly; eps = 1/4 is zero.
     ghz = ghz_state().to_approx()
     assert rank1_oracle(ghz, 0.25) and not rank1_oracle(ghz, math.nextafter(0.25, 0))
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1.0])
+def test_exact_decision_ignores_eps(eps):
+    """Exact zero tests compare with zero whatever eps is: entries far below
+    eps still decide entangled, and an outcome of tiny probability is possible."""
+    tiny = parse_state("|000> + 1/1000000|111>")
+    assert 0 < classify(tiny).det_abs2 < 1e-20
+    assert not is_separable(tiny, eps) and not rank1_oracle(tiny, eps)
+    assert collapse(tiny, Axis.X, 1, eps).prob == Fraction(1, 10**12 + 1)
 
 
 def test_rank1_oracle_w_false():

@@ -53,6 +53,14 @@ def test_unitary_validation_exact():
         Unitary2.exact([[1, 0], [0, 1]], Fraction(1, 2))  # wrong scale2
 
 
+@pytest.mark.parametrize("backend", ["bogus", "Exact", "float", None])
+def test_identity_rejects_unknown_backend_names(backend):
+    with pytest.raises(ValueError, match="unknown backend .*; expected 'exact' or 'approx'"):
+        Unitary2.identity(backend)
+    assert Unitary2.identity("approx").backend == "approx"
+    assert Unitary2.identity().backend == "exact"
+
+
 def test_unitary_validation_approx():
     s = 2 ** -0.5
     Unitary2.approx([[s, s], [-s, s]])
