@@ -98,16 +98,13 @@ def _load_tripartite(args) -> TripartiteState:
         try:
             with open(args.json_state, "r", encoding="utf-8") as fh:
                 raw = json.load(fh, parse_float=_json_float)
+            state = state_from_json(raw)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFileError(f"cannot read state file {args.json_state!r}: {exc}") from exc
-        except RecursionError as exc:  # nested deeper than the decoder goes
-            raise KetSyntaxError(f"bad state JSON: {exc}", 0) from exc
-        try:
-            state = state_from_json(raw)
         except NonFinite:
             raise
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
-            raise KetSyntaxError(f"bad state JSON: {exc}", 0) from exc
+        except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+            raise _BadJson(f"bad state JSON: {exc}") from exc
     else:
         if args.expr is None:
             raise KetSyntaxError("no expression given", 0)
@@ -121,6 +118,11 @@ def _load_tripartite(args) -> TripartiteState:
 
 class _ArityError(TritangleError):
     pass
+
+
+class _BadJson(TritangleError):
+    """Bad JSON input, exit 2 with no ket offset: a decoder error, nesting deeper
+    than the decoder goes (RecursionError), or values that make no state or unitary."""
 
 
 def _read_part(part, exact):
@@ -150,11 +152,8 @@ def _unitary_from_json(text: str) -> Unitary2:
 
     try:
         obj = json.loads(text, parse_float=_json_float)
-    except RecursionError as exc:  # nested deeper than the decoder goes
-        raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
-    if isinstance(obj, list):
-        obj = {"matrix": obj}
-    try:
+        if isinstance(obj, list):
+            obj = {"matrix": obj}
         matrix = obj["matrix"]
         root = obj.get("sqrt_scale2", 1)
         if not (
@@ -187,8 +186,8 @@ def _unitary_from_json(text: str) -> Unitary2:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {_clip(repr(root))}") from None
     except NonFinite:  # a ValueError, but a number below the double range exits 3
         raise
-    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
-        raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise _BadJson(f"bad unitary JSON: {exc}") from exc
     # Checked and built outside the try: a root or a matrix that is not finite
     # (JSON reads 1e400 as inf), or a matrix that is not unitary, exits 3.
     if not exact and not math.isfinite(value):
@@ -477,7 +476,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        KetSyntaxError, EmptyState, UnsupportedIrrational, InputFileError, json.JSONDecodeError
+        KetSyntaxError, _BadJson, EmptyState, UnsupportedIrrational, InputFileError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR

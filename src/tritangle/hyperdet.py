@@ -135,8 +135,7 @@ class ClassificationVector(_Value):
 
     def is_zero(self, eps: float = DEFAULT_EPS) -> bool:
         """True when every entry vanishes (exactly, or at most eps)."""
-        zero = self._ops.is_zero
-        return zero(self.det_abs2, eps) and all(zero(v, eps) for v in self.sub2)
+        return self._ops.all_zero(self.values2(), eps)
 
 
 def classify(state: TripartiteState, normalized: bool = True) -> ClassificationVector:
@@ -198,7 +197,7 @@ def display_normalize(vec: ClassificationVector, eps: float = DEFAULT_EPS) -> tu
     zero = ops.is_zero
     if not zero(vec.det_abs2, eps):
         div2 = vec.det_abs2
-    elif not all(zero(v, eps) for v in vec.sub2):
+    elif not ops.all_zero(vec.sub2, eps):
         div2 = max(vec.sub2)
     else:
         return (0.0,) * 7

@@ -274,7 +274,7 @@ def state_to_ket(state) -> str:
     """Render an exact state back into ket notation; reparses identically."""
     if state.backend != "exact":
         raise ValueError("only exact states render to ket notation")
-    num, den = state.scale2.numerator, state.scale2.denominator
+    num, den = state.scale2._numerator, state.scale2._denominator
     # scale2 = num/den means a global prefactor sqrt(num)/sqrt(den).  Fold
     # sqrt(num) into the coefficients: either as its integer root, or by
     # writing a*num over the divisor sqrt(num*den).

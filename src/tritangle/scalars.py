@@ -9,7 +9,9 @@ equality with zero is decidable.  The approximate backend is the built-in
 
 The two backends never mix silently.  Arithmetic between a
 ``GaussianRational`` and a float or complex is rejected, and conversion is
-one-way via :meth:`GaussianRational.to_complex`.
+one-way via :meth:`GaussianRational.to_complex`.  The exact ops write and read
+``Fraction`` slots directly, not through accessors that run as Python functions;
+CI on Python 3.10, 3.11, 3.12 and 3.13 guards the slot names.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
+from operator import le
 
 from .errors import NonFinite
 
@@ -290,13 +294,18 @@ class _ExactOps:
 
     @staticmethod
     def pairs(values):
-        """Gaussian rationals as Gaussian integers over their least common denominator."""
-        return over_lcm([(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values])
+        """Gaussian rationals as Gaussian integers over their least common
+        denominator, as ``over_lcm`` gives them, read off the parts' slots."""
+        d = math.lcm(*[q._denominator for v in values for q in (v.re, v.im)])
+        if d == 1:
+            return tuple([(v.re._numerator, v.im._numerator) for v in values]), 1
+        return tuple([(v.re._numerator * (d // v.re._denominator),
+                       v.im._numerator * (d // v.im._denominator)) for v in values]), d
 
     @staticmethod
     def ratio(value):
         """A Fraction as its int ``(numerator, denominator)``, for ``div``."""
-        return value.as_integer_ratio()
+        return value._numerator, value._denominator
 
     @staticmethod
     def reduce(g, d):
@@ -333,6 +342,11 @@ class _ExactOps:
         return not num
 
     @staticmethod
+    def all_zero(values, eps):
+        """Whether every value is zero, tested in one ``any``."""
+        return not any(values)
+
+    @staticmethod
     def sqrt_ratio(v, w):
         """sqrt(v / w) of two positive Fractions as a double.
 
@@ -341,7 +355,10 @@ class _ExactOps:
         ``math.sqrt(float(v / w))``.  Outside it the root is taken on the
         ints, and a root beyond the double range raises NonFinite.
         """
-        num, den = v.numerator * w.denominator, v.denominator * w.numerator
+        try:
+            num, den = v._numerator * w._denominator, v._denominator * w._numerator
+        except AttributeError:  # an int entry of a vector from the public constructor
+            return _ExactOps.sqrt_ratio(Fraction(v), Fraction(w))
         try:
             q = num / den
             if q >= _FLOAT_MIN:
@@ -410,6 +427,11 @@ class _DoubleOps:
         for den in dens:
             num = cls.div(num, den)
         return num <= eps
+
+    @staticmethod
+    def all_zero(values, eps):
+        """Whether every value is at most eps, as ``is_zero`` tests one."""
+        return all(map(le, values, repeat(eps)))
 
 
 _OPS = {"exact": _ExactOps, "approx": _DoubleOps}

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import DEFAULT_EPS, _ExactOps, abs2, gauss_det2, gauss_mul
+from .scalars import DEFAULT_EPS, GaussianRational, _ExactOps, abs2, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
 
 
@@ -108,6 +108,9 @@ _REBUILD_CHECKS = tuple(
 )
 
 
+_ONE = GaussianRational(1)  # a* / a*, the anchor's own entry of fy and of fz
+
+
 def _extract_exact(state: TripartiteState) -> Factorization:
     g = state.integer_form[0]
     star = next(n for n in range(8) if g[n] != (0, 0))
@@ -120,6 +123,8 @@ def _extract_exact(state: TripartiteState) -> Factorization:
     norm = sr * sr + si * si
 
     def ratio(n):
+        if n == star:
+            return _ONE
         re, im = gauss_mul(g[n], (sr, -si))
         return _ExactOps.scalar(re, im, norm)
 

@@ -132,8 +132,8 @@ def _check_scale2(scale2, ops, finite):
         raise BackendMismatch("scale2 backend must match the values")
     if not exact and not (finite and math.isfinite(scale2)):
         raise NonFinite("double values and scale2 must be finite, not NaN, inf or overflowed")
-    # A Fraction has its numerator's sign, read without Fraction's comparison.
-    if (scale2.numerator if exact else scale2) <= 0:
+    # A Fraction has its numerator's sign, read off its slot (``scalars._fraction``).
+    if (scale2._numerator if exact else scale2) <= 0:
         raise ValueError("scale2 must be positive")
 
 

@@ -593,6 +593,8 @@ def reference_state_from_json(obj: dict):
 
 
 def reference_unitary_from_json(text: str) -> Unitary2:
+    from tritangle import cli  # its error class for bad JSON, exit 2
+
     obj = json.loads(text)
     if isinstance(obj, list):
         obj = {"matrix": obj}
@@ -636,7 +638,7 @@ def reference_unitary_from_json(text: str) -> Unitary2:
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
-        raise KetSyntaxError(f"bad unitary JSON: {exc}", 0) from exc
+        raise cli._BadJson(f"bad unitary JSON: {exc}") from exc
     if not exact and not math.isfinite(value):
         raise NonFinite(f"sqrt_scale2 reads as the double {value}")
     return Unitary2(tuple(amps), scale2)

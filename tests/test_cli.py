@@ -289,6 +289,20 @@ def test_bad_json_messages_cut_the_value_short(state, u1, tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith(f"error: {prefix}") and len(err) < 200, err
 
 
+def test_json_errors_carry_their_prefix_and_no_ket_offset(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text("not JSON")
+    cases = [
+        (["transform", "--u1", '{"matrix": [["1,2,3", 0], [0, 1]]}', "|000>"], "bad unitary JSON: "),
+        (["transform", "--u1", "[[1, 0], [0, 1]", "|000>"], "bad unitary JSON: "),
+        (["classify", "--json-state", str(path)], "bad state JSON: "),
+    ]
+    for argv, prefix in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err.startswith(f"error: {prefix}"), err
+        assert "offset" not in err, err
+
+
 def test_no_expression_exit2(capsys):
     code, _, err = run(capsys, ["classify"])
     assert code == 2

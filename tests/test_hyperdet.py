@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from tritangle import (
     Axis,
+    ClassificationVector,
     GaussianRational,
     NonFinite,
     TripartiteState,
@@ -150,6 +151,13 @@ def test_display_normalize_rows():
 def test_display_normalize_all_zero_vector():
     basis = TripartiteState.exact((1, 0, 0, 0, 0, 0, 0, 0))
     assert display_normalize(classify(basis)) == (0.0,) * 7
+
+
+def test_display_normalize_reads_int_entries_of_a_public_vector():
+    # The public constructor keeps int entries; the exact roots read them as Fractions.
+    vec = ClassificationVector(Fraction(0), (0, 1, 0, 0, 0, 2))
+    assert display_normalize(vec) == (0.0, 0.0, 0.7071067811865476, 0.0, 0.0, 0.0, 1.0)
+    assert not vec.is_zero() and ClassificationVector(Fraction(0), (0,) * 6).is_zero()
 
 
 def test_homogeneity_of_det_and_subs():

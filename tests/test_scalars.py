@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational, NonFinite
-from tritangle.scalars import _OPS, _fraction, _gaussian, abs2, as_approx, as_exact
+from tritangle.scalars import _OPS, _fraction, _gaussian, abs2, as_approx, as_exact, over_lcm
 
 fracs = st.fractions(max_denominator=40)
 scalars = st.builds(GaussianRational, fracs, fracs)
@@ -207,3 +207,64 @@ def test_arithmetic_results_are_stored_fraction_pairs(a, b):
         results.append((a / b, ((a.re * b.re + a.im * b.im) / n, (a.im * b.re - a.re * b.im) / n)))
     for z, (re, im) in results:
         assert_same_gaussian(z, GaussianRational(re, im))
+
+
+# -- slot reads and the vector zero test --------------------------------------
+
+#: Wide signed Fractions: ints (d = 1) and quotients beyond 2^256.
+wide_fracs = st.one_of(ints.map(Fraction), st.builds(Fraction, ints, pos_ints))
+int_scalars = st.builds(GaussianRational, ints, ints)
+wide_scalars = st.builds(GaussianRational, wide_fracs, wide_fracs)
+
+
+@given(st.one_of(st.lists(int_scalars, min_size=1, max_size=8),
+                 st.lists(wide_scalars, min_size=1, max_size=8)))
+def test_exact_pairs_read_off_the_slots_match_over_lcm(values):
+    ref = over_lcm([(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values])
+    assert _OPS["exact"].pairs(values) == ref
+
+
+def test_exact_pairs_of_integer_parts_are_over_one():
+    values = [GaussianRational(3, -4), GaussianRational(-(2**300)), GaussianRational(0, 7)]
+    assert _OPS["exact"].pairs(values) == (((3, -4), (-(2**300), 0), (0, 7)), 1)
+
+
+@given(wide_fracs)
+def test_exact_ratio_reads_numerator_and_denominator(q):
+    assert _OPS["exact"].ratio(q) == (q.numerator, q.denominator)
+
+
+positive_fracs = wide_fracs.map(abs).filter(bool)
+
+
+@given(positive_fracs, positive_fracs)
+def test_exact_sqrt_ratio_matches_the_accessor_quotient(v, w):
+    # Every quotient drawn here lies in the normal double range, where the
+    # root of the correctly rounded int quotient is the documented value.
+    num, den = v.numerator * w.denominator, v.denominator * w.numerator
+    assert _OPS["exact"].sqrt_ratio(v, w) == math.sqrt(num / den)
+
+
+def test_exact_sqrt_ratio_reads_int_entries_as_fractions():
+    sqrt_ratio = _OPS["exact"].sqrt_ratio
+    assert sqrt_ratio(1, 2) == sqrt_ratio(Fraction(1), Fraction(2)) == math.sqrt(0.5)
+    assert sqrt_ratio(Fraction(1, 3), 3) == sqrt_ratio(1, Fraction(9)) == 1 / 3
+
+
+signed_eps = st.one_of(st.sampled_from([0.0, 1e-10, -1e-10, -1.0, 0]),
+                       st.floats(allow_nan=False))
+
+
+@given(st.lists(st.one_of(st.just(Fraction(0)), st.just(0), wide_fracs.map(abs)), max_size=7),
+       signed_eps)
+def test_exact_all_zero_agrees_with_is_zero(values, eps):
+    ops = _OPS["exact"]
+    assert ops.all_zero(tuple(values), eps) == all(ops.is_zero(v, eps) for v in values)
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, 1e-10, 2e-10, 1e-300, math.inf, math.nan]),
+                          st.floats(min_value=0)), max_size=7),
+       signed_eps)
+def test_double_all_zero_agrees_with_is_zero(values, eps):
+    ops = _OPS["approx"]
+    assert ops.all_zero(tuple(values), eps) == all(ops.is_zero(v, eps) for v in values)

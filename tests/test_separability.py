@@ -146,6 +146,37 @@ def test_antipodal_pair_family():
     assert states[0] == ghz_state()  # same amplitudes, same scale2
 
 
+def test_antipodal_direction_in_doubles():
+    """|000> + delta|111> with delta = 1/1000: |Det|^2 = delta^4 normalized
+    passes eps = 1e-10 in doubles while the residual is delta.  Pinned as the
+    thresholds stand today; a float decision certified against the rebuild
+    tolerance (ROADMAP item 2) changes these facts on purpose."""
+    exact = parse_state("1000|000> + |111>")
+    assert not is_separable(exact) and not rank1_oracle(exact)
+    approx = exact.to_approx()
+    assert classify(approx).det_abs2 == pytest.approx(1e-12, rel=1e-5)
+    assert is_separable(approx)
+    # Its normalized |minor|^2, about 1e-6, is far above eps.
+    assert not rank1_oracle(approx) and rank1_oracle(approx, 1e-5)
+    with pytest.raises(ResidualNonzero):
+        extract_factors(approx)
+
+
+def test_anchor_entries_are_one_and_factors_rebuild_the_criterion_5_pool():
+    one = GaussianRational(1)
+    seen = 0
+    for s in mixed_pool(seed=20_240_817, count=10_000):
+        if not is_separable(s):
+            continue
+        fact = extract_factors(s)
+        star = next(n for n in range(8) if s.amps[n])
+        for entry in (fact.fy[(star >> 1) & 1], fact.fz[star & 1]):
+            assert entry == one and repr(entry) == repr(one) and hash(entry) == hash(one)
+        assert fact.amplitudes() == s.amps
+        seen += 1
+    assert seen > 2000
+
+
 def test_factorized_z_pencil_algebra():
     """States built as (A.x)(B.y) z0 + (A'.x)(B'.y) z1 with proportional
     primed constants are fully separable, and the proportionality is

@@ -124,6 +124,41 @@ MUTANTS = (
         ("tests/test_separability.py::test_exact_rebuild_check_rejects_what_the_eight_position_check_rejects",),
     ),
     Mutant(
+        "pairs-reads-the-real-denominator-for-the-imaginary-part",
+        "scalars.py",
+        "v.im._numerator * (d // v.im._denominator)",
+        "v.im._numerator * (d // v.re._denominator)",
+        ("tests/test_scalars.py::test_exact_pairs_read_off_the_slots_match_over_lcm",),
+    ),
+    Mutant(
+        "sqrt-ratio-swaps-two-slots",
+        "scalars.py",
+        "num, den = v._numerator * w._denominator, v._denominator * w._numerator",
+        "num, den = v._numerator * w._numerator, v._denominator * w._denominator",
+        ("tests/test_scalars.py::test_exact_sqrt_ratio_matches_the_accessor_quotient",),
+    ),
+    Mutant(
+        "exact-all-zero-skips-det",
+        "scalars.py",
+        "return not any(values)",
+        "return not any(values[1:])",
+        ("tests/test_separability.py::test_antipodal_pair_family",),
+    ),
+    Mutant(
+        "exact-all-zero-within-eps",
+        "scalars.py",
+        "return not any(values)",
+        "return all(v <= eps for v in values)",
+        ("tests/test_separability.py::test_exact_decision_ignores_eps",),
+    ),
+    Mutant(
+        "unit-shortcut-off-the-anchor",
+        "separability.py",
+        "if n == star:",
+        "if n == star & 5:",
+        ("tests/test_separability.py::test_anchor_entries_are_one_and_factors_rebuild_the_criterion_5_pool",),
+    ),
+    Mutant(
         "collapse-reads-the-neighbouring-determinant",
         "measurement.py",
         "state._slice_dets[slot]",
