@@ -3,15 +3,18 @@
 Subcommands: classify, table, measure, transform, check-sep, factor,
 random.  States are given as ket expressions (see
 :mod:`tritangle.ketparser` for the grammar) or as a JSON file via
-``--json-state``.  Results go to stdout (``--json`` for machine-readable
-records); diagnostics go to stderr.
+``--json-state``.  Each command returns its record and its text; :func:`main`
+prints one of them on stdout (``--json`` for the record), or one error line
+on stderr with the exit code :func:`_exit_code` gives.
 
-Exit codes: 0 success; 2 expression/JSON parse error, unreadable state
+Exit codes: 0 success; 1 ``random`` found a state where the rank-1 oracle
+disagrees; 2 expression/JSON parse error, no expression, unreadable state
 file or bad option value; 3 precondition failure (wrong qubit count for
 the command, impossible measurement outcome, factoring a non-separable
 state or a double state that is separable only within eps, a matrix that
 is not unitary, NaN or infinite double-backend values, a nonzero JSON
-number that reads as the double 0.0); 4 exact/double backend mismatch.
+number that reads as the double 0.0); 4 exact/double backend mismatch;
+141 stdout closed early (the ``tritangle`` command only).
 
 Each process loads only the modules its command runs.  This module imports
 what the commands share (``errors``, ``scalars``, ``states``, ``ketparser``);
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -32,15 +36,11 @@ from typing import TYPE_CHECKING
 from .errors import (
     BackendMismatch,
     EmptyState,
-    ImpossibleOutcome,
     InputFileError,
     KetSyntaxError,
     NonFinite,
-    NotSeparable,
-    ResidualNonzero,
     TritangleError,
     UnsupportedIrrational,
-    ZeroScale,
 )
 from .ketparser import parse_state, state_to_ket
 from .scalars import DEFAULT_EPS, GaussianRational, _DoubleOps, _ExactOps, over_lcm
@@ -104,25 +104,22 @@ def _load_tripartite(args) -> TripartiteState:
         except NonFinite:
             raise
         except (KeyError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-            raise _BadJson(f"bad state JSON: {exc}") from exc
+            raise _BadInput(f"bad state JSON: {exc}") from exc
     else:
         if args.expr is None:
-            raise KetSyntaxError("no expression given", 0)
+            raise _BadInput("no expression given")
         state = parse_state(args.expr)
     if not isinstance(state, TripartiteState):
-        raise _ArityError("this command needs a 3-qubit state")
+        raise ValueError("this command needs a 3-qubit state")
     if getattr(args, "float", False):
         state = state.to_approx()
     return state
 
 
-class _ArityError(TritangleError):
-    pass
-
-
-class _BadJson(TritangleError):
-    """Bad JSON input, exit 2 with no ket offset: a decoder error, nesting deeper
-    than the decoder goes (RecursionError), or values that make no state or unitary."""
+class _BadInput(TritangleError):
+    """Bad input, exit 2 with no ket offset: no expression, a JSON decoder error,
+    nesting deeper than the decoder goes (RecursionError), or JSON values that
+    make no state or unitary."""
 
 
 def _read_part(part, exact):
@@ -187,7 +184,7 @@ def _unitary_from_json(text: str) -> Unitary2:
     except NonFinite:  # a ValueError, but a number below the double range exits 3
         raise
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-        raise _BadJson(f"bad unitary JSON: {exc}") from exc
+        raise _BadInput(f"bad unitary JSON: {exc}") from exc
     # Checked and built outside the try: a root or a matrix that is not finite
     # (JSON reads 1e400 as inf), or a matrix that is not unitary, exits 3.
     if not exact and not math.isfinite(value):
@@ -204,26 +201,23 @@ def _classification_record(state, eps):
     from .separability import is_separable
 
     vec = classify(state)
-    display = display_normalize(vec, eps)
-    return vec, display, {
+    display = list(display_normalize(vec, eps))
+    return {
         "det_abs2": _enc(vec.det_abs2),
         "sub2": [_enc(v) for v in vec.sub2],
-        "display": list(display),
+        "display": display,
         "separable": is_separable(state, eps),
     }
 
 
-def cmd_classify(args) -> int:
-    state = _load_tripartite(args)
-    vec, display, record = _classification_record(state, args.eps)
-    if args.json:
-        print(json.dumps(record, allow_nan=False))
-        return 0
-    print(f"|Det|^2            : {_enc(vec.det_abs2)}")
-    print(f"sub-concurrences^2 : {[_enc(v) for v in vec.sub2]}  (order x0 x1 y0 y1 z0 z1)")
-    print(f"display            : {_fmt_display(display)}")
-    print(f"separable          : {'yes' if record['separable'] else 'no'}")
-    return 0
+def cmd_classify(args):
+    record = _classification_record(_load_tripartite(args), args.eps)
+    return record, "\n".join([
+        f"|Det|^2            : {record['det_abs2']}",
+        f"sub-concurrences^2 : {record['sub2']}  (order x0 x1 y0 y1 z0 z1)",
+        f"display            : {_fmt_display(record['display'])}",
+        f"separable          : {'yes' if record['separable'] else 'no'}",
+    ])
 
 
 def _table_status(computed, quoted) -> str:
@@ -240,33 +234,24 @@ def _table_status(computed, quoted) -> str:
     return "DISAGREES"
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     from . import catalog
 
     rows = []
     for row in catalog.TABLE_ROWS:
-        state = parse_state(row.expression)
-        _, display, record = _classification_record(state, args.eps)
-        status = _table_status(display, row.quoted)
-        rows.append(
-            {
-                "name": row.name,
-                "expression": row.expression,
-                "computed": list(display),
-                "quoted": list(row.quoted),
-                "status": status,
-                "separable": record["separable"],
-            }
-        )
-    if args.json:
-        print(json.dumps(rows, allow_nan=False))
-        return 0
+        record = _classification_record(parse_state(row.expression), args.eps)
+        rows.append({
+            "name": row.name, "expression": row.expression, "computed": record["display"],
+            "quoted": list(row.quoted), "status": _table_status(record["display"], row.quoted),
+            "separable": record["separable"],
+        })
     width = max(len(r["name"]) for r in rows)
+    lines = []
     for r in rows:
         computed = _fmt_display(r["computed"])
         quoted = _fmt_display([float(v) for v in r["quoted"]])
-        print(f"{r['name']:<{width}}  computed {computed:<24} quoted {quoted:<24} {r['status']}")
-    return 0
+        lines.append(f"{r['name']:<{width}}  computed {computed:<24} quoted {quoted:<24} {r['status']}")
+    return rows, "\n".join(lines)
 
 
 def _double_state_text(state_record) -> str:
@@ -274,7 +259,7 @@ def _double_state_text(state_record) -> str:
     return f"amps {json.dumps(state_record['amps'])}, scale2 {state_record['scale2']!r}"
 
 
-def cmd_measure(args) -> int:
+def cmd_measure(args):
     from .measurement import collapse
 
     state = _load_tripartite(args)
@@ -284,22 +269,19 @@ def cmd_measure(args) -> int:
         "post_state": state_to_json(result.post_state),
         "concurrence": result.concurrence(),
     }
-    if state.backend == "exact":
+    exact = state.backend == "exact"
+    if exact:
         record["prob_exact"] = _enc(result.prob)
         record["concurrence2_exact"] = _enc(result.concurrence2)
         record["post_ket"] = state_to_ket(result.post_state)
-    if args.json:
-        print(json.dumps(record, allow_nan=False))
-        return 0
-    print(f"prob        : {float(result.prob):g}" + (
-        f"  (exact {result.prob})" if state.backend == "exact" else ""))
-    post = record.get("post_ket") or _double_state_text(record["post_state"])
-    print(f"post state  : {post}")
-    print(f"concurrence : {result.concurrence():g}")
-    return 0
+    return record, "\n".join([
+        f"prob        : {record['prob']:g}" + (f"  (exact {record['prob_exact']})" if exact else ""),
+        f"post state  : {record.get('post_ket') or _double_state_text(record['post_state'])}",
+        f"concurrence : {record['concurrence']:g}",
+    ])
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args):
     from .unitary import Unitary2, apply_local_3
 
     state = _load_tripartite(args)
@@ -311,22 +293,14 @@ def cmd_transform(args) -> int:
     record = {"state": state_to_json(out)}
     if out.backend == "exact":
         record["ket"] = state_to_ket(out)
-    if args.json:
-        print(json.dumps(record, allow_nan=False))
-        return 0
-    print(record.get("ket") or _double_state_text(record["state"]))
-    return 0
+    return record, record.get("ket") or _double_state_text(record["state"])
 
 
 def _factors_record(fact):
-    return {
-        "fx": [_enc_scalar(v) for v in fact.fx],
-        "fy": [_enc_scalar(v) for v in fact.fy],
-        "fz": [_enc_scalar(v) for v in fact.fz],
-    }
+    return {name: [_enc_scalar(v) for v in getattr(fact, name)] for name in ("fx", "fy", "fz")}
 
 
-def cmd_check_sep(args) -> int:
+def cmd_check_sep(args):
     from .separability import extract_factors, is_separable, rank1_oracle
 
     state = _load_tripartite(args)
@@ -337,31 +311,24 @@ def cmd_check_sep(args) -> int:
         "factors": _factors_record(fact) if separable else None,
         "oracle_agrees": rank1_oracle(state, args.eps) == separable,
     }
-    if args.json:
-        print(json.dumps(record, allow_nan=False))
-        return 0
-    print(f"separable     : {'yes' if separable else 'no'}")
+    lines = [f"separable     : {'yes' if separable else 'no'}"]
     if separable:
-        print(f"factors       : x={tuple(map(str, fact.fx))} y={tuple(map(str, fact.fy))} z={tuple(map(str, fact.fz))}")
-    print(f"oracle agrees : {'yes' if record['oracle_agrees'] else 'no'}")
-    return 0
+        lines.append(f"factors       : x={tuple(map(str, fact.fx))} y={tuple(map(str, fact.fy))} z={tuple(map(str, fact.fz))}")
+    lines.append(f"oracle agrees : {'yes' if record['oracle_agrees'] else 'no'}")
+    return record, "\n".join(lines)
 
 
-def cmd_factor(args) -> int:
+def cmd_factor(args):
     from .separability import extract_factors
 
-    state = _load_tripartite(args)
-    fact = extract_factors(state, args.eps)
-    if args.json:
-        print(json.dumps({"factors": _factors_record(fact)}, allow_nan=False))
-        return 0
-    print(f"x : ({fact.fx[0]}, {fact.fx[1]})")
-    print(f"y : ({fact.fy[0]}, {fact.fy[1]})")
-    print(f"z : ({fact.fz[0]}, {fact.fz[1]})")
-    return 0
+    fact = extract_factors(_load_tripartite(args), args.eps)
+    return {"factors": _factors_record(fact)}, "\n".join(
+        f"{axis} : ({pair[0]}, {pair[1]})" for axis, pair in zip("xyz", (fact.fx, fact.fy, fact.fz))
+    )
 
 
-def cmd_random(args) -> int:
+def cmd_random(args):
+    """Its result carries a third element, the exit code: 1 if the oracle disagrees anywhere."""
     import random
 
     from .randstates import random_tripartite
@@ -375,29 +342,15 @@ def cmd_random(args) -> int:
         separable = is_separable(state, args.eps)
         agrees = rank1_oracle(state, args.eps) == separable
         mismatches += 0 if agrees else 1
-        records.append(
-            {
-                "state": state_to_json(state),
-                "separable": separable,
-                "oracle_agrees": agrees,
-            }
-        )
-    summary = {
-        "count": args.count,
-        "seed": args.seed,
-        "kind": args.kind,
-        "mismatches": mismatches,
-        "states": records,
-    }
-    if args.json:
-        print(json.dumps(summary, allow_nan=False))
-    else:
-        n_sep = sum(1 for r in records if r["separable"])
-        print(
-            f"{args.count} states (kind={args.kind}, seed={args.seed}): "
-            f"{n_sep} separable, {mismatches} oracle mismatches"
-        )
-    return 1 if mismatches else 0
+        records.append({"state": state_to_json(state), "separable": separable, "oracle_agrees": agrees})
+    summary = {"count": args.count, "seed": args.seed, "kind": args.kind, "mismatches": mismatches,
+               "states": records}
+    n_sep = sum(1 for r in records if r["separable"])
+    text = (
+        f"{args.count} states (kind={args.kind}, seed={args.seed}): "
+        f"{n_sep} separable, {mismatches} oracle mismatches"
+    )
+    return summary, text, 1 if mismatches else 0
 
 
 class _KindNames:
@@ -471,26 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc) -> int:
+    """The exit code of an error a command raised: 2 for input that does not
+    parse or read, 4 for a backend mismatch, 3 for every other."""
+    if isinstance(exc, (KetSyntaxError, _BadInput, EmptyState, UnsupportedIrrational, InputFileError)):
+        return PARSE_ERROR
+    return BACKEND_ERROR if isinstance(exc, BackendMismatch) else PRECONDITION_ERROR
+
+
 def main(argv=None) -> int:
+    """Run one command and print its result once: the record as strict JSON
+    under ``--json``, else the text; or an error line and :func:`_exit_code`."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        KetSyntaxError, _BadJson, EmptyState, UnsupportedIrrational, InputFileError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except BackendMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BACKEND_ERROR
-    except NonFinite as exc:
-        print(f"error: {exc}; no text or JSON result is printed", file=sys.stderr)
-        return PRECONDITION_ERROR
-    except (
-        _ArityError, ImpossibleOutcome, NotSeparable, ResidualNonzero, ZeroScale, ValueError
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION_ERROR
+        record, text, *code = args.func(args)
+        print(json.dumps(record, allow_nan=False) if args.json else text)
+    except (TritangleError, ValueError) as exc:
+        note = "; no text or JSON result is printed" if isinstance(exc, NonFinite) else ""
+        print(f"error: {exc}{note}", file=sys.stderr)
+        return _exit_code(exc)
+    return code[0] if code else 0
 
 
 def entry() -> None:
@@ -499,7 +452,14 @@ def entry() -> None:
     accepted input prints; the library and :func:`main` keep the limit."""
     if hasattr(sys, "set_int_max_str_digits"):  # interpreters without it have no limit
         sys.set_int_max_str_digits(0)
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: exit 141, as after SIGPIPE, and say nothing.
+        # Python's SIGPIPE recipe: stdout goes to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -440,6 +440,15 @@ def _json_part(value, exact):
     return part
 
 
+def _amp_pairs(amps_raw):
+    """The amplitudes of a state JSON, each to be unpacked as ``re, im``.  A
+    string is no pair, though one of two characters would unpack as one."""
+    for n, amp in enumerate(amps_raw):
+        if isinstance(amp, str):
+            raise ValueError(f"amplitude {n} is not one [re, im] pair: {_clip(repr(amp))}")
+        yield amp
+
+
 def state_from_json(obj: dict):
     amps_raw = obj["amps"]
     if len(amps_raw) not in (4, 8):
@@ -447,7 +456,8 @@ def state_from_json(obj: dict):
     cls = TripartiteState if len(amps_raw) == 8 else BipartiteState
     ops = _ops_named(obj.get("backend", "exact"))
     if ops is _ExactOps:
-        g, d = over_lcm([(_json_part(re, True), _json_part(im, True)) for re, im in amps_raw])
+        pairs = [(_json_part(re, True), _json_part(im, True)) for re, im in _amp_pairs(amps_raw)]
+        g, d = over_lcm(pairs)
         return cls._from_pairs(ops, g, d, Fraction(*_json_part(obj.get("scale2", "1"), True)))
-    g = tuple((_json_part(re, False), _json_part(im, False)) for re, im in amps_raw)
+    g = tuple((_json_part(re, False), _json_part(im, False)) for re, im in _amp_pairs(amps_raw))
     return cls._from_pairs(ops, g, 1, _json_part(obj.get("scale2", 1.0), False))

@@ -574,6 +574,14 @@ def _reference_float(value) -> float:
     return float(value)
 
 
+def _reference_pairs(amps_raw):
+    """Each amplitude in order; a string, even of two characters, is no [re, im] pair."""
+    for amp in amps_raw:
+        if isinstance(amp, str):
+            raise ValueError(f"amplitude {amp!r} is not one [re, im] pair")
+        yield amp
+
+
 def reference_state_from_json(obj: dict):
     amps_raw = obj["amps"]
     if len(amps_raw) not in (4, 8):
@@ -585,10 +593,11 @@ def reference_state_from_json(obj: dict):
     if backend == "exact":
         amps = tuple(
             GaussianRational(Fraction(str(re)), Fraction(str(im)))
-            for re, im in amps_raw
+            for re, im in _reference_pairs(amps_raw)
         )
         return cls(amps, Fraction(str(obj.get("scale2", "1"))))
-    amps = tuple(complex(_reference_float(re), _reference_float(im)) for re, im in amps_raw)
+    pairs = _reference_pairs(amps_raw)
+    amps = tuple(complex(_reference_float(re), _reference_float(im)) for re, im in pairs)
     return cls(amps, _reference_float(obj.get("scale2", 1.0)))
 
 
@@ -638,7 +647,7 @@ def reference_unitary_from_json(text: str) -> Unitary2:
         except ZeroDivisionError:
             raise ValueError(f"sqrt_scale2 must be nonzero, got {root!r}") from None
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
-        raise cli._BadJson(f"bad unitary JSON: {exc}") from exc
+        raise cli._BadInput(f"bad unitary JSON: {exc}") from exc
     if not exact and not math.isfinite(value):
         raise NonFinite(f"sqrt_scale2 reads as the double {value}")
     return Unitary2(tuple(amps), scale2)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tritangle import NonFinite, extract_factors, parse_state, state_from_json
+from tritangle import NonFinite, cli, errors, extract_factors, parse_state, state_from_json
 from tritangle.cli import _fmt_display, main
 from tritangle.randstates import KINDS
 from _util import same_physical_state
@@ -273,9 +273,10 @@ _ZEROS = [[0, 0]] * 6 + [[1, 0]]
         (None, {"matrix": [["1,2," + "3" * 5000, 0], [0, 1]]}),
         (None, {"matrix": [["1" * 5000 + "x", 0], [0, 1]]}),
         (None, {"matrix": [[1, 0], [0, 1]], "sqrt_scale2": _NESTED}),
+        ({"amps": ["1" * 5000] + _ZEROS}, None),
     ],
     ids=["nested-part", "long-string", "nested-cell", "long-double-string", "nested-scale2",
-         "long-comma-cell", "long-text-cell", "nested-root"],
+         "long-comma-cell", "long-text-cell", "nested-root", "string-amplitude"],
 )
 def test_bad_json_messages_cut_the_value_short(state, u1, tmp_path, capsys):
     """A malformed value is echoed cut short: the message stays under 200 characters."""
@@ -304,8 +305,9 @@ def test_json_errors_carry_their_prefix_and_no_ket_offset(tmp_path, capsys):
 
 
 def test_no_expression_exit2(capsys):
-    code, _, err = run(capsys, ["classify"])
-    assert code == 2
+    code, out, err = run(capsys, ["classify"])
+    assert code == 2 and out == "" and err == "error: no expression given\n"
+    assert "offset" not in err
 
 
 def test_json_state_missing_file_exit2(tmp_path, capsys):
@@ -715,3 +717,138 @@ def test_product_state_json_records_are_unchanged(capsys, ket, check_sep):
     )
     for argv, expected in (("classify", classify_record), ("check-sep", check_sep)):
         assert run(capsys, [argv, "--json", ket]) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [
+        ["10", "01", "00", "00", "00", "00", "00", "01"],
+        dict.fromkeys(["10", "01", "00", "11", "ab", "cd", "ef", "gh"], 0),
+    ],
+    ids=["strings", "dict"],
+)
+def test_state_json_string_amplitude_exit2(tmp_path, capsys, amps):
+    # Each two-character string once unpacked as [re, im]: the list read as
+    # |000> + i|001> + i|111> and classified with exit 0.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"amps": amps}))
+    for backend in ([], ["--float"]):
+        code, out, err = run(capsys, ["classify", "--json-state", str(path)] + backend)
+        assert (code, out) == (2, "")
+        assert err == "error: bad state JSON: amplitude 0 is not one [re, im] pair: '10'\n"
+    # Pairs passed from Python may be tuples.
+    tuples = {"amps": [(1, 0)] + [(0, 0)] * 6 + [("1", "0")]}
+    assert state_from_json(tuples) == parse_state("|000> + |111>")
+
+
+PRODUCT = "3|000> + 3|001> - |010> - |011> + 6|100> + 6|101> - 2|110> - 2|111>"
+
+#: The complete text output of every command; those that read a state read PRODUCT.
+TEXT_OUTPUTS = {
+    "classify": (
+        ["classify", PRODUCT],
+        "|Det|^2            : 0\n"
+        "sub-concurrences^2 : ['0', '0', '0', '0', '0', '0']  (order x0 x1 y0 y1 z0 z1)\n"
+        "display            : [0; 0, 0, 0, 0, 0, 0]\n"
+        "separable          : yes\n",
+    ),
+    "table": (
+        ["table"],
+        "separable  computed [0; 0, 0, 0, 0, 0, 0]    quoted [0; 0, 0, 0, 0, 0, 0]    matches\n"
+        "W          computed [0; 1, 0, 1, 0, 1, 0]    quoted [0; 1, 1, 1, 0, 0, 0]    matches up to entry order\n"
+        "GHZ        computed [1; 0, 0, 0, 0, 0, 0]    quoted [1; 0, 0, 0, 0, 0, 0]    matches\n"
+        "cluster    computed [1; 1, 1, 0, 0, 1, 1]    quoted [1; 1, 0, 1, 1, 0, 1]    DISAGREES\n"
+        "psi        computed [1; 1, 1, 1, 1, 1, 1]    quoted [1; 1, 1, 1, 1, 1, 1]    matches\n"
+        "phi        computed [1; 1, 1, 1, 1, 1, 1]    quoted [1; 1, 1, 1, 1, 1, 1]    matches\n",
+    ),
+    "measure": (
+        ["measure", "--qubit", "2", "--outcome", "1", PRODUCT],
+        "prob        : 0.1  (exact 1/10)\npost state  : -|00> - |01> - 2|10> - 2|11>\nconcurrence : 0\n",
+    ),
+    "transform": (
+        ["transform", "--u1", ROT, PRODUCT],
+        "(-3|000> - 3|001> + |010> + |011> + 9|100> + 9|101> - 3|110> - 3|111>)/sqrt(2)\n",
+    ),
+    "check-sep": (
+        ["check-sep", PRODUCT],
+        "separable     : yes\nfactors       : x=('3', '6') y=('1', '-1/3') z=('1', '1')\noracle agrees : yes\n",
+    ),
+    "factor": (["factor", PRODUCT], "x : (3, 6)\ny : (1, -1/3)\nz : (1, 1)\n"),
+    "random": (
+        ["random", "--count", "5", "--seed", "1"],
+        "5 states (kind=mixed, seed=1): 3 separable, 0 oracle mismatches\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, text", TEXT_OUTPUTS.values(), ids=TEXT_OUTPUTS.keys())
+def test_text_output_of_every_command(argv, text, capsys):
+    assert run(capsys, argv) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv, text", TEXT_OUTPUTS.values(), ids=TEXT_OUTPUTS.keys())
+def test_json_mode_prints_the_record_alone(argv, text, capsys):
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0 and err == "" and out.count("\n") == 1 and out.endswith("\n")
+    json.loads(out)  # one strict JSON document and nothing else
+    assert not set(out.splitlines()) & set(text.splitlines())
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_random_exits_1_when_the_oracle_disagrees(monkeypatch, json_mode, capsys):
+    import tritangle.separability as separability
+
+    is_separable = separability.is_separable
+    monkeypatch.setattr(separability, "rank1_oracle", lambda state, eps: not is_separable(state, eps))
+    code, out, err = run(capsys, ["random", "--count", "5", "--seed", "1"] + (["--json"] if json_mode else []))
+    assert code == 1 and err == ""
+    if json_mode:
+        record = json.loads(out)
+        assert record["mismatches"] == 5 and not any(r["oracle_agrees"] for r in record["states"])
+    else:
+        assert out == "5 states (kind=mixed, seed=1): 3 separable, 5 oracle mismatches\n"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_nonfinite_error_notes_that_nothing_is_printed(json_mode, capsys):
+    argv = ["classify", "--float", f"{_big(400)}|000> + |111>"] + (["--json"] if json_mode else [])
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == "error: an exact value is beyond the double range; no text or JSON result is printed\n"
+    # Other errors carry no such note.
+    code, out, err = run(capsys, ["measure", "|000>", "--qubit", "1", "--outcome", "1"])
+    assert (code, out) == (3, "") and err == "error: outcome 1 on qubit 1 has probability 0\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.KetSyntaxError("bad", 0), 2),
+        (errors.MixedArity("mixed", 0), 2),
+        (cli._BadInput("bad JSON"), 2),
+        (errors.EmptyState("zero"), 2),
+        (errors.UnsupportedIrrational("root"), 2),
+        (errors.InputFileError("file"), 2),
+        (errors.BackendMismatch("mixed backends"), 4),
+        (NonFinite("nan"), 3),
+        (errors.ImpossibleOutcome("p = 0"), 3),
+        (errors.NotSeparable("entangled"), 3),
+        (errors.ResidualNonzero("residual"), 3),
+        (errors.ZeroScale("zero"), 3),
+        (ValueError("3 qubits"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_exit_code_of_every_error(exc, code):
+    assert cli._exit_code(exc) == code
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """``tritangle random --json | head -c 1``: the reader goes after one byte."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "tritangle", "random", "--count", "2000", "--json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141 and err == b""

@@ -165,6 +165,55 @@ MUTANTS = (
         "state._slice_dets[slot ^ 1]",
         ("tests/test_measurement.py::test_collapse_from_kept_values_matches_the_reference",),
     ),
+    Mutant(
+        "bad-input-exits-3",
+        "cli.py",
+        "(KetSyntaxError, _BadInput, EmptyState,",
+        "(KetSyntaxError, EmptyState,",
+        ("tests/test_cli.py::test_no_expression_exit2",),
+    ),
+    Mutant(
+        "backend-mismatch-exits-3",
+        "cli.py",
+        "return BACKEND_ERROR if isinstance(exc, BackendMismatch) else PRECONDITION_ERROR",
+        "return PRECONDITION_ERROR",
+        ("tests/test_cli.py::test_transform_backend_mismatch_exit4",),
+    ),
+    Mutant(
+        "nonfinite-note-dropped",
+        "cli.py",
+        'note = "; no text or JSON result is printed" if isinstance(exc, NonFinite) else ""',
+        'note = ""',
+        ("tests/test_cli.py::test_nonfinite_error_notes_that_nothing_is_printed",),
+    ),
+    Mutant(
+        "text-printed-under-json",
+        "cli.py",
+        "print(json.dumps(record, allow_nan=False) if args.json else text)",
+        "print(text)",
+        ("tests/test_cli.py::test_json_mode_prints_the_record_alone",),
+    ),
+    Mutant(
+        "random-exit-code-dropped",
+        "cli.py",
+        "return summary, text, 1 if mismatches else 0",
+        "return summary, text",
+        ("tests/test_cli.py::test_random_exits_1_when_the_oracle_disagrees",),
+    ),
+    Mutant(
+        "closed-stdout-raises",
+        "cli.py",
+        "        code = 141\n",
+        "        raise\n",
+        ("tests/test_cli.py::test_closed_stdout_exits_141_without_a_traceback",),
+    ),
+    Mutant(
+        "string-amplitude-unpacked",
+        "states.py",
+        "        if isinstance(amp, str):\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_state_json_string_amplitude_exit2",),
+    ),
 )
 
 
