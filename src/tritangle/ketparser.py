@@ -20,12 +20,13 @@ divisor; when the radicals cannot share one (their ratios are not perfect
 squares, e.g. mixing 1/sqrt(2) with 1/2), parsing fails with
 :class:`UnsupportedIrrational` rather than approximating.
 
-One reader takes every valid text in one pass: ``_scan`` matches ``_PIECE``
-once per term, and ``_sum_terms`` adds each term, as it is matched, into int
-sums per basis string over a running lcm denominator.  Text the patterns do
-not take whole is malformed; it goes to :mod:`tritangle.tokenparser`,
-imported only then, which builds nothing and only raises
-:class:`KetSyntaxError` with the offset and the expected tokens.
+One reader takes every valid text: ``_scan`` matches ``_PIECE`` once per term
+and returns the terms with the group head; ``_sum_terms`` then checks the arity
+of every term, folds the radicals over their lcm and adds each term once into
+int sums per basis string over the lcm d of the denominators.  Text the
+patterns do not take whole is malformed; it goes to
+:mod:`tritangle.tokenparser`, imported only then, which builds nothing and
+only raises :class:`KetSyntaxError` with the offset and the expected tokens.
 """
 
 from __future__ import annotations
@@ -100,92 +101,79 @@ _GROUP_TAIL = re.compile(rf"\s*\)\s*(?:/\s*{_ROOT})?\Z")
 _END = re.compile(r"\s*\Z")
 
 
-def _scan(text: str, head: list):
-    """Yield each term ``(re, im, den, radical, bits, off)`` as it is matched,
-    reading each coefficient times its sign as ``parse_term`` does; if the
-    patterns take the whole text, then append the group coefficient and the
-    divisor it puts on every term, ``(re, im, den, radical)``, to ``head``.
-    Never raises: the token parser reports the text it passes on."""
+def _scan(text: str):
+    """``(terms, head)`` of text the patterns take whole, else None: each term
+    ``(re, im, den, radical, bits, off)`` in order, its coefficient times its
+    sign read as ``parse_term`` reads it, and the group coefficient with the
+    divisor it puts on every term, ``(re, im, den, radical)``.  Never raises:
+    the token parser reports the text it passes on."""
+    terms = []
     group = None
-    first = True  # the next piece may come without a sign
     pos = 0
     m = _PIECE.match(text)
     while m:
         sign, num, i_before, root, den, i_after, den_root, _, b0, b1, b2, opener = m.groups()
-        if (sign is None and not first) or (i_before and i_after):
-            return
+        if (sign is None and terms) or (i_before and i_after):
+            return None
         try:
             value, den, radical = int(num or 1), int(den or 1), int(root or den_root or 1)
         except ValueError:  # past sys.get_int_max_str_digits()
-            return
+            return None
         if not den or not radical:
-            return
+            return None
         value = -value if sign == "-" else value
         re, im = (0, value) if i_before or i_after else (value, 0)
         if not opener:
-            first = False
-            yield re, im, den, radical, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)
-        elif sign or group or not first:  # '(' opens the text, with no sign before it
-            return
+            terms.append((re, im, den, radical, b0 + b1 + b2 if b2 else b0 + b1, m.start(8)))
+        elif sign or group or terms:  # '(' opens the text, with no sign before it
+            return None
         else:
             group = re, im, den, radical
         pos = m.end()
         m = _PIECE.match(text, pos)
-    if first:
-        return
+    if not terms:
+        return None
     if group is None:
-        if _END.match(text, pos):
-            head.append(_ONE)
-    elif tail := _GROUP_TAIL.match(text, pos):
-        try:
-            divisor = int(tail[1] or 1)
-        except ValueError:
-            return
-        if divisor:
-            head.append((*group[:3], group[3] * divisor))
+        return (terms, _ONE) if _END.match(text, pos) else None
+    tail = _GROUP_TAIL.match(text, pos)
+    if tail is None:
+        return None
+    try:
+        divisor = int(tail[1] or 1)
+    except ValueError:
+        return None
+    return (terms, (*group[:3], group[3] * divisor)) if divisor else None
 
 
-def _sum_terms(terms, head: list):
-    """Add terms ``(re, im, den, radical, bits, off)``, as they come, into a
-    Gaussian-integer sum per basis string in order of first appearance, over
-    the running lcm of their den and of their radicals (each rescaled only
-    when a term does not divide it); times the group ``head[0]``, return
-    ``(sums, d, divisor)`` without the sums that cancel, or None if ``head``
-    is empty.  Raises :class:`MixedArity` at the first term of another
-    arity, :class:`UnsupportedIrrational` or :class:`EmptyState`."""
-    sums, d = {}, 1
-    radical = arity = mixed = None
-    for re, im, den, r, bits, off in terms:
-        if r != radical:
-            if radical is None:
-                radical, arity, seen = r, len(bits), [r]
-            else:  # another radical: fold both over their lcm (checked below)
-                seen.append(r)
-                big = math.lcm(radical, r)
-                up, root = math.isqrt(big // radical), math.isqrt(big // r)
-                sums = {b: (x * up, y * up) for b, (x, y) in sums.items()}
-                radical, re, im = big, re * root, im * root
-        if d % den:
-            k = den // math.gcd(d, den)
-            sums = {b: (x * k, y * k) for b, (x, y) in sums.items()}
-            d *= k
+def _sum_terms(terms, head: tuple):
+    """``(sums, d, divisor)`` of the terms ``(re, im, den, radical, bits, off)``
+    times the group ``head``, checked in the reference's order: the arity of
+    every term (:class:`MixedArity` at the first of another), then the fold of
+    each radical over their lcm (:class:`UnsupportedIrrational` at the first
+    that does not fold), then one Gaussian-integer sum per basis string, in
+    order of first appearance, over the lcm d of the den, without the sums
+    that cancel (:class:`EmptyState` if all do)."""
+    arity = len(terms[0][4])
+    d = radical = 1
+    for _, _, den, r, bits, off in terms:
+        if len(bits) != arity:
+            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
+        d, radical = math.lcm(d, den), math.lcm(radical, r)
+    sums = {}
+    for re, im, den, r, bits, _ in terms:
         k = d // den
+        if r != radical:  # a square root only where the radicals differ
+            ratio = radical // r
+            root = math.isqrt(ratio)
+            if root * root != ratio:
+                raise UnsupportedIrrational(
+                    "term prefactors cannot be written over one common "
+                    f"square-root divisor (needed sqrt({ratio}) to be an integer)"
+                )
+            k *= root
         old = sums.get(bits)
         sums[bits] = (re * k, im * k) if old is None else (old[0] + re * k, old[1] + im * k)
-        if len(bits) != arity and mixed is None:
-            mixed = MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)
-    if not head:
-        return None
-    if mixed:
-        raise mixed
-    for r in seen if len(seen) > 1 else ():  # radical is now the lcm of them all
-        ratio = radical // r
-        if math.isqrt(ratio) ** 2 != ratio:
-            raise UnsupportedIrrational(
-                "term prefactors cannot be written over one common "
-                f"square-root divisor (needed sqrt({ratio}) to be an integer)"
-            )
-    g_re, g_im, g_den, factor = head[0]
+    g_re, g_im, g_den, factor = head
     if (g_re, g_im) != (1, 0):
         sums = {b: gauss_mul(pair, (g_re, g_im)) for b, pair in sums.items()}
     if (0, 0) in sums.values():
@@ -197,8 +185,8 @@ def _sum_terms(terms, head: list):
 
 def _read(text: str):
     """``(sums, d, divisor)`` of text the patterns take whole; None for other text."""
-    head = []
-    return _sum_terms(_scan(text, head), head)
+    found = _scan(text)
+    return None if found is None else _sum_terms(*found)
 
 
 def _sums(text: str):
@@ -236,8 +224,8 @@ def parse(text: str) -> KetExpr:
 def to_state(expr: KetExpr):
     """Build the exact state a :class:`KetExpr` denotes."""
     g, d = _ExactOps.pairs([coeff for coeff, _ in expr.terms])
-    terms = ((re, im, d, 1, bits, 0) for (re, im), (_, bits) in zip(g, expr.terms))
-    return _state(*_sum_terms(terms, [(1, 0, 1, expr.global_divisor)]))
+    terms = [(re, im, d, 1, bits, 0) for (re, im), (_, bits) in zip(g, expr.terms)]
+    return _state(*_sum_terms(terms, (1, 0, 1, expr.global_divisor)))
 
 
 def parse_state(text: str):

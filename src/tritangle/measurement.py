@@ -47,11 +47,12 @@ def collapse(
     """Measure one qubit and keep the stated outcome.
 
     Raises :class:`ImpossibleOutcome` when the outcome carries zero
-    probability (exactly, or at most eps in the approx backend): the
-    residual would be the zero vector.  The residual stores the slice of
-    the state's pairs with its d and scale2, which passed the construction
-    checks with the state; only the residual's nonzero check runs, so a
-    double zero slice that a negative eps lets through raises ValueError.
+    probability (exactly, or at most eps in the approx backend, where a
+    nonzero probability is named with eps): the residual would be the zero
+    vector.  The residual stores the slice of the state's pairs with its d
+    and scale2, which passed the construction checks with the state; only
+    the residual's nonzero check runs, so a double zero slice that a
+    negative eps lets through raises ValueError.
     """
     slot = _slot(axis, outcome)
     ops = state._ops
@@ -64,9 +65,8 @@ def collapse(
     weight = w0 + w1 + w2 + w3
     prob = ops.div(weight, state._weight, "outcome probability")
     if ops.is_zero(prob, eps):
-        raise ImpossibleOutcome(
-            f"outcome {outcome} on qubit {axis.qubit} has probability 0"
-        )
+        shown = f"{prob!r}, at most eps = {eps!r}" if prob else "0"
+        raise ImpossibleOutcome(f"outcome {outcome} on qubit {axis.qubit} has probability {shown}")
     g, d = state._pairs
     post = BipartiteState._from_checked_pairs(ops, take(g), d, state.scale2)
     c2 = gauss_concurrence2(state._slice_dets[slot], weight, ops.div)

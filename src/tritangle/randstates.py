@@ -126,13 +126,11 @@ def random_tripartite(rng: random.Random, kind: str = "mixed") -> TripartiteStat
     if kind == "mixed":
         r = rng.random()
         acc = 0.0
-        for name, weight in POOL_WEIGHTS:
+        for name, weight in POOL_WEIGHTS:  # the weights add to exactly 1.0 in doubles
             acc += weight
             if r < acc:
                 kind = name
                 break
-        else:
-            kind = POOL_WEIGHTS[-1][0]
     try:
         return _KIND_FUNCS[kind](rng)
     except KeyError:

@@ -450,7 +450,9 @@ def _amp_pairs(amps_raw):
 
 
 def state_from_json(obj: dict):
-    amps_raw = obj["amps"]
+    amps_raw = obj.get("amps") if isinstance(obj, dict) else None
+    if not hasattr(amps_raw, "__len__"):  # a number, a boolean, null or no "amps" at all
+        raise ValueError('expected an object whose "amps" is a list of 4 or 8 [re, im] pairs')
     if len(amps_raw) not in (4, 8):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")
     cls = TripartiteState if len(amps_raw) == 8 else BipartiteState

@@ -119,9 +119,13 @@ def _apply_local(state, units):
     the state's pairs and on each unitary's kept pairs over its own
     denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
     doubles); the output is built from its pairs over d * prod(d_u) once.
+    Raises ValueError unless there is one unitary per qubit.
     """
     ops = state._ops
     amps, d = state._pairs
+    qubits = len(amps).bit_length() - 1
+    if len(units) != qubits:
+        raise ValueError(f"one unitary per qubit: got {len(units)} for a {qubits}-qubit state")
     # The product of the scale2 values as s / q: on ints, divided once at the
     # end, in the exact backend; in order, over q = 1, as doubles.
     s, q = ops.ratio(state.scale2)

@@ -110,7 +110,8 @@ def reference_collapse(state, axis, outcome, eps=DEFAULT_EPS):
     weight = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1) + (r2 * r2 + i2 * i2) + (r3 * r3 + i3 * i3)
     prob = ops.div(weight, sum(re * re + im * im for re, im in g), "outcome probability")
     if ops.is_zero(prob, eps):
-        raise ImpossibleOutcome(f"outcome {outcome} on qubit {axis.qubit} has probability 0")
+        shown = f"{prob!r}, at most eps = {eps!r}" if prob else "0"
+        raise ImpossibleOutcome(f"outcome {outcome} on qubit {axis.qubit} has probability {shown}")
     post = BipartiteState._from_pairs(ops, pair, d, state.scale2)
     re, im = gauss_det2(*pair)
     return CollapseResult(prob, post, ops.div(4 * (re * re + im * im), weight * weight, "concurrence^2"))
@@ -583,6 +584,8 @@ def _reference_pairs(amps_raw):
 
 
 def reference_state_from_json(obj: dict):
+    if not (isinstance(obj, dict) and hasattr(obj.get("amps"), "__len__")):
+        raise ValueError("state JSON must be an object with an amps list")
     amps_raw = obj["amps"]
     if len(amps_raw) not in (4, 8):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")

@@ -154,6 +154,14 @@ def test_factor_command(capsys):
     assert record["factors"]["fz"] == [["1", "0"], ["1", "0"]]
 
 
+def test_factor_float_json_encodes_doubles(capsys):
+    code, out, _ = run(capsys, ["factor", "--float", "--json", "3|000> + 3|001> + 6|100> + 6|101>"])
+    assert code == 0
+    assert json.loads(out)["factors"] == {
+        "fx": [[3.0, 0.0], [6.0, 0.0]], "fy": [[1.0, 0.0], [0.0, 0.0]], "fz": [[1.0, 0.0], [1.0, 0.0]]
+    }
+
+
 def test_factor_not_separable_exit3(capsys):
     code, _, err = run(capsys, ["factor", GHZ])
     assert code == 3 and "not a product" in err
@@ -739,6 +747,27 @@ def test_state_json_string_amplitude_exit2(tmp_path, capsys, amps):
     # Pairs passed from Python may be tuples.
     tuples = {"amps": [(1, 0)] + [(0, 0)] * 6 + [("1", "0")]}
     assert state_from_json(tuples) == parse_state("|000> + |111>")
+
+
+@pytest.mark.parametrize("text", ['"abc"', "5", "[1, 2]", '{"amps": 5}', "{}", '{"amps": null}'])
+def test_state_json_of_another_shape_exit2(tmp_path, capsys, text):
+    # Each once leaked a Python message: "string indices must be integers",
+    # "'int' object is not subscriptable", "object of type 'int' has no len()".
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["classify", "--json-state", str(path)])
+    assert (code, out) == (2, "")
+    assert err == 'error: bad state JSON: expected an object whose "amps" is a list of 4 or 8 [re, im] pairs\n'
+
+
+def test_impossible_double_outcome_names_its_probability_and_eps(capsys):
+    code, out, err = run(capsys, ["measure", "--float", "--qubit", "1", "--outcome", "1", "|000> + 1/100000|111>"])
+    assert (code, out) == (3, "")
+    shown = re.fullmatch(r"error: outcome 1 on qubit 1 has probability (\S+), at most eps = 1e-10\n", err)
+    assert shown and 0 < float(shown[1]) <= 1e-10 and float(shown[1]) == pytest.approx(1e-10)
+    for argv in (["measure", "--float"], ["measure"]):  # a probability that is 0 says so
+        code, _, err = run(capsys, argv + ["--qubit", "1", "--outcome", "1", "|000>"])
+        assert (code, err) == (3, "error: outcome 1 on qubit 1 has probability 0\n")
 
 
 PRODUCT = "3|000> + 3|001> - |010> - |011> + 6|100> + 6|101> - 2|110> - 2|111>"

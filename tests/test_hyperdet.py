@@ -27,7 +27,14 @@ from tritangle import (
     sub_concurrences2,
     submatrix,
 )
-from tritangle.catalog import ghz_state, ghz_to_psi_unitary, psi_state, w_state
+from tritangle.catalog import (
+    CLUSTER_EXPR,
+    cluster_state,
+    ghz_state,
+    ghz_to_psi_unitary,
+    psi_state,
+    w_state,
+)
 from tritangle.randstates import random_generic_state
 from tritangle.scalars import abs2
 
@@ -338,3 +345,10 @@ def test_display_of_entries_beyond_the_double_quotient():
     for tiny in (_TINY ** 4, big ** 4):
         with pytest.raises(NonFinite):
             display_normalize(classify(TripartiteState.exact((1, 0, 0, tiny, 0, 0, 0, 1))))
+
+
+def test_cluster_state_is_the_cluster_expression():
+    state = cluster_state()
+    assert state == parse_state(CLUSTER_EXPR)
+    assert state.norm2() == 1
+    assert display_normalize(classify(state)) == (1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)

@@ -122,8 +122,11 @@ def _outcome(read, arg):
 
 
 def _same(new, old):
+    """The same value, or the same exception type."""
     assert type(new) is type(old), (new, old)
-    if not isinstance(new, type):
+    if isinstance(new, type):
+        assert new is old, (new, old)
+    else:
         assert new == old and new.backend == old.backend
 
 
@@ -170,6 +173,12 @@ _NAN_ZERO = {"amps": [["nan", 0]] + [[0, 0]] * 6 + [[1, 0]], "scale2": 0, "backe
 @example({"amps": [[1, 0], [0, 0], [0, 0], [0, 0]], "scale2": -1})
 @example({"amps": [[1, 0], [0, 0], [0, 0], [0, 0]], "scale2": 0.0, "backend": "approx"})
 @example({"amps": [[0, 0]] * 8})
+@example("abc")  # the shapes below are not a state object with an amplitude list
+@example(5)
+@example([1, 2])
+@example({"amps": 5})
+@example({"amps": None})
+@example({})
 def test_state_reader_matches_the_scalar_reader(tmp_path_factory, obj):
     _same(_outcome(state_from_json, obj), _outcome(reference_state_from_json, obj))
     path = tmp_path_factory.getbasetemp() / "state.json"

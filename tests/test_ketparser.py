@@ -499,6 +499,30 @@ def test_radicals_fold_over_their_lcm(text, rendered):
     assert parse(text) == reference_parse(text)
 
 
+def test_expression_arity():
+    assert parse("|00> + i|11>").arity == 2
+    assert parse("(|000> - |111>)/sqrt(2)").arity == 3
+
+
+def test_double_states_do_not_render_to_kets():
+    state = parse_state("(|000> + |111>)/sqrt(2)").to_approx()
+    with pytest.raises(ValueError, match="only exact states render to ket notation"):
+        state_to_ket(state)
+
+
+def test_one_radical_takes_no_square_root(monkeypatch):
+    """Text with one square-root divisor on every term, as ``state_to_ket``
+    writes it, is summed without ``math.isqrt``."""
+    def refuse(n):
+        raise AssertionError(f"isqrt({n}) taken")
+
+    monkeypatch.setattr(math, "isqrt", refuse)
+    assert _read("1/sqrt(2)|00> - i/sqrt(2)|11> + 1/sqrt(2)|00>")[2] == 2
+    assert parse_state("(3|000> + 2i|111>)/sqrt(13)").scale2 == Fraction(1, 13)
+    with pytest.raises(AssertionError, match=r"isqrt\(4\) taken"):
+        _read("1/sqrt(2)|00> + 1/sqrt(8)|11>")
+
+
 def test_parse_keeps_first_appearance_order():
     assert render(parse("|111> + 1/2|000>")) == "|111> + 1/2|000>"
     assert [bits for _, bits in parse("|10> + |01> + |10>").terms] == ["10", "01"]

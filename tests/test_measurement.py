@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tritangle import (
@@ -156,6 +156,20 @@ def test_impossible_outcome_approx():
     assert collapse(even, Axis.X, 1, eps=math.nextafter(0.5, 0)).prob == 0.5
 
 
+def test_impossible_double_outcome_within_eps_names_its_probability():
+    """A double at most eps need not be 0: the message says what it is."""
+    even = TripartiteState.approx((1.0, 0, 0, 0, 1.0, 0, 0, 0))
+    with pytest.raises(ImpossibleOutcome, match=r"^outcome 1 on qubit 1 has probability 0\.5, at most eps = 0\.5$"):
+        collapse(even, Axis.X, 1, eps=0.5)
+    tiny = TripartiteState.approx((1.0, 0, 0, 0, 0, 0, 0, 1e-6))
+    with pytest.raises(ImpossibleOutcome) as err:
+        collapse(tiny, Axis.Z, 1)
+    assert str(err.value) == f"outcome 1 on qubit 3 has probability {1e-12 / (1 + 1e-12)!r}, at most eps = 1e-10"
+    for state in (TripartiteState.approx((1.0,) + (0,) * 7), TripartiteState.exact((1,) + (0,) * 7)):
+        with pytest.raises(ImpossibleOutcome, match=r"^outcome 1 on qubit 3 has probability 0$"):
+            collapse(state, Axis.Z, 1, eps=0.5)
+
+
 _exact_tripartite = st.one_of(
     exact_states(TripartiteState),
     exact_states(TripartiteState).map(lambda s: parse_state(state_to_ket(s))),  # from pairs
@@ -230,6 +244,7 @@ _kept_states = st.one_of(
 
 @settings(deadline=None, max_examples=150)
 @given(_kept_states)
+@example(random_approx_tripartite(np.random.default_rng(0)))  # two slice weights round by order
 def test_collapse_from_kept_values_matches_the_reference(state):
     """collapse reads the slice weight and determinant the state keeps
     (``_abs2``, ``_slice_dets``); in any order of classify and collapse, and

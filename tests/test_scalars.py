@@ -30,6 +30,38 @@ def test_float_input_rejected():
         GaussianRational(1, 0.25)
 
 
+def test_reflected_and_unary_operators():
+    z = GaussianRational(2, 3)
+    assert 1 - z == GaussianRational(-1, -3)
+    assert Fraction(1, 2) - z == GaussianRational(Fraction(-3, 2), -3)
+    assert +z is z
+    assert 1 / GaussianRational(0, 2) == GaussianRational(0, Fraction(-1, 2))
+    with pytest.raises(ZeroDivisionError, match="division by zero GaussianRational"):
+        z / GaussianRational(0)
+    with pytest.raises(TypeError):
+        1.5 / z  # float's division declines, and so does __rtruediv__
+    with pytest.raises(TypeError):
+        1.5 - z
+
+
+def test_to_complex_past_the_double_range_is_nonfinite():
+    assert GaussianRational(Fraction(1, 2), -3).to_complex() == complex(0.5, -3)
+    for z in (GaussianRational(10**400), GaussianRational(0, Fraction(-(10**400), 3))):
+        with pytest.raises(NonFinite, match="beyond the double range"):
+            z.to_complex()
+    with pytest.raises(NonFinite):
+        as_approx(GaussianRational(10**400))
+
+
+def test_backend_coercions():
+    assert as_exact((1, Fraction(1, 2))) == GaussianRational(1, Fraction(1, 2))
+    for bad in (0.5, 1j, (1, 2, 3), "1", [1, 2]):
+        with pytest.raises(TypeError, match="cannot build an exact scalar"):
+            as_exact(bad)
+    assert as_approx((1, Fraction(1, 2))) == complex(1, 0.5)
+    assert as_approx((0.25, -2)) == complex(0.25, -2)
+
+
 @pytest.mark.parametrize("other", [0.5, 2.0j, complex(1, 1)])
 def test_mixed_backend_arithmetic_rejected(other):
     z = GaussianRational(1, 1)

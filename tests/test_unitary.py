@@ -68,6 +68,17 @@ def test_unitary_validation_approx():
         Unitary2.approx([[s, s], [s, s]])
 
 
+def test_local_application_takes_one_unitary_per_qubit():
+    h = ghz_to_psi_unitary()
+    ident = Unitary2.identity()
+    two, three = BipartiteState.exact([1, 0, 0, 0]), TripartiteState.exact([1] + [0] * 7)
+    with pytest.raises(ValueError, match="one unitary per qubit: got 3 for a 2-qubit state"):
+        apply_local_3(two, ident, ident, h)
+    with pytest.raises(ValueError, match="one unitary per qubit: got 2 for a 3-qubit state"):
+        apply_local_2(three, h, h)
+    assert apply_local_2(two, ident, h).norm2() == apply_local_3(three, ident, ident, h).norm2() == 1
+
+
 def test_identity_application_is_identity():
     ghz = ghz_state()
     ident = Unitary2.identity()

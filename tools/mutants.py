@@ -166,6 +166,50 @@ MUTANTS = (
         ("tests/test_measurement.py::test_collapse_from_kept_values_matches_the_reference",),
     ),
     Mutant(
+        "reader-drops-the-denominator-rescale",
+        "ketparser.py",
+        "        k = d // den\n",
+        "        k = 1\n",
+        ("tests/test_ketparser.py::test_parse_keeps_first_appearance_order",),
+    ),
+    Mutant(
+        "reader-drops-the-root-on-a-second-radical",
+        "ketparser.py",
+        "            k *= root\n",
+        "",
+        ("tests/test_ketparser.py::test_radicals_fold_over_their_lcm",),
+    ),
+    Mutant(
+        "reader-drops-the-group-coefficient",
+        "ketparser.py",
+        "g_re, g_im, g_den, factor = head\n",
+        "g_re, g_im, g_den, factor = 1, 0, 1, head[3]\n",
+        ("tests/test_ketparser.py::test_psi_expression_group_coefficient",),
+    ),
+    Mutant(
+        "reader-drops-the-term-sign",
+        "ketparser.py",
+        '        value = -value if sign == "-" else value\n',
+        "",
+        ("tests/test_ketparser.py::test_coefficient_forms",),
+    ),
+    Mutant(
+        "reader-checks-radicals-before-arity",
+        "ketparser.py",
+        "        if len(bits) != arity:\n"
+        '            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)\n'
+        "        d, radical = math.lcm(d, den), math.lcm(radical, r)\n"
+        "    sums = {}\n",
+        "        d, radical = math.lcm(d, den), math.lcm(radical, r)\n"
+        "    for _, _, den, r, bits, off in terms:  # the radicals first\n"
+        "        if r != radical and math.isqrt(radical // r) ** 2 != radical // r:\n"
+        "            break\n"
+        "        if len(bits) != arity:\n"
+        '            raise MixedArity(f"|{bits}> mixes {len(bits)}-qubit and {arity}-qubit kets", off)\n'
+        "    sums = {}\n",
+        ("tests/test_ketparser.py::test_a_text_that_breaks_two_rules_raises_the_first",),
+    ),
+    Mutant(
         "bad-input-exits-3",
         "cli.py",
         "(KetSyntaxError, _BadInput, EmptyState,",
@@ -213,6 +257,174 @@ MUTANTS = (
         "        if isinstance(amp, str):\n",
         "        if False:\n",
         ("tests/test_cli.py::test_state_json_string_amplitude_exit2",),
+    ),
+    Mutant(
+        "reader-takes-a-zero-denominator",
+        "ketparser.py",
+        "        if not den or not radical:\n",
+        "        if not radical:\n",
+        ("tests/test_ketparser.py::test_scanner_passes_on_what_it_does_not_take",),
+    ),
+    Mutant(
+        "reader-drops-the-group-divisor",
+        "ketparser.py",
+        "(*group[:3], group[3] * divisor)",
+        "(*group[:3], group[3])",
+        ("tests/test_ketparser.py::test_ghz_expression",),
+    ),
+    Mutant(
+        "reader-takes-a-sign-before-a-group",
+        "ketparser.py",
+        "        elif sign or group or terms:",
+        "        elif group or terms:",
+        ("tests/test_ketparser.py::test_scanner_passes_on_what_it_does_not_take",),
+    ),
+    Mutant(
+        "reader-takes-a-term-without-a-sign",
+        "ketparser.py",
+        "        if (sign is None and terms) or (i_before and i_after):\n",
+        "        if i_before and i_after:\n",
+        ("tests/test_ketparser.py::test_scanner_passes_on_what_it_does_not_take",),
+    ),
+    Mutant(
+        "render-without-gcd",
+        "ketparser.py",
+        "            k = gcd(num, d)\n",
+        "            k = 1\n",
+        ("tests/test_ketparser.py::test_hand_written_coefficients",),
+    ),
+    Mutant(
+        "rebuild-check-one-index-away",
+        "separability.py",
+        "for n in (star ^ 3, star ^ 5, star ^ 6, star ^ 7)",
+        "for n in (star ^ 1, star ^ 5, star ^ 6, star ^ 7)",
+        ("tests/test_separability.py::test_exact_rebuild_check_rejects_what_the_eight_position_check_rejects",),
+    ),
+    Mutant(
+        "rebuild-check-wrong-line-index",
+        "separability.py",
+        "(star & 6) | (n & 1))",
+        "(star & 6) | (n & 2))",
+        ("tests/test_separability.py::test_extract_factors_signed_product",),
+    ),
+    Mutant(
+        "minor-table-reads-one-slice-twice",
+        "separability.py",
+        "zip(SLICE_INDEX[::2], SLICE_INDEX[1::2])",
+        "zip(SLICE_INDEX[::2], SLICE_INDEX[::2])",
+        ("tests/test_separability.py::test_rank1_oracle_ghz_false",),
+    ),
+    Mutant(
+        "fx-off-the-anchor-line",
+        "separability.py",
+        "fx = (amps[star & 3], amps[4 | (star & 3)])",
+        "fx = (amps[star & 3], amps[4 | (star & 1)])",
+        ("tests/test_separability.py::test_anchor_entries_are_one_and_factors_rebuild_the_criterion_5_pool",),
+    ),
+    Mutant(
+        "fz-off-the-anchor-line",
+        "separability.py",
+        "fz = (ratio(star & 6), ratio((star & 6) | 1))",
+        "fz = (ratio(star & 6), ratio((star & 4) | 1))",
+        ("tests/test_separability.py::test_anchor_entries_are_one_and_factors_rebuild_the_criterion_5_pool",),
+    ),
+    Mutant(
+        "gaussian-swaps-parts",
+        "scalars.py",
+        "    _set_re(z, re)\n    _set_im(z, im)\n",
+        "    _set_re(z, im)\n    _set_im(z, re)\n",
+        ("tests/test_scalars.py::test_integers_and_fractions_mix_in",),
+    ),
+    Mutant(
+        "norm2-drops-q",
+        "states.py",
+        'return ops.div(s * self._weight, q * d * d, "norm2")',
+        'return ops.div(s * self._weight, d * d, "norm2")',
+        ("tests/test_states.py::test_norm2_ghz_normalized",),
+    ),
+    Mutant(
+        "unnormalized-classify-drops-q",
+        "hyperdet.py",
+        "num, den = s * s, (q * d * d) ** 2",
+        "num, den = s * s, (d * d) ** 2",
+        ("tests/test_hyperdet.py::test_sub_concurrences_w",),
+    ),
+    Mutant(
+        "apply-local-drops-q",
+        "unitary.py",
+        "s, q = s * u_s, q * u_q",
+        "s, q = s * u_s, q",
+        ("tests/test_unitary.py::test_ghz_maps_to_psi",),
+    ),
+    Mutant(
+        "collapse-weight-summed-in-reverse",
+        "measurement.py",
+        "weight = w0 + w1 + w2 + w3",
+        "weight = w3 + w2 + w1 + w0",
+        ("tests/test_measurement.py::test_collapse_from_kept_values_matches_the_reference",),
+    ),
+    Mutant(
+        "slot-takes-a-float-outcome",
+        "states.py",
+        'if outcome not in (0, 1) or not hasattr(outcome, "__index__"):',
+        "if outcome not in (0, 1):",
+        ("tests/test_measurement.py::test_outcome_must_be_the_integer_0_or_1",),
+    ),
+    Mutant(
+        "rank1-oracle-reads-abs2",
+        "separability.py",
+        "    g, n = state._pairs[0], state._weight\n",
+        "    g, n = state._pairs[0], sum(state._abs2)\n",
+        ("tests/test_lazy_states.py::test_the_oracles_read_no_kept_kernel_value",),
+    ),
+    Mutant(
+        "schlafli-reads-slice-dets",
+        "hyperdet.py",
+        "    a000, a001, a010, a011, a100, a101, a110, a111 = state.amps\n",
+        "    state._slice_dets\n    a000, a001, a010, a011, a100, a101, a110, a111 = state.amps\n",
+        ("tests/test_lazy_states.py::test_the_oracles_read_no_kept_kernel_value",),
+    ),
+    Mutant(
+        "json-string-underflow-unchecked",
+        "states.py",
+        "    if not exact and isinstance(value, str) and _underflows(value, part):\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_double_string_below_the_range_exit3",),
+    ),
+    Mutant(
+        "classify-recomputes-the-slice-dets",
+        "hyperdet.py",
+        "    dets = state._slice_dets\n",
+        "    dets = type(state)._slice_dets.func(state)\n",
+        ("tests/test_lazy_states.py::test_slice_determinants_are_computed_once_per_state",),
+    ),
+    Mutant(
+        "cayley-det-recomputes-the-slice-dets",
+        "hyperdet.py",
+        "re, im = _entries_g(g, state._slice_dets)",
+        "re, im = _entries_g(g, type(state)._slice_dets.func(state))",
+        ("tests/test_lazy_states.py::test_slice_determinants_are_computed_once_per_state",),
+    ),
+    Mutant(
+        "apply-local-skips-the-arity-check",
+        "unitary.py",
+        "    if len(units) != qubits:\n",
+        "    if False:\n",
+        ("tests/test_unitary.py::test_local_application_takes_one_unitary_per_qubit",),
+    ),
+    Mutant(
+        "state-json-takes-any-shape",
+        "states.py",
+        '    if not hasattr(amps_raw, "__len__"):',
+        "    if False:",
+        ("tests/test_cli.py::test_state_json_of_another_shape_exit2",),
+    ),
+    Mutant(
+        "impossible-outcome-hides-its-probability",
+        "measurement.py",
+        'shown = f"{prob!r}, at most eps = {eps!r}" if prob else "0"',
+        'shown = "0"',
+        ("tests/test_measurement.py::test_impossible_double_outcome_within_eps_names_its_probability",),
     ),
 )
 
