@@ -367,9 +367,8 @@ def _add_state_flags(sub, with_eps=True):
     sub.add_argument("expr", nargs="?", default=None, help="ket expression")
     sub.add_argument("--json-state", metavar="FILE", help="read the state from a JSON file")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact rational arithmetic (default)")
-    mode.add_argument("--float", action="store_true", help="convert the state to doubles")
+    sub.add_argument("--float", action="store_true",
+                     help="convert the state to doubles (exact rational arithmetic by default)")
     if with_eps:
         sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS,
                          help="zero threshold for squared double-backend quantities")

@@ -13,16 +13,17 @@ factors; Det alone separates the GHZ-like class (Det != 0) from everything
 else, and the six sub-entries record which single-qubit measurement
 outcomes leave the remaining pair entangled.
 
-Exact backend stores squared moduli (|Det|^2, C^2) so that every entry is a
-rational and zero tests are exact; square roots are taken only in the
-float display layer.
+:func:`classify` gives the list of the normalized state, as squared moduli
+(|Det|^2, C^2) so that every exact entry is a rational and zero tests are
+exact; roots are taken only in the display layer.  :func:`sub_concurrences2`
+gives the six sub-entries of the state as given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, _DoubleOps, _ExactOps, is_fraction
+from .scalars import DEFAULT_EPS, _DoubleOps, _ExactOps
 from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
 
 
@@ -100,30 +101,33 @@ def cayley_det_schlafli(state: TripartiteState):
 def sub_concurrences2(state: TripartiteState) -> tuple:
     """Squared sub-determinant moduli |det A_(axis,outcome)|^2 * scale2^2.
 
-    Ordered x0, x1, y0, y1, z0, z1.  The degree-2 scale2 factor is applied;
-    division by norm2 (normalization) is left to :func:`classify`.
+    Ordered x0, x1, y0, y1, z0, z1; not normalized (that is :func:`classify`).
+    On the kept slice determinants of the pairs g over d, with scale2 = s / q,
+    each is |det_g|^2 s^2 / (q d^2)^2; an exact entry is divided on ints.
     """
-    return classify(state, normalized=False).sub2
+    ops = state._ops
+    (s, q), d = ops.ratio(state.scale2), state._pairs[1]
+    num, den = s * s, (q * d * d) ** 2
+    return tuple([ops.div((r * r + i * i) * num, den, "classification entry") for r, i in state._slice_dets])
 
 
 class ClassificationVector(_Value):
-    """The seven-element classification, stored as squared moduli.
+    """The seven-element classification of the normalized state, stored as
+    squared moduli.
 
     ``det_abs2`` is |Det|^2 and ``sub2`` the six squared sub-concurrences
-    (order x0, x1, y0, y1, z0, z1), all for the normalized state when
-    ``computed_on_normalized`` is set.  Rational in the exact backend,
-    floats in the approx backend; ``_ops`` is their backend's ops.
+    (order x0, x1, y0, y1, z0, z1).  Rational in the exact backend, floats
+    in the approx backend; ``_ops`` is their backend's ops: exact unless
+    some entry is a float.
     """
 
-    _FIELDS = ("det_abs2", "sub2", "computed_on_normalized")
+    _FIELDS = ("det_abs2", "sub2")
 
-    def __init__(
-        self, det_abs2: Fraction | float, sub2: tuple, computed_on_normalized: bool = True
-    ):
+    def __init__(self, det_abs2: Fraction | float, sub2: tuple):
         _setattr(self, "det_abs2", det_abs2)
         _setattr(self, "sub2", sub2)
-        _setattr(self, "computed_on_normalized", computed_on_normalized)
-        _setattr(self, "_ops", _ExactOps if is_fraction(det_abs2) else _DoubleOps)
+        doubles = any(isinstance(v, float) for v in (det_abs2, *sub2))
+        _setattr(self, "_ops", _DoubleOps if doubles else _ExactOps)
 
     def values2(self) -> tuple:
         """All seven squared entries, hyperdeterminant first."""
@@ -138,47 +142,34 @@ class ClassificationVector(_Value):
         return self._ops.all_zero(self.values2(), eps)
 
 
-def classify(state: TripartiteState, normalized: bool = True) -> ClassificationVector:
-    """Evaluate the seven-element classification of the state.
+def classify(state: TripartiteState) -> ClassificationVector:
+    """Evaluate the seven-element classification of the normalized state.
 
-    With ``normalized`` (the default) the quantities refer to the
-    unit-norm state: the degree-4 hyperdeterminant is divided by norm2^2
-    and each degree-2 sub-determinant by norm2, i.e. the squared entries
-    by norm2^4 and norm2^2 respectively.
+    The quantities refer to the unit-norm state: the degree-4
+    hyperdeterminant is divided by norm2^2 and each degree-2
+    sub-determinant by norm2, i.e. the squared entries by norm2^4 and
+    norm2^2 respectively.
 
     The state is classified on its pairs g.  There scale2 and the
     denominator cancel from the normalized entries, which are
     |Det_g|^2 / N^4 and |sub_g|^2 / N^2 with N = sum |g|^2.
 
-    The normalized vector is kept on the state instance once it is built,
-    and later normalized calls return it; it is frozen and does not depend
-    on ``eps``.  ``normalized=False`` is computed on every call.
+    The vector is kept on the state instance once it is built, and later
+    calls return it; it is frozen and does not depend on ``eps``.
     """
-    if normalized:
-        kept = state.__dict__.get("_classification")
-        if kept is not None:
-            return kept
-    ops = state._ops
-    div = ops.div
-    g, d = state._pairs
+    kept = state.__dict__.get("_classification")
+    if kept is not None:
+        return kept
+    div = state._ops.div
     dets = state._slice_dets
-    re, im = _entries_g(g, dets)
-    det2 = re * re + im * im
-    if normalized:
-        num, den = 1, state._weight * state._weight
-    else:
-        # A degree-2 polynomial of the physical amplitudes is scale2 / d^2
-        # times its value on g; the hyperdeterminant carries its square.
-        # With scale2 = s / q, an exact entry is divided on ints.
-        s, q = ops.ratio(state.scale2)
-        num, den = s * s, (q * d * d) ** 2
+    re, im = _entries_g(state._pairs[0], dets)
+    n2 = state._weight * state._weight
     vec = object.__new__(ClassificationVector)  # the constructor's fields, and the state's ops
     vec.__dict__.update(
-        det_abs2=div(det2 * num * num, den * den, "classification entry"),
-        sub2=tuple([div((r * r + i * i) * num, den, "classification entry") for r, i in dets]),
-        computed_on_normalized=normalized, _ops=ops)
-    if normalized:
-        state.__dict__["_classification"] = vec
+        det_abs2=div(re * re + im * im, n2 * n2, "classification entry"),
+        sub2=tuple([div(r * r + i * i, n2, "classification entry") for r, i in dets]),
+        _ops=state._ops)
+    state.__dict__["_classification"] = vec
     return vec
 
 

@@ -279,8 +279,9 @@ def over_lcm(parts) -> tuple:
 #
 # Both backends run one formula per quantity on (re, im) pairs over a
 # denominator d.  They differ only in where the pairs come from, how a result
-# is divided, how zero is tested and how a display root is taken.  Each value
-# carries its backend's ops class from construction, as ``_ops``.
+# is divided, how zero is tested, how a display root is taken and which pair
+# anchors a factor extraction.  Each value carries its backend's ops class
+# from construction, as ``_ops``.
 
 
 class _ExactOps:
@@ -336,6 +337,13 @@ class _ExactOps:
         """(re + i im) / den for ints with den > 0, each part built by ``div``."""
         div = _ExactOps.div
         return _gaussian(div(re, den), div(im, den))
+
+    @staticmethod
+    def anchor(g):
+        """The position of the first nonzero pair: a factor extraction's anchor."""
+        for n, (re, im) in enumerate(g):
+            if re or im:
+                return n
 
     @staticmethod
     def is_zero(num, eps, *dens):
@@ -419,6 +427,12 @@ class _DoubleOps:
     @staticmethod
     def sqrt_ratio(v, w):
         return math.sqrt(v / w)
+
+    @staticmethod
+    def anchor(g):
+        """The position of the first pair of largest modulus: a factor extraction's anchor."""
+        abs2 = [re * re + im * im for re, im in g]
+        return abs2.index(max(abs2))
 
     @classmethod
     def is_zero(cls, num, eps, *dens):

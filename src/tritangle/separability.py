@@ -3,17 +3,17 @@
 A three-qubit pure state factors into three one-qubit states exactly when
 its seven-element classification vanishes identically: hyperdeterminant
 zero and all six sub-determinants zero.  This module decides that
-condition, extracts the factors explicitly when it holds, and provides an
-independent brute-force criterion (every 2x2 minor of every axis
-flattening of the hypermatrix vanishes, i.e. the hypermatrix has rank 1)
-for cross-checking.
+condition, extracts the factors explicitly when it holds (one algorithm
+on the pairs for both backends, certified by rebuilding the amplitudes),
+and provides an independent brute-force criterion (every 2x2 minor of
+every axis flattening vanishes, i.e. the hypermatrix has rank 1).
 """
 
 from __future__ import annotations
 
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
-from .scalars import DEFAULT_EPS, GaussianRational, _ExactOps, abs2, gauss_det2, gauss_mul
+from .scalars import DEFAULT_EPS, gauss_det2, gauss_mul
 from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
 
 
@@ -54,45 +54,31 @@ class Factorization(_Value):
 def extract_factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factorization:
     """Split a separable state into its three one-qubit factors.
 
-    Anchors on a nonzero amplitude a* = a(i*, j*, k*) and reads the factors
-    off the hypermatrix lines through it:
+    Anchors on the amplitude a* = a(i*, j*, k*) that the state's ops pick
+    (``anchor``: the first nonzero one when exact, the first of largest
+    modulus in doubles) and reads the factors off the lines through it:
 
         fx[i] = a(i, j*, k*),   fy[j] = a(i*, j, k*) / a*,
         fz[k] = a(i*, j*, k) / a*.
 
-    The outer product is then verified against the amplitudes.  In the
-    exact backend this is done on the integer form g, as
+    The outer product is then verified on the pairs g, as
     g(i, j*, k*) g(i*, j, k*) g(i*, j*, k) == g(i, j, k) g*^2, at the four
     positions (i, j, k) that differ from the anchor in two or three
     indices.  At the anchor and at the three positions that differ from it
     in one index, two of the three factors on the left are g* and the third
-    is g(i, j, k) itself, so the equation holds for any integers and is not
-    tested.  The doubles are compared at all eight positions.
+    is g(i, j, k) itself, so the equation holds for any values and is not
+    tested.  Sides that differ must pass the ops' zero test on
+    |lhs - rhs|^2 / (|g*|^2 |g*|^4) with tolerance 1e-18: exactly zero
+    when exact, and for doubles a rebuilt amplitude within 1e-9 * max |a_n|.
     Raises :class:`NotSeparable` when the state fails the separability
     test and :class:`ResidualNonzero` if verification fails: never in the
     exact backend, and for doubles when the state is separable only within
-    eps but misses the rebuild tolerance 1e-9 * max |a_n|, which scales with
-    the amplitudes as the normalized entries do.
+    eps but misses the rebuild tolerance, which scales with the amplitudes
+    as the normalized entries do.
     """
     if not is_separable(state, eps):
         raise NotSeparable("state is not a product of one-qubit factors")
-    if state.backend == "exact":
-        return _extract_exact(state)
-    triples = [(i, j, k) for i in range(2) for j in range(2) for k in range(2)]
-    ai, aj, ak = max(triples, key=lambda t: abs2(state.amp(*t)))
-    anchor = state.amp(ai, aj, ak)
-    fx = (state.amp(0, aj, ak), state.amp(1, aj, ak))
-    fy = (state.amp(ai, 0, ak) / anchor, state.amp(ai, 1, ak) / anchor)
-    fz = (state.amp(ai, aj, 0) / anchor, state.amp(ai, aj, 1) / anchor)
-    fact = Factorization(fx, fy, fz)
-    rebuilt = fact.amplitudes()
-    biggest = max(abs(a) for a in state.amps)
-    if not all(abs(rebuilt[n] - state.amps[n]) <= 1e-9 * biggest for n in range(8)):
-        raise ResidualNonzero(
-            f"the state is separable only within eps={eps:g}: "
-            "extracted factors do not reproduce the amplitudes"
-        )
-    return fact
+    return _factors(state, eps)
 
 
 #: For each anchor position a*, the rebuild checks that are not identities,
@@ -108,25 +94,32 @@ _REBUILD_CHECKS = tuple(
 )
 
 
-_ONE = GaussianRational(1)  # a* / a*, the anchor's own entry of fy and of fz
-
-
-def _extract_exact(state: TripartiteState) -> Factorization:
-    g = state.integer_form[0]
-    star = next(n for n in range(8) if g[n] != (0, 0))
-    anchor2 = gauss_mul(g[star], g[star])
-    for n, x, y, z in _REBUILD_CHECKS[star]:
-        if gauss_mul(gauss_mul(g[x], g[y]), g[z]) != gauss_mul(g[n], anchor2):
-            raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
-    # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
+def _factors(state: TripartiteState, eps: float = DEFAULT_EPS) -> Factorization:
+    """The checked step of :func:`extract_factors`, past its separability test."""
+    ops = state._ops
+    g = state._pairs[0]
+    star = ops.anchor(g)
     sr, si = g[star]
     norm = sr * sr + si * si
+    anchor2 = gauss_mul(g[star], g[star])
+    for n, x, y, z in _REBUILD_CHECKS[star]:
+        lhs, rhs = gauss_mul(gauss_mul(g[x], g[y]), g[z]), gauss_mul(g[n], anchor2)
+        if lhs == rhs:
+            continue
+        re, im = lhs[0] - rhs[0], lhs[1] - rhs[1]
+        if not ops.is_zero(re * re + im * im, 1e-18, norm, norm * norm):
+            raise ResidualNonzero(
+                f"the state is separable only within eps={eps:g}: "
+                "extracted factors do not reproduce the amplitudes"
+            )
+    # a(line) / a* = g(line) conj(g*) / |g*|^2; the denominator d cancels.
+    one = ops.scalar(1, 0, 1)  # a* / a*, the anchor's own entry of fy and of fz
 
     def ratio(n):
         if n == star:
-            return _ONE
+            return one
         re, im = gauss_mul(g[n], (sr, -si))
-        return _ExactOps.scalar(re, im, norm)
+        return ops.scalar(re, im, norm)
 
     amps = state.amps
     fx = (amps[star & 3], amps[4 | (star & 3)])

@@ -10,12 +10,12 @@ homogeneous, so this rational bookkeeping suffices for exact zero tests.
 For the same reason the kernels run on ``(re, im)`` pairs over one common
 denominator d, a_n = g_n / d.  An exact state's pairs are Gaussian integers
 (:attr:`_StateOps.integer_form`), a double state's are its amplitudes' own
-floats over d = 1.  Classification in ``hyperdet``, the decision and rank-1
-oracle in ``separability``, local unitaries and the unitarity check in
+floats over d = 1.  Classification in ``hyperdet``, the decision, factors and
+rank-1 oracle in ``separability``, local unitaries and the unitarity check in
 ``unitary``, concurrence and product test in ``bipartite``, collapse in
 ``measurement`` and the norm here run one formula on either; the backends
-differ only in the pairs, the division of a result and the zero test: the
-methods of the ``scalars`` ops class that a value carries as ``_ops``.
+differ only in the pairs, the division of a result, the zero test and a factor
+anchor: the methods of the ``scalars`` ops class a value carries as ``_ops``.
 
 The parser, local unitaries, ``state_from_json``, ``to_approx`` and every
 exact ``randstates`` generator build states from their pairs, and the
@@ -451,7 +451,8 @@ def _amp_pairs(amps_raw):
 
 def state_from_json(obj: dict):
     amps_raw = obj.get("amps") if isinstance(obj, dict) else None
-    if not hasattr(amps_raw, "__len__"):  # a number, a boolean, null or no "amps" at all
+    # A number, a boolean, null, no "amps" at all, or a mapping, whose keys a list would read.
+    if isinstance(amps_raw, dict) or not hasattr(amps_raw, "__len__"):
         raise ValueError('expected an object whose "amps" is a list of 4 or 8 [re, im] pairs')
     if len(amps_raw) not in (4, 8):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")

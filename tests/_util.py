@@ -206,13 +206,32 @@ def reference_extract_exact(state):
     return Factorization(fx, fy, fz)
 
 
+def reference_extract_double(state):
+    """The double factor extraction by complex division: anchored on the
+    first amplitude of largest modulus, each factor ratio a quotient of two
+    amplitudes, and the rebuilt outer product checked at all eight positions
+    within 1e-9 * max |a_n|.  Raises :class:`ResidualNonzero` when a
+    position fails."""
+    amps = state.amps
+    star = max(range(8), key=lambda n: abs(amps[n]) ** 2)
+    anchor = amps[star]
+    fx = (amps[star & 3], amps[4 | (star & 3)])
+    fy = (amps[star & 5] / anchor, amps[(star & 5) | 2] / anchor)
+    fz = (amps[star & 6] / anchor, amps[(star & 6) | 1] / anchor)
+    fact = Factorization(fx, fy, fz)
+    biggest = max(abs(a) for a in amps)
+    if not all(abs(r - a) <= 1e-9 * biggest for r, a in zip(fact.amplitudes(), amps)):
+        raise ResidualNonzero("extracted factors do not reproduce the amplitudes")
+    return fact
+
+
 def reference_quotients(state):
     """The exact quotients the kernels return for an exact state, in the
     order ``kernel_quotients`` in ``test_intkernel.py`` lists them, each
     built as ``Fraction(num, den)`` from the integer form (g, d):
 
-    the amplitude parts; ``norm2``; the seven ``classify`` entries,
-    normalized and then not; the probability and residual concurrence^2 of
+    the amplitude parts; ``norm2``; the seven ``classify`` entries, then
+    |Det|^2 scale2^4 and the six ``sub_concurrences2``; the probability and residual concurrence^2 of
     each ``collapse`` in ``_SLICE_INDEX`` order whose slice is nonzero; and,
     for a separable state, the parts of the factors fy and fz
     (``reference_extract_exact``).
@@ -584,9 +603,9 @@ def _reference_pairs(amps_raw):
 
 
 def reference_state_from_json(obj: dict):
-    if not (isinstance(obj, dict) and hasattr(obj.get("amps"), "__len__")):
+    amps_raw = obj.get("amps") if isinstance(obj, dict) else None
+    if isinstance(amps_raw, dict) or not hasattr(amps_raw, "__len__"):
         raise ValueError("state JSON must be an object with an amps list")
-    amps_raw = obj["amps"]
     if len(amps_raw) not in (4, 8):
         raise ValueError("state JSON must carry 4 or 8 amplitudes")
     cls = TripartiteState if len(amps_raw) == 8 else BipartiteState

@@ -727,14 +727,7 @@ def test_product_state_json_records_are_unchanged(capsys, ket, check_sep):
         assert run(capsys, [argv, "--json", ket]) == (0, expected + "\n", "")
 
 
-@pytest.mark.parametrize(
-    "amps",
-    [
-        ["10", "01", "00", "00", "00", "00", "00", "01"],
-        dict.fromkeys(["10", "01", "00", "11", "ab", "cd", "ef", "gh"], 0),
-    ],
-    ids=["strings", "dict"],
-)
+@pytest.mark.parametrize("amps", [["10", "01", "00", "00", "00", "00", "00", "01"]], ids=["strings"])
 def test_state_json_string_amplitude_exit2(tmp_path, capsys, amps):
     # Each two-character string once unpacked as [re, im]: the list read as
     # |000> + i|001> + i|111> and classified with exit 0.
@@ -749,15 +742,28 @@ def test_state_json_string_amplitude_exit2(tmp_path, capsys, amps):
     assert state_from_json(tuples) == parse_state("|000> + |111>")
 
 
-@pytest.mark.parametrize("text", ['"abc"', "5", "[1, 2]", '{"amps": 5}', "{}", '{"amps": null}'])
+_DICT_AMPS = json.dumps({"amps": dict.fromkeys(["10", "01", "00", "11", "ab", "cd", "ef", "gh"], 0)})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['"abc"', "5", "[1, 2]", '{"amps": 5}', "{}", '{"amps": null}', pytest.param(_DICT_AMPS, id="dict")],
+)
 def test_state_json_of_another_shape_exit2(tmp_path, capsys, text):
     # Each once leaked a Python message: "string indices must be integers",
-    # "'int' object is not subscriptable", "object of type 'int' has no len()".
+    # "'int' object is not subscriptable", "object of type 'int' has no len()";
+    # a mapping's keys were read as its amplitudes.
     path = tmp_path / "state.json"
     path.write_text(text)
     code, out, err = run(capsys, ["classify", "--json-state", str(path)])
     assert (code, out) == (2, "")
     assert err == 'error: bad state JSON: expected an object whose "amps" is a list of 4 or 8 [re, im] pairs\n'
+
+
+def test_state_from_json_rejects_a_mapping_of_amplitudes():
+    # From Python the keys may be pairs, which once read as |00> + i|01> + 2|10> + 2i|11>.
+    with pytest.raises(ValueError, match='"amps" is a list of 4 or 8'):
+        state_from_json({"amps": {(1, 0): 0, (0, 1): 0, (2, 0): 0, (0, 2): 0}})
 
 
 def test_impossible_double_outcome_names_its_probability_and_eps(capsys):

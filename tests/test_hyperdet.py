@@ -134,7 +134,6 @@ def test_classify_ghz_normalized_values():
     vec = classify(ghz_state())
     assert vec.det_abs2 == Fraction(1, 16)
     assert vec.sub2 == (0,) * 6
-    assert vec.computed_on_normalized
     # In doubles |Det|^2 = 1/16 exactly: an entry equal to eps counts as zero.
     ghz_f = ghz_state().to_approx()
     vec_f = classify(ghz_f)
@@ -165,6 +164,16 @@ def test_display_normalize_reads_int_entries_of_a_public_vector():
     vec = ClassificationVector(Fraction(0), (0, 1, 0, 0, 0, 2))
     assert display_normalize(vec) == (0.0, 0.0, 0.7071067811865476, 0.0, 0.0, 0.0, 1.0)
     assert not vec.is_zero() and ClassificationVector(Fraction(0), (0,) * 6).is_zero()
+
+
+def test_an_int_det_entry_leaves_the_vector_exact():
+    # The backend is read off every entry: an int |Det|^2 once made this a
+    # double vector, whose tiny entry passed eps.
+    for det in (0, Fraction(0)):
+        vec = ClassificationVector(det, (Fraction(1, 10**12),) + (0,) * 5)
+        assert vec.backend == "exact" and not vec.is_zero()
+        assert display_normalize(vec) == (0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert ClassificationVector(0, (1e-12,) + (0,) * 5).is_zero()
 
 
 def test_homogeneity_of_det_and_subs():
@@ -235,10 +244,14 @@ def test_qubit_permutation_permutes_sub_entries_exactly(state, perm):
             old[perm[q]] = bits[q]
         amps[4 * bits[0] + 2 * bits[1] + bits[2]] = state.amps[4 * old[0] + 2 * old[1] + old[2]]
     permuted = TripartiteState(tuple(amps), state.scale2)
-    for normalized in (True, False):
-        before, after = classify(state, normalized), classify(permuted, normalized)
-        assert after.det_abs2 == before.det_abs2
-        assert after.sub2 == tuple(before.sub2[2 * perm[q] + o] for q in range(3) for o in (0, 1))
+
+    def moved(entries):
+        return tuple(entries[2 * perm[q] + o] for q in range(3) for o in (0, 1))
+
+    before, after = classify(state), classify(permuted)
+    assert after.det_abs2 == before.det_abs2 and after.sub2 == moved(before.sub2)
+    assert cayley_det(permuted).abs2() == cayley_det(state).abs2()
+    assert sub_concurrences2(permuted) == moved(sub_concurrences2(state))
 
 
 # -- the normalized vector kept on the state ----------------------------------
@@ -250,15 +263,15 @@ def _copy(state):
 
 
 def _check_kept(state):
-    """classify keeps its normalized vector; the unnormalized one is never kept."""
-    before = classify(state, normalized=False)
+    """classify keeps its vector; sub_concurrences2 neither reads nor keeps one."""
+    before = sub_concurrences2(state)
     vec = classify(state)
-    after = classify(state, normalized=False)
-    assert classify(state) is vec and vec.computed_on_normalized
+    after = sub_concurrences2(state)
+    assert classify(state) is vec
     assert vec == classify(_copy(state))
-    unkept = classify(_copy(state), normalized=False)
-    assert before == after == unkept and not after.computed_on_normalized
-    assert sub_concurrences2(state) == unkept.sub2
+    fresh = _copy(state)
+    unkept = sub_concurrences2(fresh)
+    assert before == after == unkept and "_classification" not in fresh.__dict__
 
 
 @settings(deadline=None)
@@ -266,7 +279,7 @@ def _check_kept(state):
 def test_classify_keeps_the_normalized_vector(state):
     for s in (state, state.to_approx()):
         _check_kept(s)
-        _check_kept(_copy(s))  # normalized first, unnormalized after
+        _check_kept(_copy(s))  # unnormalized entries first, the vector after
 
 
 @settings(deadline=None)

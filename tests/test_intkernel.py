@@ -225,17 +225,14 @@ def test_normalized_classification_matches_references(state):
 @settings(deadline=None)
 @given(states)
 def test_unnormalized_classification_matches_references(state):
-    vec = classify(state, normalized=False)
     s2 = state.scale2
     n2 = reference_norm2(state)
-    assert not vec.computed_on_normalized
-    assert vec.det_abs2 == cayley_det_schlafli(state).abs2() * s2**4
+    assert cayley_det(state).abs2() * s2**4 == cayley_det_schlafli(state).abs2() * s2**4
     # brute_subdet2 divides by norm2^2; undo that to get the raw entry.
-    assert vec.sub2 == tuple(
+    assert sub_concurrences2(state) == tuple(
         brute_subdet2(state, axis.name.lower(), outcome) * n2 * n2
         for axis, outcome in AXIS_OUTCOME_ORDER
     )
-    assert sub_concurrences2(state) == vec.sub2
 
 
 @settings(deadline=None)
@@ -318,7 +315,8 @@ def kernel_quotients(state):
     ``_util.reference_quotients``."""
     out = [part for a in state.amps for part in (a.re, a.im)]
     out.append(state.norm2())
-    out += classify(state).values2() + classify(state, normalized=False).values2()
+    out += classify(state).values2() + (cayley_det(state).abs2() * state.scale2**4,)
+    out += sub_concurrences2(state)
     for axis, outcome in AXIS_OUTCOME_ORDER:
         try:
             result = collapse(state, axis, outcome)
@@ -419,10 +417,11 @@ def test_double_backend_matches_exact_backend(state, rng):
     raw = n2 / float(state.scale2)  # sum |a_n|^2 of the raw amplitudes
     assert close(approx.norm2(), state.norm2(), n2)
     assert close(cayley_det(approx), cayley_det(state).to_complex(), raw * raw)
-    for normalized, det_scale, sub_scale in ((True, 1.0, 1.0), (False, n2**4, n2**2)):
-        vec, vec_f = classify(state, normalized), classify(approx, normalized)
-        assert close(vec_f.det_abs2, vec.det_abs2, det_scale)
-        assert all(close(f, e, sub_scale) for f, e in zip(vec_f.sub2, vec.sub2))
+    vec, vec_f = classify(state), classify(approx)
+    assert close(vec_f.det_abs2, vec.det_abs2)
+    assert all(close(f, e) for f, e in zip(vec_f.sub2, vec.sub2))
+    s2 = state.scale2
+    assert close(abs(cayley_det(approx)) ** 2 * float(s2) ** 4, cayley_det(state).abs2() * s2**4, n2**4)
     assert all(
         close(f, e, n2**2) for f, e in zip(sub_concurrences2(approx), sub_concurrences2(state))
     )

@@ -178,6 +178,7 @@ _NAN_ZERO = {"amps": [["nan", 0]] + [[0, 0]] * 6 + [[1, 0]], "scale2": 0, "backe
 @example([1, 2])
 @example({"amps": 5})
 @example({"amps": None})
+@example({"amps": dict.fromkeys(["10", "01", "00", "11"], 0)})
 @example({})
 def test_state_reader_matches_the_scalar_reader(tmp_path_factory, obj):
     _same(_outcome(state_from_json, obj), _outcome(reference_state_from_json, obj))

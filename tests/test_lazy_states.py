@@ -45,6 +45,7 @@ from tritangle import (
     state_from_json,
     state_to_json,
     state_to_ket,
+    sub_concurrences2,
     submatrix,
 )
 from tritangle.cli import _unitary_from_json
@@ -199,7 +200,7 @@ _PATHS = {
     "apply_local_3": lambda b: apply_local_3(_state(b), *[_unitary(b)] * 3),
     "apply_local_2": lambda b: apply_local_2(_state(b, "(|00> + 2i|11>)/sqrt(5)"), *[_unitary(b)] * 2),
     "classify": lambda b: classify(_state(b)),
-    "classify(normalized=False)": lambda b: classify(_state(b), normalized=False),
+    "vector(int det_abs2)": lambda b: ClassificationVector(0, classify(_state(b)).sub2),
     "ClassificationVector()": lambda b: ClassificationVector(classify(_state(b)).det_abs2, ()),
 }
 
@@ -298,7 +299,7 @@ def test_slice_determinants_are_computed_once_per_state(monkeypatch):
     for state in _kernel_states():
         calls.clear()
         classify(state)
-        classify(state, normalized=False)
+        sub_concurrences2(state)
         cayley_det(state)
         for axis, outcome in AXIS_OUTCOME_ORDER:
             try:

@@ -31,12 +31,13 @@ from tritangle.randstates import (
     random_tripartite,
 )
 from tritangle.scalars import _ZERO
-from tritangle.separability import _COLUMN_PAIRS, _MINORS, _extract_exact
+from tritangle.separability import _COLUMN_PAIRS, _MINORS, _factors
 from tritangle.states import SLICE_INDEX
 
 from _util import (
     perturbed,
     random_fraction,
+    reference_extract_double,
     reference_extract_exact,
     reference_first_nonzero_minor,
 )
@@ -103,6 +104,53 @@ def test_extract_factors_approx():
         rebuilt = f.amplitudes()
         biggest = max(abs(a) for a in s.amps)
         assert max(abs(r - a) for r, a in zip(rebuilt, s.amps)) <= 1e-9 * max(1.0, biggest)
+
+
+def test_double_extraction_anchors_on_the_largest_modulus():
+    # The first nonzero amplitude, 1, would give fy = (1, 2).
+    f = extract_factors(parse_state("|000> + 2|010>").to_approx())
+    assert f.fy == (0.5, 1) and f.fx == (2, 0) and f.fz == (1, 0)
+
+
+def _jittered(state, size, rng):
+    """A double copy of the state with size * max |a_n| times a random complex
+    number of parts in [-1, 1] added to each amplitude."""
+    amps = state.to_approx().amps
+    scale = size * max(map(abs, amps))
+    return TripartiteState(
+        tuple(a + scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for a in amps), 1.0
+    )
+
+
+def _extraction(extract, state):
+    """The factors ``extract`` returns, or the class of the error it raises."""
+    try:
+        return extract(state)
+    except (NotSeparable, ResidualNonzero) as exc:
+        return type(exc)
+
+
+def test_double_extraction_matches_the_complex_division_reference():
+    """Past the separability test, the one algorithm on the pairs accepts and
+    rejects the doubles the eight-position complex-division check does, and
+    its factors agree within 1e-12 relative."""
+    rng = random.Random(26)
+    pool = list(mixed_pool(seed=101, count=500))
+    counts = {}
+    for size in (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+        for s in pool:
+            state = _jittered(s, size, rng)
+            found = _extraction(_factors, state)
+            expected = _extraction(reference_extract_double, state)
+            if isinstance(expected, type):
+                assert found is expected
+            else:
+                for new, ref in zip(found.fx + found.fy + found.fz, expected.fx + expected.fy + expected.fz):
+                    assert abs(new - ref) <= 1e-12 * abs(ref)
+            key = (is_separable(state), isinstance(expected, type))
+            counts[key] = counts.get(key, 0) + 1
+    # Factored, separable only within eps, and entangled.
+    assert min(counts.values()) > 100 and len(counts) == 3, counts
 
 
 def test_rank1_oracle_products_true():
@@ -242,10 +290,10 @@ def test_exact_rebuild_check_rejects_what_the_eight_position_check_rejects():
                 expected = reference_extract_exact(state)
             except ResidualNonzero:
                 with pytest.raises(ResidualNonzero):
-                    _extract_exact(state)
+                    _factors(state)
                 counts["rejected"] += 1
                 continue
-            assert _extract_exact(state) == expected
+            assert _factors(state) == expected
             counts["factored"] += 1
     assert min(counts.values()) > 400, counts
 

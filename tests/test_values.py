@@ -81,16 +81,16 @@ CASES = {
     ),
     "vector-exact": (
         lambda: classify(parse_state("|001> + 2|010> + |100> + |111>")),
-        ("det_abs2", "sub2", "computed_on_normalized"),
+        ("det_abs2", "sub2"),
         "ClassificationVector(det_abs2=Fraction(64, 2401), sub2=(Fraction(4, 49), "
         "Fraction(1, 49), Fraction(1, 49), Fraction(4, 49), Fraction(4, 49), "
-        "Fraction(1, 49)), computed_on_normalized=True)",
+        "Fraction(1, 49)))",
     ),
     "vector-approx": (
-        lambda: classify(parse_state("|001> + 2|010> + |100>").to_approx(), normalized=False),
-        ("det_abs2", "sub2", "computed_on_normalized"),
-        "ClassificationVector(det_abs2=0.0, sub2=(4.0, 0.0, 1.0, 0.0, 4.0, 0.0), "
-        "computed_on_normalized=False)",
+        lambda: classify(parse_state("|001> + 2|010> + |100>").to_approx()),
+        ("det_abs2", "sub2"),
+        "ClassificationVector(det_abs2=0.0, sub2=(0.1111111111111111, 0.0, "
+        "0.027777777777777776, 0.0, 0.1111111111111111, 0.0))",
     ),
     "factorization": (
         lambda: extract_factors(product_state_example()),
@@ -199,7 +199,7 @@ def test_defaults():
     assert TripartiteState(amps).scale2 == Fraction(1)
     assert BipartiteState(amps[:4]).scale2 == Fraction(1)
     assert Unitary2(Unitary2.identity().entries).scale2 == Fraction(1)
-    assert ClassificationVector(Fraction(0), (Fraction(0),) * 6).computed_on_normalized is True
+    assert ClassificationVector(0, (0,) * 6).backend == "exact"  # ints are exact entries
     assert KetExpr(((GaussianRational(1), "000"),)).global_divisor == 1
     # The exact default scale2 refuses double values, keyword or not.
     with pytest.raises(BackendMismatch):

@@ -98,8 +98,8 @@ MUTANTS = (
     Mutant(
         "classify-hands-over-exact-ops",
         "hyperdet.py",
-        "computed_on_normalized=normalized, _ops=ops)",
-        "computed_on_normalized=normalized, _ops=_ExactOps)",
+        "        _ops=state._ops)",
+        "        _ops=_ExactOps)",
         ("tests/test_lazy_states.py::test_the_carried_backend_survives_every_path",),
     ),
     Mutant(
@@ -343,11 +343,39 @@ MUTANTS = (
         ("tests/test_states.py::test_norm2_ghz_normalized",),
     ),
     Mutant(
-        "unnormalized-classify-drops-q",
+        "sub-concurrences-drop-q",
         "hyperdet.py",
         "num, den = s * s, (q * d * d) ** 2",
         "num, den = s * s, (d * d) ** 2",
         ("tests/test_hyperdet.py::test_sub_concurrences_w",),
+    ),
+    Mutant(
+        "sub-concurrences-scale-not-squared",
+        "hyperdet.py",
+        "num, den = s * s, (q * d * d) ** 2",
+        "num, den = s, (q * d * d) ** 2",
+        ("tests/test_intkernel.py::test_unnormalized_classification_matches_references",),
+    ),
+    Mutant(
+        "vector-backend-from-det-only",
+        "hyperdet.py",
+        "for v in (det_abs2, *sub2))",
+        "for v in (det_abs2,))",
+        ("tests/test_hyperdet.py::test_an_int_det_entry_leaves_the_vector_exact",),
+    ),
+    Mutant(
+        "double-anchor-first-nonzero",
+        "scalars.py",
+        "return abs2.index(max(abs2))",
+        "return next(n for n, v in enumerate(abs2) if v)",
+        ("tests/test_separability.py::test_double_extraction_anchors_on_the_largest_modulus",),
+    ),
+    Mutant(
+        "rebuild-tolerance-unsquared",
+        "separability.py",
+        "1e-18, norm, norm * norm)",
+        "1e-9, norm, norm * norm)",
+        ("tests/test_separability.py::test_double_extraction_matches_the_complex_division_reference",),
     ),
     Mutant(
         "apply-local-drops-q",
@@ -399,6 +427,13 @@ MUTANTS = (
         ("tests/test_lazy_states.py::test_slice_determinants_are_computed_once_per_state",),
     ),
     Mutant(
+        "sub-concurrences-recompute-the-slice-dets",
+        "hyperdet.py",
+        "for r, i in state._slice_dets])",
+        "for r, i in type(state)._slice_dets.func(state)])",
+        ("tests/test_lazy_states.py::test_slice_determinants_are_computed_once_per_state",),
+    ),
+    Mutant(
         "cayley-det-recomputes-the-slice-dets",
         "hyperdet.py",
         "re, im = _entries_g(g, state._slice_dets)",
@@ -415,9 +450,16 @@ MUTANTS = (
     Mutant(
         "state-json-takes-any-shape",
         "states.py",
-        '    if not hasattr(amps_raw, "__len__"):',
+        '    if isinstance(amps_raw, dict) or not hasattr(amps_raw, "__len__"):',
         "    if False:",
         ("tests/test_cli.py::test_state_json_of_another_shape_exit2",),
+    ),
+    Mutant(
+        "state-json-reads-a-mapping",
+        "states.py",
+        "    if isinstance(amps_raw, dict) or not",
+        "    if not",
+        ("tests/test_cli.py::test_state_from_json_rejects_a_mapping_of_amplitudes",),
     ),
     Mutant(
         "impossible-outcome-hides-its-probability",
