@@ -316,7 +316,7 @@ class _ExactOps:
             k = math.gcd(k, re, im)
             if k == 1:
                 return g, d
-        return tuple((re // k, im // k) for re, im in g), d // k
+        return tuple([(re // k, im // k) for re, im in g]), d // k
 
     @staticmethod
     def div(num, den, what=None):
@@ -394,7 +394,7 @@ class _DoubleOps:
 
     @staticmethod
     def pairs(values):
-        return tuple((z.real, z.imag) for z in values), 1
+        return tuple([(z.real, z.imag) for z in values]), 1
 
     @staticmethod
     def ratio(value):

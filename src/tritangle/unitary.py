@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
 from .scalars import _DoubleOps, _ExactOps, _ops_named, as_approx, as_exact, over_lcm
-from .states import BipartiteState, TripartiteState, _kept, _PairValues
+from .states import SLICE_INDEX, BipartiteState, TripartiteState, _kept, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
@@ -54,12 +54,15 @@ class Unitary2(_PairValues):
     def __init__(self, entries: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, entries, scale2)
 
-    def _check(self, entries=None):
+    def _check(self, entries=None, g=None):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
-        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
+        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.  G is the
+        # reduced g the store step hands over, else the kept pairs' (the
+        # constructor's entries are not read).
         ops = self._ops
-        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
+        kept, d = self._pairs
+        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)) = kept if g is None else g
         s, q = ops.ratio(self.scale2)
         d2 = d * d
         # Squared by multiplying: a double that overflows gives inf, which
@@ -110,16 +113,27 @@ def _combine_gauss(a0, a1, m):
     )
 
 
+#: For a state of 8 or 4 amplitudes, each axis's lines: the ``(lo, hi)``
+#: positions whose indices differ only in that axis's index, lo ascending.
+#: Axis k of three qubits has the two slices of SLICE_INDEX slots 2k and
+#: 2k + 1 as its lo and hi positions; a two-qubit axis, with c_ij =
+#: amps[2i + j], has the positions whose index bit 2, then 1, is clear as lo.
+_LINES = {
+    8: tuple(tuple(zip(SLICE_INDEX[2 * k], SLICE_INDEX[2 * k + 1])) for k in range(3)),
+    4: tuple(tuple((lo, lo | bit) for lo in range(4) if not lo & bit) for bit in (2, 1)),
+}
+
+
 def _apply_local(state, units):
     """Apply one unitary per qubit as successive per-axis (mode) products.
 
     Along each axis in turn a_{..i..} -> a'_{..l..} = sum_i a_{..i..} u[i][l],
-    two products per amplitude.  With a_ijk = amps[4i + 2j + k] the index
-    bit of the axes is 4, 2, 1 (2, 1 for two qubits).  The products run on
-    the state's pairs and on each unitary's kept pairs over its own
-    denominator d_u (Gaussian integers in the exact backend, d_u = 1 for
-    doubles); the output is built from its pairs over d * prod(d_u) once.
-    Raises ValueError unless there is one unitary per qubit.
+    two products per amplitude, on each line ``(lo, hi)`` of the axis in the
+    line table ``_LINES``.  The products run on the state's pairs and on each
+    unitary's kept pairs over its own denominator d_u (Gaussian integers in
+    the exact backend, d_u = 1 for doubles); the output is built from its
+    pairs over d * prod(d_u) once.  Raises ValueError unless there is one
+    unitary per qubit.
     """
     ops = state._ops
     amps, d = state._pairs
@@ -139,12 +153,9 @@ def _apply_local(state, units):
         u_s, u_q = ops.ratio(u.scale2)
         s, q = s * u_s, q * u_q
     amps = list(amps)
-    bit = len(amps)
-    for m in mats:
-        bit >>= 1
-        for lo in range(len(amps)):
-            if not lo & bit:
-                amps[lo], amps[lo | bit] = _combine_gauss(amps[lo], amps[lo | bit], m)
+    for m, lines in zip(mats, _LINES[len(amps)]):
+        for lo, hi in lines:
+            amps[lo], amps[hi] = _combine_gauss(amps[lo], amps[hi], m)
     return type(state)._from_pairs(ops, tuple(amps), d, ops.div(s, q, "scale2"))
 
 

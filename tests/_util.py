@@ -370,6 +370,38 @@ def brute_apply_local(state, units):
     return type(state)(tuple(amps), scale2)
 
 
+def reference_mode_product(state, units):
+    """``apply_local_3``/``_2`` as the mode product walked before its line
+    table: along each axis, with index bit 4, 2, 1 (2, 1 for two qubits), every
+    position lo whose bit is clear is combined with lo | bit, lo ascending,
+    each new value summed as two ``complex`` sums of (re, im) products.  The
+    output is built from its pairs over d * prod(d_u) with scale2 = s / q, as
+    the library builds it, so doubles agree bit for bit."""
+    ops = state._ops
+    amps, d = state._pairs
+    s, q = ops.ratio(state.scale2)
+    mats = []
+    for u in units:
+        m, d_u = u._pairs
+        mats.append(m)
+        d *= d_u
+        u_s, u_q = ops.ratio(u.scale2)
+        s, q = s * u_s, q * u_q
+    amps = list(amps)
+    bit = len(amps)
+    for m in mats:
+        (r00, i00), (r01, i01), (r10, i10), (r11, i11) = m
+        bit >>= 1
+        for lo in range(len(amps)):
+            if not lo & bit:
+                (r0, i0), (r1, i1) = amps[lo], amps[lo | bit]
+                amps[lo] = ((r0 * r00 - i0 * i00) + (r1 * r10 - i1 * i10),
+                            (r0 * i00 + i0 * r00) + (r1 * i10 + i1 * r10))
+                amps[lo | bit] = ((r0 * r01 - i0 * i01) + (r1 * r11 - i1 * i11),
+                                  (r0 * i01 + i0 * r01) + (r1 * i11 + i1 * r11))
+    return type(state)._from_pairs(ops, tuple(amps), d, ops.div(s, q, "scale2"))
+
+
 # Ket text written with Fraction arithmetic, independently of the library's
 # int renderer.
 

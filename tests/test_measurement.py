@@ -170,6 +170,16 @@ def test_impossible_double_outcome_within_eps_names_its_probability():
             collapse(state, Axis.Z, 1, eps=0.5)
 
 
+def test_a_zero_slice_is_refused_at_the_store_step():
+    """No probability test guards ``submatrix``, nor a double ``collapse`` under
+    a negative eps: the store step's nonzero check refuses the zero slice."""
+    for basis in (TripartiteState.exact((1,) + (0,) * 7), TripartiteState.approx((1.0,) + (0,) * 7)):
+        with pytest.raises(ValueError, match="the zero vector is not a state"):
+            submatrix(basis, Axis.X, 1)
+    with pytest.raises(ValueError, match="the zero vector is not a state"):
+        collapse(basis, Axis.X, 1, eps=-1.0)
+
+
 _exact_tripartite = st.one_of(
     exact_states(TripartiteState),
     exact_states(TripartiteState).map(lambda s: parse_state(state_to_ket(s))),  # from pairs

@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational, NonFinite
@@ -254,6 +254,24 @@ wide_scalars = st.builds(GaussianRational, wide_fracs, wide_fracs)
 def test_exact_pairs_read_off_the_slots_match_over_lcm(values):
     ref = over_lcm([(v.re.as_integer_ratio(), v.im.as_integer_ratio()) for v in values])
     assert _OPS["exact"].pairs(values) == ref
+
+
+reduce_parts = st.integers(-10**6, 10**6)
+
+
+@given(st.lists(st.one_of(st.just((0, 0)), st.tuples(reduce_parts, reduce_parts)), min_size=1, max_size=8),
+       st.integers(1, 10**6), st.integers(1, 60), st.booleans())
+@example([(3, -5), (0, 0)], 1, 1, False)  # d = 1
+@example([(0, 0)] * 4, 7, 3, False)  # zero pairs only
+@example([(1, -2), (0, 0), (-3, 4)], 5, 6, True)  # a common factor that the last pair breaks
+def test_exact_reduce_matches_the_pairs_of_its_quotients(g, d, k, break_last):
+    """``reduce(g, d)`` equals ``pairs`` of the values (g_n[0] + i g_n[1]) / d,
+    for pairs and d that share the factor k, or all of them but the last."""
+    g, d = [(re * k, im * k) for re, im in g], d * k
+    if break_last:
+        g[-1] = (g[-1][0] + 1, g[-1][1])
+    values = [GaussianRational(Fraction(re, d), Fraction(im, d)) for re, im in g]
+    assert _OPS["exact"].reduce(tuple(g), d) == _OPS["exact"].pairs(values)
 
 
 def test_exact_pairs_of_integer_parts_are_over_one():

@@ -27,17 +27,22 @@ from tritangle import (
 )
 from tritangle.catalog import ghz_state, ghz_to_psi_unitary, psi_state
 from tritangle.randstates import (
+    mixed_pool,
     random_approx_bipartite,
     random_approx_tripartite,
+    random_exact_bipartite,
     random_product_state,
 )
-from tritangle.scalars import abs2
+from tritangle.scalars import _OPS, abs2
+from tritangle.states import SLICE_INDEX
+from tritangle.unitary import _LINES
 from _util import (
     BIG,
     big_fracs,
     brute_apply_local,
     pos_fracs,
     reference_is_unitary,
+    reference_mode_product,
     reference_rational_unitary2,
     same_physical_state,
     wide_scalars,
@@ -153,11 +158,19 @@ def exact_states_and_units(draw):
     return cls(tuple(amps), scale2), units
 
 
+def _same_output(out, ref):
+    """The same class, and ``repr``-identical pairs and scale2 to the bit-test
+    loop's: equal ints, or doubles equal bit for bit."""
+    return type(out) is type(ref) and repr((out._pairs, out.scale2)) == repr((ref._pairs, ref.scale2))
+
+
 @settings(deadline=None)
 @given(exact_states_and_units())
 def test_local_unitary_equals_full_sum_exact(case):
     state, units = case
-    assert _apply(state, units) == brute_apply_local(state, units)
+    out = _apply(state, units)
+    assert out == brute_apply_local(state, units)
+    assert _same_output(out, reference_mode_product(state, units))
 
 
 @settings(deadline=None)
@@ -170,6 +183,30 @@ def test_local_unitary_matches_full_sum_haar(n, seed):
     assert type(out) is type(ref) and out.scale2 == ref.scale2
     scale = max(abs(b) for b in ref.amps)
     assert max(abs(a - b) for a, b in zip(out.amps, ref.amps)) <= 1e-12 * scale
+    assert _same_output(out, reference_mode_product(state, units))
+
+
+def test_line_tables_are_the_slice_pairs():
+    assert _LINES[8] == tuple(tuple(zip(SLICE_INDEX[2 * k], SLICE_INDEX[2 * k + 1])) for k in range(3))
+    assert _LINES[4] == (((0, 2), (1, 3)), ((0, 1), (2, 3)))
+
+
+def test_mode_product_matches_the_bit_test_loop_on_the_mixed_pool():
+    rng = random.Random(27)
+    for state in mixed_pool(27, 60):
+        units = tuple(random_rational_unitary2(rng) for _ in range(3))
+        assert _same_output(apply_local_3(state, *units), reference_mode_product(state, units))
+        pair = random_exact_bipartite(rng)
+        assert _same_output(apply_local_2(pair, *units[:2]), reference_mode_product(pair, units[:2]))
+
+
+def test_a_unitary_stored_with_a_common_factor_is_checked_on_its_reduced_pairs():
+    """2I over 2 is the identity; 2I over 1 is not unitary."""
+    twice = ((2, 0), (0, 0), (0, 0), (2, 0))
+    u = Unitary2._from_pairs(_OPS["exact"], twice, 2, Fraction(1))
+    assert u._pairs == (((1, 0), (0, 0), (0, 0), (1, 0)), 1) and u == Unitary2.identity()
+    with pytest.raises(ValueError, match="not unitary"):
+        Unitary2._from_pairs(_OPS["exact"], twice, 1, Fraction(1))
 
 
 def test_apply_local_2_identity_and_rotation():

@@ -462,6 +462,35 @@ MUTANTS = (
         ("tests/test_cli.py::test_state_from_json_rejects_a_mapping_of_amplitudes",),
     ),
     Mutant(
+        "line-table-swaps-a-pair",
+        "unitary.py",
+        "    8: tuple(tuple(zip(SLICE_INDEX[2 * k], SLICE_INDEX[2 * k + 1])) for k in range(3)),\n",
+        "    8: (((4, 0), (1, 5), (2, 6), (3, 7)), ((0, 2), (1, 3), (4, 6), (5, 7)),\n"
+        "        ((0, 1), (2, 3), (4, 5), (6, 7))),\n",
+        ("tests/test_unitary.py::test_mode_product_matches_the_bit_test_loop_on_the_mixed_pool",),
+    ),
+    Mutant(
+        "store-step-checks-the-unreduced-pairs",
+        "states.py",
+        "built._check(None, pairs[0])",
+        "built._check(None, g)",
+        ("tests/test_unitary.py::test_a_unitary_stored_with_a_common_factor_is_checked_on_its_reduced_pairs",),
+    ),
+    Mutant(
+        "store-step-skips-the-check",
+        "states.py",
+        "        built._check(None, pairs[0])\n",
+        "",
+        ("tests/test_measurement.py::test_a_zero_slice_is_refused_at_the_store_step",),
+    ),
+    Mutant(
+        "reduce-divides-only-the-real-parts",
+        "scalars.py",
+        "[(re // k, im // k) for re, im in g]",
+        "[(re // k, im) for re, im in g]",
+        ("tests/test_scalars.py::test_exact_reduce_matches_the_pairs_of_its_quotients",),
+    ),
+    Mutant(
         "impossible-outcome-hides-its-probability",
         "measurement.py",
         'shown = f"{prob!r}, at most eps = {eps!r}" if prob else "0"',
