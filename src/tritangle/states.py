@@ -120,10 +120,11 @@ def _slot(axis: Axis, outcome: int) -> int:
     a float such as 1.0 among them, raises ValueError.  An ``axis`` that is
     not an :class:`Axis` raises AttributeError.
     """
-    if outcome.__class__ is int and (outcome == 0 or outcome == 1):  # the common case, at once
-        return 2 * axis._value_ + outcome
-    # 1.0 == 1, but a float cannot index the slot tables: it has no __index__.
-    if outcome not in (0, 1) or not hasattr(outcome, "__index__"):
+    # An int 0 or 1, the common case, passes on the first test.  1.0 == 1,
+    # but a float cannot index the slot tables: it has no __index__.
+    if not (outcome.__class__ is int and (outcome == 0 or outcome == 1)) and (
+        outcome not in (0, 1) or not hasattr(outcome, "__index__")
+    ):
         raise ValueError(f"outcome must be 0 or 1, got {outcome}")
     return 2 * axis._value_ + outcome
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
 from .scalars import _DoubleOps, _ExactOps, _ops_named, as_approx, as_exact, over_lcm
-from .states import SLICE_INDEX, BipartiteState, TripartiteState, _kept, _PairValues
+from .states import BipartiteState, TripartiteState, _kept, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
     import numpy as np
@@ -57,12 +57,9 @@ class Unitary2(_PairValues):
     def _check(self, entries=None, g=None):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
-        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.  G is the
-        # reduced g the store step hands over, else the kept pairs' (the
-        # constructor's entries are not read).
+        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
         ops = self._ops
-        kept, d = self._pairs
-        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)) = kept if g is None else g
+        ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
         s, q = ops.ratio(self.scale2)
         d2 = d * d
         # Squared by multiplying: a double that overflows gives inf, which
@@ -114,13 +111,12 @@ def _combine_gauss(a0, a1, m):
 
 
 #: For a state of 8 or 4 amplitudes, each axis's lines: the ``(lo, hi)``
-#: positions whose indices differ only in that axis's index, lo ascending.
-#: Axis k of three qubits has the two slices of SLICE_INDEX slots 2k and
-#: 2k + 1 as its lo and hi positions; a two-qubit axis, with c_ij =
-#: amps[2i + j], has the positions whose index bit 2, then 1, is clear as lo.
+#: positions whose indices differ only in that axis's bit (the highest bit is
+#: the first qubit's), lo ascending.  For three qubits, axis k's lo and hi
+#: positions are the two slices of ``states.SLICE_INDEX`` slots 2k and 2k + 1.
 _LINES = {
-    8: tuple(tuple(zip(SLICE_INDEX[2 * k], SLICE_INDEX[2 * k + 1])) for k in range(3)),
-    4: tuple(tuple((lo, lo | bit) for lo in range(4) if not lo & bit) for bit in (2, 1)),
+    n: tuple(tuple((lo, lo | bit) for lo in range(n) if not lo & bit) for bit in bits)
+    for n, bits in ((8, (4, 2, 1)), (4, (2, 1)))
 }
 
 
