@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .scalars import DEFAULT_EPS, gauss_det2
-from .states import BipartiteState
+from .states import BipartiteState, _qubit_count_error
 
 
 def det2(state: BipartiteState):
@@ -26,6 +26,8 @@ def det2(state: BipartiteState):
     this value.  It is evaluated on the pairs g and divided by d^2.
     """
     g, d = state._pairs
+    if len(g) != 4:
+        raise _qubit_count_error(2, state)
     re, im = gauss_det2(*g)
     return state._ops.scalar(re, im, d * d)
 
@@ -48,8 +50,10 @@ def concurrence2(state: BipartiteState):
     Fraction in the exact backend, a float in the approx backend.  On the
     pairs (g, d) scale2 and d cancel, leaving 4 |det g|^2 / (sum |g_n|^2)^2.
     """
-    det = gauss_det2(*state._pairs[0])
-    return gauss_concurrence2(det, state._weight, state._ops.div)
+    g = state._pairs[0]
+    if len(g) != 4:
+        raise _qubit_count_error(2, state)
+    return gauss_concurrence2(gauss_det2(*g), state._weight, state._ops.div)
 
 
 def concurrence(state: BipartiteState) -> float:

@@ -94,7 +94,7 @@ def _fmt_display(display) -> str:
 
 
 def _load_tripartite(args) -> TripartiteState:
-    if getattr(args, "json_state", None):
+    if args.json_state:
         try:
             with open(args.json_state, "r", encoding="utf-8") as fh:
                 raw = json.load(fh, parse_float=_json_float)
@@ -111,7 +111,7 @@ def _load_tripartite(args) -> TripartiteState:
         state = parse_state(args.expr)
     if not isinstance(state, TripartiteState):
         raise ValueError("this command needs a 3-qubit state")
-    if getattr(args, "float", False):
+    if args.float:
         state = state.to_approx()
     return state
 
@@ -196,7 +196,7 @@ def _unitary_from_json(text: str) -> Unitary2:
     return Unitary2._from_pairs(_DoubleOps, tuple(g), 1, scale2)
 
 
-def _classification_record(state, eps):
+def _classification_record(state, eps=DEFAULT_EPS):
     from .hyperdet import classify, display_normalize
     from .separability import is_separable
 
@@ -239,7 +239,7 @@ def cmd_table(args):
 
     rows = []
     for row in catalog.TABLE_ROWS:
-        record = _classification_record(parse_state(row.expression), args.eps)
+        record = _classification_record(parse_state(row.expression))
         rows.append({
             "name": row.name, "expression": row.expression, "computed": record["display"],
             "quoted": list(row.quoted), "status": _table_status(record["display"], row.quoted),
@@ -339,8 +339,8 @@ def cmd_random(args):
     mismatches = 0
     for _ in range(args.count):
         state = random_tripartite(rng, args.kind)
-        separable = is_separable(state, args.eps)
-        agrees = rank1_oracle(state, args.eps) == separable
+        separable = is_separable(state)
+        agrees = rank1_oracle(state) == separable
         mismatches += 0 if agrees else 1
         records.append({"state": state_to_json(state), "separable": separable, "oracle_agrees": agrees})
     summary = {"count": args.count, "seed": args.seed, "kind": args.kind, "mismatches": mismatches,
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("table", help="classify the canonical catalog states")
     sub.add_argument("--json", action="store_true")
-    sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)
     sub.set_defaults(func=cmd_table)
 
     sub = subs.add_parser("measure", help="projective single-qubit measurement")
@@ -417,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     # Set after add_argument, which would list the choices at once.
     sub.add_argument("--kind", default="mixed").choices = _KindNames()
-    sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=cmd_random)
     return parser

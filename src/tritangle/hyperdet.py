@@ -24,7 +24,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import DEFAULT_EPS, _DoubleOps, _ExactOps
-from .states import _SLICES, Axis, BipartiteState, TripartiteState, _setattr, _slot, _Value
+from .states import (
+    _SLICES,
+    Axis,
+    BipartiteState,
+    TripartiteState,
+    _qubit_count_error,
+    _setattr,
+    _slot,
+    _Value,
+)
 
 
 def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteState:
@@ -36,10 +45,13 @@ def submatrix(state: TripartiteState, axis: Axis, outcome: int) -> BipartiteStat
     so only the residual's own check runs: it raises ValueError when every
     entry of the slice is zero (the zero vector is not a valid state);
     :func:`tritangle.measurement.collapse` reports that case as an
-    impossible measurement outcome.
+    impossible measurement outcome.  A state that is not a three-qubit one
+    raises ValueError.
     """
     slot = _slot(axis, outcome)
     g, d = state._pairs
+    if len(g) != 8:
+        raise _qubit_count_error(3, state)
     return BipartiteState._from_checked_pairs(state._ops, _SLICES[slot](g), d, state.scale2)
 
 
@@ -91,6 +103,8 @@ def cayley_det_schlafli(state: TripartiteState):
     on the amplitudes themselves in both backends, so it shares no
     arithmetic with the integer kernel.
     """
+    if state.N_VALUES != 8:
+        raise _qubit_count_error(3, state)
     a000, a001, a010, a011, a100, a101, a110, a111 = state.amps
     alpha = a000 * a110 - a010 * a100
     gamma = a001 * a111 - a011 * a101

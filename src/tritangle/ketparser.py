@@ -37,8 +37,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import EmptyState, MixedArity, UnsupportedIrrational
-from .scalars import _ExactOps, gauss_mul
-from .states import BipartiteState, TripartiteState, _setattr, _Value
+from .scalars import GaussianRational, _ExactOps, gauss_mul
+from .states import BipartiteState, TripartiteState, _clip, _setattr, _Value
 
 _ONE = (1, 0, 1, 1)  # no group: the coefficient 1 and no divisor
 _UNIT = Fraction(1)
@@ -53,18 +53,32 @@ class KetExpr(_Value):
 
     ``terms`` maps each distinct basis string to its summed coefficient;
     the represented state is  (1/sqrt(global_divisor)) * sum  coeff|bits>.
+    The constructor takes what :func:`render` and :func:`to_state` read: a
+    ``GaussianRational`` coefficient (else TypeError) and a label of 2 or 3
+    characters ``0``/``1`` (else ValueError) in every term, one arity, not
+    every coefficient zero, and an int divisor (else TypeError) of at least 1.
     """
 
     _FIELDS = ("terms", "global_divisor")
 
     def __init__(self, terms: tuple, global_divisor: int = 1):
+        terms = tuple(terms)
         _setattr(self, "terms", terms)  # ((GaussianRational, bits str), ...)
         _setattr(self, "global_divisor", global_divisor)
         if not terms:
             raise EmptyState("expression has no terms")
+        for coeff, bits in terms:
+            if not isinstance(coeff, GaussianRational):
+                raise TypeError(f"a coefficient must be a GaussianRational, not {type(coeff).__name__}")
+            if not (isinstance(bits, str) and bits in _INDEX):
+                raise ValueError(f"a label must be 2 or 3 characters 0 or 1, got {_clip(repr(bits))}")
         arities = {len(bits) for _, bits in terms}
         if len(arities) != 1:
             raise MixedArity("kets of different arity in one expression", 0)
+        if not any(coeff for coeff, _ in terms):
+            raise EmptyState("every coefficient is zero")
+        if global_divisor.__class__ is not int:
+            raise TypeError(f"global divisor must be an int, not {type(global_divisor).__name__}")
         if global_divisor < 1:
             raise ValueError("global divisor must be a positive integer")
 

@@ -144,21 +144,24 @@ def mixed_pool(seed: int, count: int):
         yield random_tripartite(rng, "mixed")
 
 
-def random_approx_tripartite(rng: np.random.Generator) -> TripartiteState:
-    """Unit-norm double-backend state with Gaussian amplitudes."""
+def _approx_state(cls, rng):
+    """A unit-norm double-backend state of ``cls`` with Gaussian amplitudes:
+    the real parts drawn first, then the imaginary parts."""
     import numpy as np
 
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    v = rng.normal(size=cls.N_VALUES) + 1j * rng.normal(size=cls.N_VALUES)
     v = v / np.linalg.norm(v)
-    return TripartiteState.approx(tuple(complex(z) for z in v))
+    return cls.approx(tuple(complex(z) for z in v))
+
+
+def random_approx_tripartite(rng: np.random.Generator) -> TripartiteState:
+    """Unit-norm double-backend state with Gaussian amplitudes."""
+    return _approx_state(TripartiteState, rng)
 
 
 def random_approx_bipartite(rng: np.random.Generator) -> BipartiteState:
-    import numpy as np
-
-    v = rng.normal(size=4) + 1j * rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    return BipartiteState.approx(tuple(complex(z) for z in v))
+    """Unit-norm double-backend two-qubit state with Gaussian amplitudes."""
+    return _approx_state(BipartiteState, rng)
 
 
 def random_exact_bipartite(rng: random.Random) -> BipartiteState:

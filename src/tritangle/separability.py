@@ -14,7 +14,7 @@ from __future__ import annotations
 from .errors import NotSeparable, ResidualNonzero
 from .hyperdet import classify
 from .scalars import DEFAULT_EPS, gauss_det2, gauss_mul
-from .states import SLICE_INDEX, TripartiteState, _setattr, _Value
+from .states import SLICE_INDEX, TripartiteState, _qubit_count_error, _setattr, _Value
 
 
 def is_separable(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
@@ -156,6 +156,8 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     """
     zero = state._ops.is_zero
     g, n = state._pairs[0], state._weight
+    if len(g) != 8:
+        raise _qubit_count_error(3, state)
     for p, q, r, s in _MINORS:
         re, im = gauss_det2(g[p], g[q], g[r], g[s])
         if not zero(re * re + im * im, eps, n, n):

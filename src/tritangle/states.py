@@ -38,7 +38,10 @@ once however it is classified and measured: ``_weight``, sum |g_n|^2;
 its slice's four ``_abs2`` values left to right for the slice weight and
 reads its slot's determinant for the residual's concurrence.  The
 independent oracles ``rank1_oracle`` and ``cayley_det_schlafli`` read
-neither ``_abs2`` nor ``_slice_dets``.
+neither ``_abs2`` nor ``_slice_dets``.  On a two-qubit state both raise the
+ValueError of ``_qubit_count_error``, so that every operation that reads them
+reports the wrong qubit count; ``submatrix``, the two oracles, ``det2`` and
+``concurrence2`` check the count themselves.
 
 States are immutable; all operations return new values.
 """
@@ -129,6 +132,11 @@ def _slot(axis: Axis, outcome: int) -> int:
     return 2 * axis._value_ + outcome
 
 
+def _qubit_count_error(needed: int, state) -> ValueError:
+    """The error of an operation on ``needed`` qubits handed ``state``."""
+    return ValueError(f"expected a {needed}-qubit state, got a {state.N_VALUES.bit_length() - 1}-qubit state")
+
+
 def _check_scale2(scale2, ops, finite):
     """The checks on scale2, given the values' ops and whether they are finite."""
     exact = ops is _ExactOps
@@ -203,7 +211,8 @@ class _Value:
 class _PairValues(_Value):
     """Shared by states and unitaries: ``N_VALUES`` values of one backend, a
     squared prefactor ``scale2``, their ``_ops`` and the pairs ``(g, d)``, value_n
-    = g_n / d, that the kernels read.  The constructor picks ``_ops`` by type;
+    = g_n / d, that the kernels read.  The constructor stores the values as a
+    tuple, whatever sequence it is handed, and picks ``_ops`` by type;
     ``_from_pairs`` takes the pairs, and the values are built from them on
     first read.  Both paths check, in this order: the count, one backend,
     finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
@@ -217,6 +226,7 @@ class _PairValues(_Value):
     _FIELD: str  # the name of the values' field, the first of _FIELDS
 
     def __init__(self, values, scale2):
+        values = tuple(values)  # the same object for a tuple
         _setattr(self, self._FIELD, values)
         _setattr(self, "scale2", scale2)
         if len(values) != self.N_VALUES:
@@ -380,6 +390,14 @@ class BipartiteState(_StateOps):
 
     def amp(self, i: int, j: int):
         return self.amps[2 * i + j]
+
+    # The three-qubit kept values: an operation that reads one of them, handed
+    # a two-qubit state, raises the ValueError that names the qubit count.
+    @property
+    def _abs2(self):
+        raise _qubit_count_error(3, self)
+
+    _slice_dets = _abs2
 
 
 # -- JSON interchange -------------------------------------------------------

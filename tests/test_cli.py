@@ -337,9 +337,9 @@ def test_json_state_unreadable_file_exit2(tmp_path, capsys):
     [
         ["classify", GHZ, "--eps", "-1"],
         ["classify", GHZ, "--eps", "nan"],
-        ["table", "--eps=-1e-9"],
+        ["check-sep", GHZ, "--eps=-1e-9"],
         ["random", "--count", "-3"],
-        ["random", "--eps", "inf"],
+        ["measure", GHZ, "--qubit", "1", "--outcome", "0", "--eps", "inf"],
     ],
 )
 def test_negative_or_nonfinite_option_exit2(argv, capsys):
@@ -348,6 +348,19 @@ def test_negative_or_nonfinite_option_exit2(argv, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be a finite number >= 0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["table", "random"])
+def test_exact_only_commands_take_no_eps(command, capsys):
+    """``table`` and ``random`` decide exact states, on which eps acts on nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--eps", "1e-3"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --eps 1e-3" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0 and "--eps" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -834,7 +847,7 @@ def test_random_exits_1_when_the_oracle_disagrees(monkeypatch, json_mode, capsys
     import tritangle.separability as separability
 
     is_separable = separability.is_separable
-    monkeypatch.setattr(separability, "rank1_oracle", lambda state, eps: not is_separable(state, eps))
+    monkeypatch.setattr(separability, "rank1_oracle", lambda state: not is_separable(state))
     code, out, err = run(capsys, ["random", "--count", "5", "--seed", "1"] + (["--json"] if json_mode else []))
     assert code == 1 and err == ""
     if json_mode:

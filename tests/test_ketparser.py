@@ -198,6 +198,43 @@ def test_render_round_trip_generated(expr):
     assert to_state(reparsed) == to_state(expr)
 
 
+_fractions = st.fractions(max_denominator=9)
+#: Raw constructor arguments, most of them valid: labels of one arity, Gaussian
+#: rational coefficients (zero among them) and int divisors; and some of each
+#: kind that the constructor rejects.
+_any_labels = st.one_of(
+    st.sampled_from([format(v, "03b") for v in range(8)]),
+    st.sampled_from(["00", "11", "0a0", "0000", "", "2"]),
+)
+_any_coeffs = st.one_of(
+    st.builds(GaussianRational, _fractions, _fractions),
+    st.just(GaussianRational(0)),
+    st.sampled_from([1, Fraction(1, 2), 0.5]),
+)
+_any_divisors = st.one_of(st.integers(-1, 12), st.sampled_from([2.5, 2.0, True]))
+
+
+def _value_or_error(build):
+    """What ``build()`` returns, or the class of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # the class is compared, whatever it is
+        return type(exc)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(_any_coeffs, _any_labels), max_size=5), _any_divisors)
+def test_every_accepted_expression_renders_to_its_state(terms, divisor):
+    """For every expression the constructor accepts, its rendered text parses
+    to the state it denotes, or both raise the same error class."""
+    try:
+        expr = KetExpr(terms, divisor)
+    except (TypeError, ValueError, TritangleError):
+        return
+    rendered = _value_or_error(lambda: to_state(parse(render(expr))))
+    assert rendered == _value_or_error(lambda: to_state(expr))
+
+
 def test_state_to_ket_round_trip():
     from tritangle.catalog import ghz_state, w_state
 

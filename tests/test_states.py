@@ -22,14 +22,20 @@ from tritangle import (
     cayley_det_schlafli,
     classify,
     collapse,
+    concurrence,
     concurrence2,
     det2,
+    extract_factors,
+    is_separable,
+    is_separable_bipartite,
     parse_state,
     random_rational_unitary2,
     rank1_oracle,
     state_from_json,
     state_to_json,
     state_to_ket,
+    sub_concurrences2,
+    submatrix,
 )
 
 from _util import _SLICE_INDEX, exact_states, reference_to_approx
@@ -291,3 +297,42 @@ def test_double_determinants_raise_nonfinite_on_overflow():
     c = (1 + 2j, 3 - 1j, 0.5j, 2.25 - 0.1j)
     assert det2(BipartiteState.approx(c)) == c[0] * c[3] - c[1] * c[2]
     assert cayley_det(ghz.scale(1e-90)) == cayley_det_schlafli(ghz.scale(1e-90)) == 1e40
+
+
+_THREE_QUBIT_OPERATIONS = {
+    "submatrix-x0": lambda s: submatrix(s, Axis.X, 0),
+    "submatrix-z1": lambda s: submatrix(s, Axis.Z, 1),
+    "classify": classify,
+    "is_separable": is_separable,
+    "extract_factors": extract_factors,
+    "cayley_det": cayley_det,
+    "cayley_det_schlafli": cayley_det_schlafli,
+    "sub_concurrences2": sub_concurrences2,
+    "collapse": lambda s: collapse(s, Axis.Y, 1),
+    "rank1_oracle": rank1_oracle,
+}
+_TWO_QUBIT_OPERATIONS = {
+    "det2": det2,
+    "concurrence2": concurrence2,
+    "concurrence": concurrence,
+    "is_separable_bipartite": is_separable_bipartite,
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "needed, name",
+    [(3, name) for name in _THREE_QUBIT_OPERATIONS] + [(2, name) for name in _TWO_QUBIT_OPERATIONS],
+)
+def test_the_wrong_qubit_count_raises_one_value_error(needed, name, backend):
+    """Each operation handed a state of the other qubit count raises the same
+    ValueError, naming the count it needs, before it computes anything."""
+    op = {**_THREE_QUBIT_OPERATIONS, **_TWO_QUBIT_OPERATIONS}[name]
+    state = parse_state("|01> + |10>" if needed == 3 else "|000> + |111>")
+    if backend == "approx":
+        state = state.to_approx()
+    other = 5 - needed
+    with pytest.raises(ValueError) as exc:
+        op(state)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"expected a {needed}-qubit state, got a {other}-qubit state"

@@ -228,3 +228,62 @@ def test_constructor_checks_still_run():
         Unitary2((one, one, one, one), Fraction(1, 2))
     with pytest.raises(ValueError, match="not unitary"):
         Unitary2(entries=(0.7 + 0j, 0.7 + 0j, 0.7 + 0j, 0.7 + 0j), scale2=1.0)
+
+
+def _ghz_amps():
+    one, zero = GaussianRational(1), GaussianRational(0)
+    return [one] + [zero] * 6 + [one]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seq: TripartiteState(seq(_ghz_amps()), Fraction(1, 2)),
+        lambda seq: BipartiteState(seq(_ghz_amps()[:2] * 2), Fraction(1, 2)),
+        lambda seq: TripartiteState(seq([0.5, 0, 0, 0, 0, 0, 0, 1j]), 2.0),
+        lambda seq: Unitary2(seq(Unitary2.identity().entries)),
+    ],
+    ids=["tripartite-exact", "bipartite-exact", "tripartite-approx", "unitary"],
+)
+@pytest.mark.parametrize("seq", [list, lambda v: iter(list(v))], ids=["list", "iterator"])
+def test_constructors_store_a_tuple(build, seq):
+    value = build(seq)
+    same = build(tuple)
+    assert type(getattr(value, value._FIELD)) is tuple
+    assert value == same and hash(value) == hash(same)
+
+
+def test_a_double_state_from_a_numpy_array_equals_one_from_a_tuple():
+    import numpy as np
+
+    amps = (0.5, 0, 0, 0, 0, 0, 0, 1j)
+    state = TripartiteState(np.array(amps), 2.0)
+    assert state == TripartiteState.approx(amps, 2.0)
+    assert hash(state) == hash(TripartiteState.approx(amps, 2.0))
+
+
+def test_changing_the_list_after_classify_changes_neither_amps_nor_classification():
+    amps = _ghz_amps()
+    state = TripartiteState(amps, Fraction(1, 2))
+    before = classify(state)
+    amps[7] = GaussianRational(0)
+    assert state.amps == tuple(_ghz_amps())
+    assert classify(state) == before == classify(TripartiteState(tuple(_ghz_amps()), Fraction(1, 2)))
+
+
+def test_ket_expr_rejects_what_render_and_to_state_cannot_read():
+    one = GaussianRational(1)
+    with pytest.raises(TypeError, match="global divisor must be an int"):
+        KetExpr(((one, "000"),), 2.5)
+    with pytest.raises(TypeError, match="global divisor must be an int"):
+        KetExpr(((one, "000"),), True)
+    for label in ("0a0", "0000", "0", "", b"000", 0):
+        with pytest.raises(ValueError, match="a label must be 2 or 3 characters"):
+            KetExpr(((one, label),))
+    for coeff in (1, Fraction(1), 1.0, 1j):
+        with pytest.raises(TypeError, match="a coefficient must be a GaussianRational"):
+            KetExpr(((coeff, "000"),))
+    with pytest.raises(EmptyState, match="every coefficient is zero"):
+        KetExpr(((GaussianRational(0), "000"), (GaussianRational(0), "111")), 2)
+    # A list of terms is stored as a tuple.
+    assert KetExpr([(one, "000")]) == KetExpr(((one, "000"),))

@@ -489,6 +489,35 @@ MUTANTS = (
         'shown = "0"',
         ("tests/test_measurement.py::test_impossible_double_outcome_within_eps_names_its_probability",),
     ),
+    Mutant(
+        "constructor-keeps-the-sequence",
+        "states.py",
+        "        values = tuple(values)  # the same object for a tuple\n",
+        "",
+        ("tests/test_values.py::test_constructors_store_a_tuple",),
+    ),
+    Mutant(
+        "submatrix-skips-the-qubit-count",
+        "hyperdet.py",
+        "    g, d = state._pairs\n    if len(g) != 8:\n",
+        "    g, d = state._pairs\n    if False:\n",
+        ("tests/test_states.py::test_the_wrong_qubit_count_raises_one_value_error",),
+    ),
+    Mutant(
+        "ket-expr-takes-any-divisor",
+        "ketparser.py",
+        "        if global_divisor.__class__ is not int:\n",
+        "        if False:\n",
+        ("tests/test_values.py::test_ket_expr_rejects_what_render_and_to_state_cannot_read",),
+    ),
+    Mutant(
+        "random-takes-eps-again",
+        "cli.py",
+        '    sub.add_argument("--kind", default="mixed").choices = _KindNames()\n',
+        '    sub.add_argument("--kind", default="mixed").choices = _KindNames()\n'
+        '    sub.add_argument("--eps", type=_nonnegative(float), default=DEFAULT_EPS)\n',
+        ("tests/test_cli.py::test_exact_only_commands_take_no_eps",),
+    ),
 )
 
 
