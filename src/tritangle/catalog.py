@@ -73,7 +73,7 @@ class TableRow(_Value):
     def __init__(self, name: str, expression: str, quoted: tuple):
         _setattr(self, "name", name)
         _setattr(self, "expression", expression)
-        _setattr(self, "quoted", quoted)  # the classification pattern usually quoted for the state
+        _setattr(self, "quoted", tuple(quoted))  # the classification pattern usually quoted for the state
 
 
 TABLE_ROWS = (

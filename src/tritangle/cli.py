@@ -50,6 +50,7 @@ from .states import (
     _clip,
     _json_float,
     _json_part,
+    _qubit_count_error,
     state_from_json,
     state_to_json,
 )
@@ -110,7 +111,7 @@ def _load_tripartite(args) -> TripartiteState:
             raise _BadInput("no expression given")
         state = parse_state(args.expr)
     if not isinstance(state, TripartiteState):
-        raise ValueError("this command needs a 3-qubit state")
+        raise _qubit_count_error(3, state)
     if args.float:
         state = state.to_approx()
     return state

@@ -138,6 +138,7 @@ class ClassificationVector(_Value):
     _FIELDS = ("det_abs2", "sub2")
 
     def __init__(self, det_abs2: Fraction | float, sub2: tuple):
+        sub2 = tuple(sub2)  # the same object for a tuple
         _setattr(self, "det_abs2", det_abs2)
         _setattr(self, "sub2", sub2)
         doubles = any(isinstance(v, float) for v in (det_abs2, *sub2))

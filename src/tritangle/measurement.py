@@ -56,20 +56,21 @@ def collapse(
     """
     slot = _slot(axis, outcome)
     ops = state._ops
+    # Read first: on a two-qubit state it raises the qubit-count ValueError.
+    det = state._slice_dets[slot]
     # scale2 / d^2 cancels from the probability and the concurrence on the
-    # pairs.  The slice's weight, the residual's sum |g_n|^2, adds the state's
-    # kept |g_n|^2 left to right in slice order, and its determinant is the
+    # pairs.  The slice's weight, the residual's sum |g_n|^2, adds its four
+    # |g_n|^2 left to right in slice order, and its determinant is the
     # state's kept one: C^2 = 4 |det|^2 / weight^2.
-    take = _SLICES[slot]
-    w0, w1, w2, w3 = take(state._abs2)
-    weight = w0 + w1 + w2 + w3
+    g, d = state._pairs
+    (r0, i0), (r1, i1), (r2, i2), (r3, i3) = pairs = _SLICES[slot](g)
+    weight = (r0 * r0 + i0 * i0) + (r1 * r1 + i1 * i1) + (r2 * r2 + i2 * i2) + (r3 * r3 + i3 * i3)
     prob = ops.div(weight, state._weight, "outcome probability")
     if ops.is_zero(prob, eps):
         shown = f"{prob!r}, at most eps = {eps!r}" if prob else "0"
         raise ImpossibleOutcome(f"outcome {outcome} on qubit {axis.qubit} has probability {shown}")
-    g, d = state._pairs
-    post = BipartiteState._from_checked_pairs(ops, take(g), d, state.scale2)
-    c2 = gauss_concurrence2(state._slice_dets[slot], weight, ops.div)
+    post = BipartiteState._from_checked_pairs(ops, pairs, d, state.scale2)
+    c2 = gauss_concurrence2(det, weight, ops.div)
     result = object.__new__(CollapseResult)  # its fields in one write, past __setattr__
     result.__dict__.update(prob=prob, post_state=post, concurrence2=c2)
     return result

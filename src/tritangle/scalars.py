@@ -105,9 +105,6 @@ class GaussianRational:
         return _gaussian(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        if isinstance(other, _EXACT_INPUTS):
-            # A real factor scales both parts: two products, no sums.
-            return _gaussian(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -298,8 +295,6 @@ class _ExactOps:
         """Gaussian rationals as Gaussian integers over their least common
         denominator, as ``over_lcm`` gives them, read off the parts' slots."""
         d = math.lcm(*[q._denominator for v in values for q in (v.re, v.im)])
-        if d == 1:
-            return tuple([(v.re._numerator, v.im._numerator) for v in values]), 1
         return tuple([(v.re._numerator * (d // v.re._denominator),
                        v.im._numerator * (d // v.im._denominator)) for v in values]), d
 
@@ -328,8 +323,6 @@ class _ExactOps:
         if not num:
             return _ZERO
         k = math.gcd(num, den)
-        if k == 1:
-            return _fraction(num, den)
         return _fraction(num // k, den // k)
 
     @staticmethod

@@ -38,9 +38,9 @@ class Factorization(_Value):
     _FIELDS = ("fx", "fy", "fz")
 
     def __init__(self, fx: tuple, fy: tuple, fz: tuple):
-        _setattr(self, "fx", fx)
-        _setattr(self, "fy", fy)
-        _setattr(self, "fz", fz)
+        _setattr(self, "fx", tuple(fx))
+        _setattr(self, "fy", tuple(fy))
+        _setattr(self, "fz", tuple(fz))
 
     def amplitudes(self) -> tuple:
         return tuple(
@@ -149,10 +149,9 @@ def rank1_oracle(state: TripartiteState, eps: float = DEFAULT_EPS) -> bool:
     requires every 2x2 minor (6 per flattening) to be zero, i.e. each
     flattening to have rank 1.  Evaluates nothing shared with the
     hyperdeterminant/sub-determinant path, so the two tests cross-check
-    each other: it reads neither the slice determinants nor the |g_n|^2 a
-    state keeps for them (``_slice_dets``, ``_abs2``).  A minor counts as
-    zero when its squared modulus over (sum |g_n|^2)^2 is, on the pairs g,
-    where scale2 and d cancel.
+    each other: it does not read the slice determinants a state keeps
+    (``_slice_dets``).  A minor counts as zero when its squared modulus over
+    (sum |g_n|^2)^2 is, on the pairs g, where scale2 and d cancel.
     """
     zero = state._ops.is_zero
     g, n = state._pairs[0], state._weight

@@ -31,17 +31,15 @@ step hands it.  ``hyperdet.classify`` keeps a
 state's normalized classification on the instance the same way.
 
 Values of the pairs are kept the same way, so that a state computes each
-once however it is classified and measured: ``_weight``, sum |g_n|^2;
-``_abs2``, the |g_n|^2 of each pair; and, on a three-qubit state,
-``_slice_dets``, the six slice determinants in SLICE_INDEX order.
-``classify`` and ``cayley_det`` read the determinants; ``collapse`` adds
-its slice's four ``_abs2`` values left to right for the slice weight and
-reads its slot's determinant for the residual's concurrence.  The
-independent oracles ``rank1_oracle`` and ``cayley_det_schlafli`` read
-neither ``_abs2`` nor ``_slice_dets``.  On a two-qubit state both raise the
-ValueError of ``_qubit_count_error``, so that every operation that reads them
-reports the wrong qubit count; ``submatrix``, the two oracles, ``det2`` and
-``concurrence2`` check the count themselves.
+once however it is classified and measured: ``_weight``, sum |g_n|^2, and,
+on a three-qubit state, ``_slice_dets``, the six slice determinants in
+SLICE_INDEX order.  ``classify`` and ``cayley_det`` read the determinants;
+``collapse`` reads its slot's determinant for the residual's concurrence and
+adds its slice's four |g_n|^2 from the pairs.  The independent oracles
+``rank1_oracle`` and ``cayley_det_schlafli`` do not read ``_slice_dets``.  On
+a two-qubit state it raises the ValueError of ``_qubit_count_error``, so that
+every operation that reads it reports the wrong qubit count; ``submatrix``,
+the two oracles, ``det2`` and ``concurrence2`` check the count themselves.
 
 States are immutable; all operations return new values.
 """
@@ -369,12 +367,6 @@ class TripartiteState(_StateOps):
         return self.amps[4 * i + 2 * j + k]
 
     @_kept
-    def _abs2(self) -> tuple:
-        """|g_n|^2 = re^2 + im^2 of each pair, in basis order, for the slice
-        weights of ``collapse``.  Kept on the instance."""
-        return tuple([re * re + im * im for re, im in self._pairs[0]])
-
-    @_kept
     def _slice_dets(self) -> tuple:
         """The determinant c00 c11 - c01 c10 (``gauss_det2``) of each slice of
         the pairs, as a ``(re, im)`` pair in SLICE_INDEX order: x0, x1, y0, y1,
@@ -391,13 +383,11 @@ class BipartiteState(_StateOps):
     def amp(self, i: int, j: int):
         return self.amps[2 * i + j]
 
-    # The three-qubit kept values: an operation that reads one of them, handed
-    # a two-qubit state, raises the ValueError that names the qubit count.
+    # The three-qubit kept value: an operation that reads it, handed a
+    # two-qubit state, raises the ValueError that names the qubit count.
     @property
-    def _abs2(self):
+    def _slice_dets(self):
         raise _qubit_count_error(3, self)
-
-    _slice_dets = _abs2
 
 
 # -- JSON interchange -------------------------------------------------------

@@ -64,6 +64,12 @@ def test_classify_wrong_qubit_count_exit3(capsys):
     assert code == 3 and "3-qubit" in err
 
 
+def test_a_two_qubit_state_is_named_as_the_library_names_it(capsys):
+    code, out, err = run(capsys, ["classify", "|00> + |11>"])
+    assert code == 3 and out == ""
+    assert err == "error: expected a 3-qubit state, got a 2-qubit state\n"
+
+
 def test_table_statuses(capsys):
     code, out, _ = run(capsys, ["table", "--json"])
     assert code == 0

@@ -229,7 +229,6 @@ _KEPT = [
     (TripartiteState, "amps", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
     (TripartiteState, "_pairs", lambda: TripartiteState.exact((1, 0, 0, 3, 0, 0, 0, 5))),
     (TripartiteState, "_weight", lambda: parse_state("2|000> - 4/3i|011>")),
-    (TripartiteState, "_abs2", lambda: parse_state("2|000> - 4/3i|011>")),
     (TripartiteState, "_slice_dets", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
     (BipartiteState, "amps", lambda: parse_state("|00> + 1/2|11>")),
     (Unitary2, "entries", lambda: random_rational_unitary2(random.Random(3))),
@@ -276,7 +275,7 @@ def test_a_state_that_kept_its_values_behaves_like_a_fresh_copy():
     # classify keeps its vector beside the kept values, and a fresh copy agrees.
     vec = classify(read)
     assert read.__dict__["_classification"] is vec and classify(read) is vec
-    assert "_slice_dets" in read.__dict__ and "_abs2" not in read.__dict__  # collapse builds it
+    assert "_slice_dets" in read.__dict__
     assert vec == classify(fresh()) and read.amps == fresh().amps
 
 
@@ -311,15 +310,14 @@ def test_slice_determinants_are_computed_once_per_state(monkeypatch):
 
 def test_the_oracles_read_no_kept_kernel_value(monkeypatch):
     """rank1_oracle and cayley_det_schlafli share no arithmetic with classify
-    and collapse: they give their values with the kept |g_n|^2 and slice
-    determinants made unreadable."""
+    and collapse: they give their values with the kept slice determinants
+    made unreadable."""
     expected = [(rank1_oracle(s), cayley_det_schlafli(s)) for s in _kernel_states()]
 
     def unreadable(state):
         raise LookupError("a kept kernel value was read")
 
-    for name in ("_abs2", "_slice_dets"):
-        monkeypatch.setattr(getattr(TripartiteState, name), "func", unreadable)
+    monkeypatch.setattr(TripartiteState._slice_dets, "func", unreadable)
     for state, (oracle, det) in zip(_kernel_states(), expected):
         assert rank1_oracle(state) == oracle
         assert cayley_det_schlafli(state) == det

@@ -256,21 +256,19 @@ _kept_states = st.one_of(
 @given(_kept_states)
 @example(random_approx_tripartite(np.random.default_rng(0)))  # two slice weights round by order
 def test_collapse_from_kept_values_matches_the_reference(state):
-    """collapse reads the slice weight and determinant the state keeps
-    (``_abs2``, ``_slice_dets``); in any order of classify and collapse, and
-    on a pickled copy that kept them, it gives the reference's results."""
+    """collapse reads the slice determinant the state keeps (``_slice_dets``);
+    in any order of classify and collapse, and on a pickled copy that kept
+    it, it gives the reference's results."""
     blob = pickle.dumps(state)  # before any kept value is computed
     fresh = pickle.loads(blob)
     vec = classify(fresh)
     assert "_slice_dets" in fresh.__dict__
     _check_collapses(fresh)  # classify first
-    assert "_abs2" in fresh.__dict__
 
     later = pickle.loads(blob)
     _check_collapses(later)  # collapse first
     assert classify(later) == vec
 
     back = pickle.loads(pickle.dumps(fresh))
-    assert back.__dict__["_abs2"] == fresh._abs2
     assert back.__dict__["_slice_dets"] == fresh._slice_dets
     _check_collapses(back)

@@ -236,20 +236,24 @@ def _ghz_amps():
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, fields",
     [
-        lambda seq: TripartiteState(seq(_ghz_amps()), Fraction(1, 2)),
-        lambda seq: BipartiteState(seq(_ghz_amps()[:2] * 2), Fraction(1, 2)),
-        lambda seq: TripartiteState(seq([0.5, 0, 0, 0, 0, 0, 0, 1j]), 2.0),
-        lambda seq: Unitary2(seq(Unitary2.identity().entries)),
+        (lambda seq: TripartiteState(seq(_ghz_amps()), Fraction(1, 2)), ("amps",)),
+        (lambda seq: BipartiteState(seq(_ghz_amps()[:2] * 2), Fraction(1, 2)), ("amps",)),
+        (lambda seq: TripartiteState(seq([0.5, 0, 0, 0, 0, 0, 0, 1j]), 2.0), ("amps",)),
+        (lambda seq: Unitary2(seq(Unitary2.identity().entries)), ("entries",)),
+        (lambda seq: ClassificationVector(Fraction(0), seq([Fraction(0)] * 6)), ("sub2",)),
+        (lambda seq: Factorization(seq([1, 0]), seq([1, 0]), seq([1, 0])), ("fx", "fy", "fz")),
+        (lambda seq: TableRow("W", "|001>", seq([0, 1, 1, 1, 0, 0, 0])), ("quoted",)),
     ],
-    ids=["tripartite-exact", "bipartite-exact", "tripartite-approx", "unitary"],
+    ids=["tripartite-exact", "bipartite-exact", "tripartite-approx", "unitary",
+         "classification", "factorization", "table-row"],
 )
 @pytest.mark.parametrize("seq", [list, lambda v: iter(list(v))], ids=["list", "iterator"])
-def test_constructors_store_a_tuple(build, seq):
+def test_constructors_store_a_tuple(build, fields, seq):
     value = build(seq)
     same = build(tuple)
-    assert type(getattr(value, value._FIELD)) is tuple
+    assert all(type(getattr(value, name)) is tuple for name in fields)
     assert value == same and hash(value) == hash(same)
 
 
