@@ -387,7 +387,12 @@ class _DoubleOps:
 
     @staticmethod
     def pairs(values):
-        return tuple([(z.real, z.imag) for z in values]), 1
+        """Each value's (real, imag) over d = 1.  A value with no parts is paired as
+        (value, 0.0), on which the finite check raises math.isfinite's TypeError."""
+        try:
+            return tuple([(z.real, z.imag) for z in values]), 1
+        except AttributeError:
+            return tuple([(getattr(z, "real", z), getattr(z, "imag", 0.0)) for z in values]), 1
 
     @staticmethod
     def ratio(value):

@@ -17,18 +17,16 @@ rank-1 oracle in ``separability``, local unitaries and the unitarity check in
 differ only in the pairs, the division of a result, the zero test and a factor
 anchor: the methods of the ``scalars`` ops class a value carries as ``_ops``.
 
-The parser, local unitaries, ``state_from_json``, ``to_approx`` and every
-exact ``randstates`` generator build states from their pairs, and the
-unitaries the library makes likewise (``_PairValues._from_pairs``, which
-checks the pairs and ``scale2`` as the constructor checks the values): the
-reduced pairs and ``scale2`` are what such a value stores, and ``amps`` or
-``entries`` is built from them on its first read and kept (``_kept``).
-``measurement.collapse`` and ``hyperdet.submatrix`` store a slice of a
-state's own pairs with its ``scale2``, which passed those checks with the
-state, so they enter at the store step (``_PairValues._from_checked_pairs``)
-and only the residual's nonzero check runs, on the reduced pairs the store
-step hands it.  ``hyperdet.classify`` keeps a
-state's normalized classification on the instance the same way.
+Every state and unitary is checked along one path, ``_PairValues._from_pairs``,
+and stores its reduced pairs and ``scale2``.  The constructor keeps the values
+it is handed and enters with their pairs; the parser, local unitaries,
+``state_from_json``, ``to_approx``, every exact ``randstates`` generator and
+the unitaries the library makes enter with pairs alone, and build ``amps`` or
+``entries`` on the first read and keep it (``_kept``).  ``measurement.collapse``
+and ``hyperdet.submatrix`` store a slice of a checked state's pairs with its
+``scale2``, so they enter at the store step (``_from_checked_pairs``), where
+only the nonzero check runs.  ``hyperdet.classify`` keeps a state's
+normalized classification on the instance.
 
 Values of the pairs are kept the same way, so that a state computes each
 once however it is classified and measured: ``_weight``, sum |g_n|^2, and,
@@ -46,11 +44,11 @@ States are immutable; all operations return new values.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
+import re
+import sys
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 
 from .errors import BackendMismatch, NonFinite, ZeroScale
@@ -135,18 +133,6 @@ def _qubit_count_error(needed: int, state) -> ValueError:
     return ValueError(f"expected a {needed}-qubit state, got a {state.N_VALUES.bit_length() - 1}-qubit state")
 
 
-def _check_scale2(scale2, ops, finite):
-    """The checks on scale2, given the values' ops and whether they are finite."""
-    exact = ops is _ExactOps
-    if exact != is_fraction(scale2):
-        raise BackendMismatch("scale2 backend must match the values")
-    if not exact and not (finite and math.isfinite(scale2)):
-        raise NonFinite("double values and scale2 must be finite, not NaN, inf or overflowed")
-    # A Fraction has its numerator's sign, read off its slot (``scalars._fraction``).
-    if (scale2._numerator if exact else scale2) <= 0:
-        raise ValueError("scale2 must be positive")
-
-
 #: Sets a field of a value being built, past the ``__setattr__`` that refuses it.
 _setattr = object.__setattr__
 
@@ -208,16 +194,15 @@ class _Value:
 
 class _PairValues(_Value):
     """Shared by states and unitaries: ``N_VALUES`` values of one backend, a
-    squared prefactor ``scale2``, their ``_ops`` and the pairs ``(g, d)``, value_n
-    = g_n / d, that the kernels read.  The constructor stores the values as a
-    tuple, whatever sequence it is handed, and picks ``_ops`` by type;
-    ``_from_pairs`` takes the pairs, and the values are built from them on
-    first read.  Both paths check, in this order: the count, one backend,
-    finite doubles, scale2 > 0, and last the subclass's ``_check`` (nonzero, or
-    unitary), to which the constructor passes the values and the store step
-    the reduced pairs ``g``.
-    ``_from_checked_pairs`` is the store step of ``_from_pairs``, for pairs
-    and a scale2 that already passed its checks; it runs ``_check`` only.
+    squared prefactor ``scale2``, their ``_ops`` and ``_pairs``, the pairs
+    ``(g, d)`` that the kernels read: value_n = (g_n[0] + i g_n[1]) / d, the
+    integer form, or a double value's own (real, imag) parts over d = 1.
+    The constructor checks the count and one backend, which picks ``_ops``,
+    keeps the values as a tuple, whatever sequence it is handed, and enters
+    ``_from_pairs`` with their pairs (``ops.pairs``).  ``_from_pairs`` checks
+    the count, scale2's backend, finite doubles and scale2 > 0, in this order;
+    its store step ``_from_checked_pairs`` stores the reduced pairs and runs
+    the subclass's ``_check`` (nonzero, or unitary) on the reduced ``g``.
     """
 
     N_VALUES: int
@@ -226,7 +211,6 @@ class _PairValues(_Value):
     def __init__(self, values, scale2):
         values = tuple(values)  # the same object for a tuple
         _setattr(self, self._FIELD, values)
-        _setattr(self, "scale2", scale2)
         if len(values) != self.N_VALUES:
             raise ValueError(f"expected {self.N_VALUES} values, got {len(values)}")
         exact = isinstance(values[0], GaussianRational)
@@ -234,31 +218,37 @@ class _PairValues(_Value):
             if isinstance(a, GaussianRational) != exact:
                 raise BackendMismatch("values mix exact and double backends")
         ops = _ExactOps if exact else _DoubleOps
-        _setattr(self, "_ops", ops)
-        _check_scale2(scale2, ops, exact or all(map(cmath.isfinite, values)))
-        self._check(values)
+        g, d = ops.pairs(values)
+        self._from_pairs(ops, g, d, scale2, self)
 
     @classmethod
-    def _from_pairs(cls, ops, g, d, scale2):
+    def _from_pairs(cls, ops, g, d, scale2, built=None):
         """The value of backend ``ops`` with value_n = g_n / d, stored as its
-        reduced pairs (``ops.reduce``), which equal what ``ops.pairs(values)``
-        returns, and ``scale2``.  The values are built on first read.
+        reduced pairs (``ops.reduce``) and ``scale2`` into ``built``, the
+        constructor's instance, or else a new one, whose values are built on first read.
         """
         if len(g) != cls.N_VALUES:
             raise ValueError(f"expected {cls.N_VALUES} values, got {len(g)}")
-        _check_scale2(scale2, ops, ops is _ExactOps or all(map(math.isfinite, chain.from_iterable(g))))
-        return cls._from_checked_pairs(ops, g, d, scale2)
+        exact = ops is _ExactOps
+        # Before the backend test: a part that is no number raises math.isfinite's TypeError.
+        finite = exact or all(math.isfinite(re) and math.isfinite(im) for re, im in g)
+        if exact != is_fraction(scale2):
+            raise BackendMismatch("scale2 backend must match the values")
+        if not (finite and (exact or math.isfinite(scale2))):
+            raise NonFinite("double values and scale2 must be finite, not NaN, inf or overflowed")
+        # A Fraction has its numerator's sign, read off its slot (``scalars._fraction``).
+        if (scale2._numerator if exact else scale2) <= 0:
+            raise ValueError("scale2 must be positive")
+        return cls._from_checked_pairs(ops, g, d, scale2, built)
 
     @classmethod
-    def _from_checked_pairs(cls, ops, g, d, scale2):
-        """The store step of ``_from_pairs``, entered directly where ``g``, ``d``
-        and ``scale2`` already passed its checks: ``N_VALUES`` pairs of backend
-        ``ops``, finite if doubles, and a positive ``scale2`` of that backend,
-        as a slice of a checked state's pairs with its ``scale2`` is.  The pairs
-        are reduced once, and only the subclass's ``_check`` runs, on the
-        reduced ``g`` it is handed.
-        """
-        built = object.__new__(cls)
+    def _from_checked_pairs(cls, ops, g, d, scale2, built=None):
+        """The store step of ``_from_pairs``, entered directly with pairs and a
+        ``scale2`` that passed its checks, as a slice of a checked state's pairs
+        with its ``scale2`` did: the pairs are reduced once and stored, and only
+        the subclass's ``_check`` runs, on the reduced ``g``."""
+        if built is None:
+            built = object.__new__(cls)
         # Three ``_setattr`` writes, not one ``__dict__.update``: no dict object
         # is made for the fields yet, ~140 B less per residual on Python 3.11.
         # The update was ~2% faster on float-haar but raised its peak RSS by 3%.
@@ -266,7 +256,7 @@ class _PairValues(_Value):
         _setattr(built, "_ops", ops)
         pairs = ops.reduce(g, d)
         _setattr(built, "_pairs", pairs)
-        built._check(None, pairs[0])
+        built._check(pairs[0])
         return built
 
     @property
@@ -293,12 +283,6 @@ class _PairValues(_Value):
         scalar = self._ops.scalar
         return tuple(scalar(re, im, d) for re, im in g)
 
-    @_kept
-    def _pairs(self) -> tuple:
-        """``(g, d)``, value_n = (g_n[0] + i g_n[1]) / d: the integer form, or
-        a double value's own (real, imag) floats over d = 1.  Kept on the instance."""
-        return self._ops.pairs(getattr(self, self._FIELD))
-
 
 class _StateOps(_PairValues):
     """Shared behaviour of the two state containers, keyed by their ``N_VALUES``."""
@@ -310,11 +294,8 @@ class _StateOps(_PairValues):
     def __init__(self, amps: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, amps, scale2)
 
-    def _check(self, amps=None, g=None):
-        # On the amps the constructor passes (an eager state keeps no pairs
-        # before a kernel reads them), or on the reduced pairs g the store step
-        # hands over (a state stored from its pairs has no amps yet).
-        if not (any(amps) if g is None else any(map(any, g))):
+    def _check(self, g):
+        if not any(map(any, g)):
             raise ValueError("the zero vector is not a state")
 
     @classmethod
@@ -336,8 +317,8 @@ class _StateOps(_PairValues):
 
         Returns ``(g, d)``: ``g`` holds one ``(re, im)`` pair of ints per
         amplitude and ``d`` is the least common denominator of all their
-        parts, so that a_n = (g_n[0] + i g_n[1]) / d.  Kept on the instance,
-        from construction or first use.  Exact backend only.
+        parts, so that a_n = (g_n[0] + i g_n[1]) / d.  Stored at
+        construction.  Exact backend only.
         """
         if self.backend != "exact":
             raise BackendMismatch("only exact states have an integer form")
@@ -438,15 +419,27 @@ def _clip(text: str) -> str:
     return text if len(text) <= 60 else f"{text[:45]}... ({len(text)} chars)"
 
 
+#: The digits of the exponent that ends a decimal string, the 7 of "1.5e-7" (compiled
+#: on first use).  One past the interpreter's cap on the digits of an int read from
+#: text (4300) is refused: ``Fraction`` would build its power of ten, 9 s for "1e10000000".
+_EXPONENT = r"(?i)(?<=[\d.])e[-+]?(\d+(?:_\d+)*)\s*\Z"
+_MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+
 def _json_part(value, exact):
     """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
-    ``" 3/4 "``, ``"0.5"`` or ``"1e3"``; else ``float(value)``.  A JSON
-    boolean is neither, and a nonzero number or string that reads as the
+    ``" 3/4 "``, ``"0.5"`` or ``"1e3"`` (``_EXPONENT``); else ``float(value)``.
+    A JSON boolean is neither, and a nonzero number or string that reads as the
     double 0.0 (``_json_float``, ``_underflows``) raises NonFinite as a double;
     a message echoes the value cut short (``_clip``)."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
+    exponent = exact and isinstance(value, str) and re.search(_EXPONENT, value)
+    if exponent:  # compared by length first: reading long digits as an int is slow too
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"{_clip(repr(value))} has an exponent beyond {_MAX_EXPONENT} in magnitude")
     if not exact and isinstance(value, _BelowDoubleRange):
         raise NonFinite(f"the JSON number {_clip(value.text)} is below the double range: it reads as 0.0")
     try:

@@ -7,11 +7,11 @@ rational scale2 (e.g. entries [[1,1],[-1,1]] with scale2 = 1/2 for a
 1/sqrt(2) prefactor); Haar-random sampling produces double-backend
 matrices.
 
-``random_rational_unitary2``, ``random_unitary2``, ``dagger`` and the
-command line's ``--u1`` reader build a unitary from its pairs, as states are
-built (``states._PairValues._from_pairs``): it keeps its reduced pairs and
-scale2, builds ``entries`` on first read, and the unitarity check and
-``apply_local_3``/``_2`` read the kept pairs.
+A unitary is built as a state is (``states._PairValues._from_pairs``) and
+stores its reduced pairs and scale2, which the unitarity check and
+``apply_local_3``/``_2`` read.  ``random_rational_unitary2``,
+``random_unitary2``, ``dagger`` and the ``--u1`` reader hand over pairs
+alone, and such a unitary builds ``entries`` on first read.
 
 Index convention: a unitary acts on its tensor slot by
 
@@ -54,7 +54,7 @@ class Unitary2(_PairValues):
     def __init__(self, entries: tuple, scale2: Fraction | float = Fraction(1)):
         _PairValues.__init__(self, entries, scale2)
 
-    def _check(self, entries=None, g=None):
+    def _check(self, g):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
         # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -662,6 +663,33 @@ def test_double_string_below_the_range_exit3(tmp_path, capsys, text):
     for argv in (["classify", "--json-state", str(path)], ["transform", "--float", "--u1", u1, GHZ]):
         code, out, err = run(capsys, argv)
         assert code == 3 and out == "" and "below the double range" in err
+
+
+@pytest.mark.parametrize("text", ["1e4301", "-2.5E-4301", " 1_0e+43_01 ", "1e10000000"])
+def test_exact_string_with_an_exponent_past_the_cap_exit2(tmp_path, capsys, text):
+    # Fraction builds 10**exponent: "1e10000000" alone once took seconds, and classify did not finish.
+    obj = {"amps": [[1, 0]] + [[0, 0]] * 6 + [[text, 0]], "scale2": "1/2"}
+    with pytest.raises(ValueError, match="has an exponent beyond 4300 in magnitude"):
+        state_from_json(obj)
+    path = tmp_path / "exact.json"
+    path.write_text(json.dumps(obj))
+    u1 = json.dumps({"matrix": [["1", f"{text},0"], ["0", "1"]]})
+    for argv in (["classify", "--json-state", str(path)], ["transform", "--u1", u1, GHZ]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "has an exponent beyond 4300 in magnitude" in err
+
+
+@pytest.mark.parametrize("text", ["1e4300", "-1E-4300", "1e+04_300"])
+def test_exact_string_with_an_exponent_at_the_cap_reads(capsys, text):
+    value = Fraction(text)
+    state = state_from_json({"amps": [[1, 0]] + [[0, 0]] * 6 + [[text, 0]]})
+    assert state.amps[7] == value
+    # A matrix that is not unitary is refused after it was read.
+    u1 = json.dumps({"matrix": [["1", f"{text},0"], ["0", "1"]]})
+    with pytest.raises(ValueError, match="not unitary"):
+        cli._unitary_from_json(u1)
+    code, out, err = run(capsys, ["transform", "--u1", u1, GHZ])
+    assert code == 3 and out == "" and "not unitary" in err
 
 
 @pytest.mark.parametrize("text", ["0", " 0.0 ", "+0", "-0", "0e999", "-0.0e-5"])

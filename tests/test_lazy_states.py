@@ -171,7 +171,10 @@ def test_pairs_are_the_stored_value():
     assert s.backend == "exact"
     assert s.amps[3] == GaussianRational(0, Fraction(-4, 3))
     eager = TripartiteState(s.amps, s.scale2)
-    assert set(eager.__dict__) == {"amps", "scale2", "_ops"}  # no pairs until a kernel reads them
+    assert eager.__dict__ == dict(s.__dict__, amps=s.amps)  # the pairs stored at construction
+    assert eager.amps is s.amps  # the tuple it was handed
+    u = random_rational_unitary2(random.Random(3))
+    assert Unitary2(u.entries, u.scale2).__dict__["_pairs"] == u._pairs
 
 
 def _state(backend, text="(|000> + |111>)/sqrt(2)"):
@@ -227,12 +230,10 @@ def test_an_exact_state_and_its_double_copy_differ_but_hash_alike():
 #: Each kept value: its class, its name and a fresh instance that has not computed it.
 _KEPT = [
     (TripartiteState, "amps", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
-    (TripartiteState, "_pairs", lambda: TripartiteState.exact((1, 0, 0, 3, 0, 0, 0, 5))),
     (TripartiteState, "_weight", lambda: parse_state("2|000> - 4/3i|011>")),
     (TripartiteState, "_slice_dets", lambda: parse_state("(2|000> - 4/3i|011> + 6|111>)/sqrt(5)")),
     (BipartiteState, "amps", lambda: parse_state("|00> + 1/2|11>")),
     (Unitary2, "entries", lambda: random_rational_unitary2(random.Random(3))),
-    (Unitary2, "_pairs", lambda: Unitary2.approx([[0.6, 0.8], [-0.8, 0.6]])),
 ]
 
 
@@ -250,7 +251,7 @@ def test_kept_value_is_computed_once_and_stored_under_its_name(cls, name, fresh,
     func = kept.func
     monkeypatch.setattr(kept, "func", counted)
     value = fresh()
-    assert calls == ([value] if name in value.__dict__ else [])  # Unitary2's check reads _pairs
+    assert calls == []  # not computed at construction
     first = getattr(value, name)
     assert value.__dict__[name] is first
     assert getattr(value, name) is first and getattr(value, name) is first
@@ -349,6 +350,9 @@ def test_threads_that_race_on_a_first_read_see_equal_values():
     assert seen[0] == [(s.__dict__["amps"], s.__dict__["_weight"]) for s in states]
 
 
+_NAN = float("nan")
+
+
 @pytest.mark.parametrize(
     "g, d, scale2, error",
     [
@@ -359,13 +363,29 @@ def test_threads_that_race_on_a_first_read_see_equal_values():
         (((1, 0),) * 8, 1, 0.5, TypeError),
         (((1, 0),) * 7, 1, Fraction(1), ValueError),  # one pair per amplitude
         (((1, 0),) * 9, 1, Fraction(1), ValueError),
+        # Double pairs, handed to the constructor as complex values.
+        (((0.0, 0.0),) * 8, 1, 1.0, ValueError),  # the zero vector
+        (((_NAN, 0.0),) + ((1.0, 0.0),) * 7, 1, 1.0, NonFinite),
+        (((1.0, 0.0),) * 8, 1, float("inf"), NonFinite),
+        (((_NAN, 1.0),) * 8, 1, 0.0, NonFinite),  # NaN is reported before scale2 = 0
+        # A double value that is no number, handed to the constructor as it is.
+        ((("a", 0.0),) * 8, 1, 1.0, TypeError),
+        (((None, 0.0),) * 8, 1, 1.0, TypeError),
+        (((_NAN, 0.0), ("a", 0.0)) + ((1.0, 0.0),) * 6, 1, 1.0, NonFinite),  # in value order
     ],
 )
 def test_from_pairs_checks_the_constructor_invariants(g, d, scale2, error):
-    with pytest.raises(error):
-        TripartiteState._from_pairs(_OPS["exact"], g, d, scale2)
-    with pytest.raises(error):
-        TripartiteState(tuple(GaussianRational(re, im) for re, im in g), scale2)
+    # Int pairs are exact, any other are doubles.
+    if isinstance(g[0][0], int):
+        ops, values = _OPS["exact"], tuple(GaussianRational(re, im) for re, im in g)
+    else:
+        ops, values = _OPS["approx"], tuple(complex(re, im) if isinstance(re, float) else re for re, im in g)
+    with pytest.raises(error) as from_pairs:
+        TripartiteState._from_pairs(ops, g, d, scale2)
+    with pytest.raises(error) as constructed:
+        TripartiteState(values, scale2)
+    assert type(constructed.value) is type(from_pairs.value)
+    assert str(constructed.value) == str(from_pairs.value)
 
 
 def test_double_from_pairs_rejects_nonfinite_parts():

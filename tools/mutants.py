@@ -464,9 +464,37 @@ MUTANTS = (
     Mutant(
         "store-step-skips-the-check",
         "states.py",
-        "        built._check(None, pairs[0])\n",
+        "        built._check(pairs[0])\n",
         "",
         ("tests/test_measurement.py::test_a_zero_slice_is_refused_at_the_store_step",),
+    ),
+    Mutant(
+        "constructor-skips-the-checks",
+        "states.py",
+        "        self._from_pairs(ops, g, d, scale2, self)\n",
+        "        self._from_checked_pairs(ops, g, d, scale2, self)\n",
+        ("tests/test_lazy_states.py::test_from_pairs_checks_the_constructor_invariants",),
+    ),
+    Mutant(
+        "double-parts-skip-the-finite-check",
+        "states.py",
+        "finite = exact or all(math.isfinite(re) and math.isfinite(im) for re, im in g)",
+        "finite = True",
+        ("tests/test_lazy_states.py::test_from_pairs_checks_the_constructor_invariants",),
+    ),
+    Mutant(
+        "double-value-that-is-no-number-raises-attribute-error",
+        "scalars.py",
+        "(z.real, z.imag) for z in values]), 1\n        except AttributeError:\n",
+        "(z.real, z.imag) for z in values]), 1\n        except LookupError:\n",
+        ("tests/test_lazy_states.py::test_from_pairs_checks_the_constructor_invariants",),
+    ),
+    Mutant(
+        "json-exponent-unbounded",
+        "states.py",
+        "    if exponent:  # compared by length first: reading long digits as an int is slow too\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_exact_string_with_an_exponent_past_the_cap_exit2",),
     ),
     Mutant(
         "reduce-divides-only-the-real-parts",
