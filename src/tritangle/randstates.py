@@ -15,7 +15,9 @@ samples alone.  The mixed pool therefore draws, per state:
 All exact generators use a ``random.Random`` instance so runs are
 reproducible from a single seed.  They draw each part as an int
 ``(num, den)`` and build the state from Gaussian integers over the lcm of
-the denominators (``scalars.over_lcm``), not from scalars.
+the denominators (``scalars.over_lcm``), not from scalars.  The Haar
+states take a numpy ``Generator`` and are built from the ``(real, imag)``
+doubles of the normalized draw.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .scalars import _ExactOps, gauss_mul, over_lcm
+from .scalars import _DoubleOps, _ExactOps, gauss_mul, over_lcm
 from .states import BipartiteState, TripartiteState
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
@@ -146,12 +148,16 @@ def mixed_pool(seed: int, count: int):
 
 def _approx_state(cls, rng):
     """A unit-norm double-backend state of ``cls`` with Gaussian amplitudes:
-    the real parts drawn first, then the imaginary parts."""
+    the real parts drawn first, then the imaginary parts.  The normalized
+    array's ``(real, imag)`` doubles enter ``_from_pairs``, which runs the
+    checks the constructor runs on doubles, so each amplitude and ``scale2``
+    equal, bit for bit, those of ``cls.approx`` on the array's ``complex``
+    values; ``amps`` is built on first read."""
     import numpy as np
 
     v = rng.normal(size=cls.N_VALUES) + 1j * rng.normal(size=cls.N_VALUES)
     v = v / np.linalg.norm(v)
-    return cls.approx(tuple(complex(z) for z in v))
+    return cls._from_pairs(_DoubleOps, tuple(zip(v.real.tolist(), v.imag.tolist())), 1, 1.0)
 
 
 def random_approx_tripartite(rng: np.random.Generator) -> TripartiteState:

@@ -238,6 +238,19 @@ def abs2(value):
     return z.real * z.real + z.imag * z.imag
 
 
+def _double_part(part):
+    """A part of a double-backend value: an integer (an ``int``, a ``bool`` or a
+    numpy integer, any type with ``__index__``) as its ``float``, so that no
+    kernel runs int arithmetic, which a numpy integer wraps on overflow, and
+    NonFinite if it is beyond the double range; any other part as it is."""
+    if part.__class__ is float or not hasattr(part, "__index__"):
+        return part
+    try:
+        return float(part)
+    except OverflowError:
+        raise NonFinite("an int value is beyond the double range") from None
+
+
 def require_finite(value, what: str):
     """Return a double-backend result; raise NonFinite if it overflowed to inf/NaN."""
     if not cmath.isfinite(value):
@@ -387,12 +400,16 @@ class _DoubleOps:
 
     @staticmethod
     def pairs(values):
-        """Each value's (real, imag) over d = 1.  A value with no parts is paired as
-        (value, 0.0), on which the finite check raises math.isfinite's TypeError."""
+        """Each value's (real, imag) over d = 1, an integer part as its double
+        (``_double_part``): one beyond the double range raises NonFinite.  A value
+        with no parts is paired as (value, 0.0), on which the finite check raises
+        math.isfinite's TypeError."""
         try:
-            return tuple([(z.real, z.imag) for z in values]), 1
+            return tuple([(_double_part(z.real), _double_part(z.imag)) for z in values]), 1
         except AttributeError:
-            return tuple([(getattr(z, "real", z), getattr(z, "imag", 0.0)) for z in values]), 1
+            return tuple([
+                (_double_part(getattr(z, "real", z)), _double_part(getattr(z, "imag", 0.0))) for z in values
+            ]), 1
 
     @staticmethod
     def ratio(value):

@@ -20,8 +20,9 @@ anchor: the methods of the ``scalars`` ops class a value carries as ``_ops``.
 Every state and unitary is checked along one path, ``_PairValues._from_pairs``,
 and stores its reduced pairs and ``scale2``.  The constructor keeps the values
 it is handed and enters with their pairs; the parser, local unitaries,
-``state_from_json``, ``to_approx``, every exact ``randstates`` generator and
-the unitaries the library makes enter with pairs alone, and build ``amps`` or
+``state_from_json``, ``to_approx``, every exact ``randstates`` generator, the
+Haar states ``random_approx_tripartite``/``_bipartite`` and the unitaries the
+library makes (Haar ones among them) enter with pairs alone, and build ``amps`` or
 ``entries`` on the first read and keep it (``_kept``).  ``measurement.collapse``
 and ``hyperdet.submatrix`` store a slice of a checked state's pairs with its
 ``scale2``, so they enter at the store step (``_from_checked_pairs``), where

@@ -10,8 +10,10 @@ matrices.
 A unitary is built as a state is (``states._PairValues._from_pairs``) and
 stores its reduced pairs and scale2, which the unitarity check and
 ``apply_local_3``/``_2`` read.  ``random_rational_unitary2``,
-``random_unitary2``, ``dagger`` and the ``--u1`` reader hand over pairs
-alone, and such a unitary builds ``entries`` on first read.
+``random_unitary2`` (the Haar unitary, from the doubles of its draws),
+``dagger`` and the ``--u1`` reader hand over pairs alone, and such a
+unitary builds ``entries`` on first read; so do the Haar states of
+``randstates``.
 
 Index convention: a unitary acts on its tensor slot by
 
@@ -41,6 +43,10 @@ if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix nee
 #: Maximum allowed modulus of an entry of scale2 M^dagger M - I for
 #: double-backend matrices.
 UNITARITY_TOL = 1e-12
+#: UNITARITY_TOL squared, the bound of a squared residual.
+_TOL2 = UNITARITY_TOL**2
+#: 2pi, the range of the Haar angles.
+_TWO_PI = 2.0 * math.pi
 
 
 class Unitary2(_PairValues):
@@ -57,11 +63,13 @@ class Unitary2(_PairValues):
     def _check(self, g):
         # Each entry of q (scale2 G^dagger G - d^2 I), on the pairs G over d with
         # scale2 = s / q (q = 1 for doubles), squared is zero against
-        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.
+        # UNITARITY_TOL^2 over d^4: exactly zero, on ints, if exact.  A double
+        # residual is divided once, by d^4 = 1.
         ops = self._ops
         ((r00, i00), (r01, i01), (r10, i10), (r11, i11)), d = self._pairs
         s, q = ops.ratio(self.scale2)
         d2 = d * d
+        d4 = d2 * d2
         # Squared by multiplying: a double that overflows gives inf, which
         # is_zero raises as NonFinite (``float ** 2`` raises OverflowError).
         r0 = s * (r00 * r00 + i00 * i00 + r10 * r10 + i10 * i10) - q * d2
@@ -69,7 +77,7 @@ class Unitary2(_PairValues):
         off_re = s * (r00 * r01 + i00 * i01 + r10 * r11 + i10 * i11)
         off_im = s * (r00 * i01 - i00 * r01 + r10 * i11 - i10 * r11)
         residuals2 = (r0 * r0, r1 * r1, off_re * off_re + off_im * off_im)
-        if not all(ops.is_zero(r2, UNITARITY_TOL**2, d2, d2) for r2 in residuals2):
+        if not all(ops.is_zero(r2, _TOL2, d4) for r2 in residuals2):
             raise ValueError("matrix is not unitary (with its scale2)")
 
     @classmethod
@@ -180,13 +188,21 @@ def random_unitary2(rng) -> Unitary2:
                    [-e^{-i b} sin t, e^{-i a} cos t]]
     with phi, a, b uniform on [0, 2pi) and t = arcsin(sqrt(u)), u uniform
     on [0, 1), which gives the Haar measure on U(2) up to global phase.
+
+    The four uniforms are one ``rng.random(4)`` draw: a, b and phi are 2pi
+    times its first three doubles, in this order, and u is its fourth.  ``Generator.uniform``
+    returns ``low + (high - low) * x`` for the same next double x, so each
+    entry equals, bit for bit, that of ``rng.uniform(0, 2pi, size=3)``
+    followed by ``rng.uniform(0, 1)``, and the stream advances by the same
+    four draws.
     """
     import numpy as np
 
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    alpha, beta, phi = rng.uniform(0.0, 2.0 * math.pi, size=3)
-    theta = math.asin(math.sqrt(rng.uniform(0.0, 1.0)))
+    alpha, beta, phi, u = rng.random(4).tolist()
+    alpha, beta, phi = _TWO_PI * alpha, _TWO_PI * beta, _TWO_PI * phi
+    theta = math.asin(math.sqrt(u))
     c, s = math.cos(theta), math.sin(theta)
     phase = cmath.exp(1j * phi)
     entries = (
@@ -195,7 +211,7 @@ def random_unitary2(rng) -> Unitary2:
         -phase * cmath.exp(-1j * beta) * s,
         phase * cmath.exp(-1j * alpha) * c,
     )
-    return Unitary2._from_pairs(_DoubleOps, tuple((z.real, z.imag) for z in entries), 1, 1.0)
+    return Unitary2._from_pairs(_DoubleOps, tuple([(z.real, z.imag) for z in entries]), 1, 1.0)
 
 
 def random_rational_unitary2(rng) -> Unitary2:

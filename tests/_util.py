@@ -1,5 +1,6 @@
 """Shared test helpers: exact state comparison and independent oracles."""
 
+import cmath
 import itertools
 import json
 import math
@@ -325,6 +326,38 @@ def reference_rational_unitary2(rng):
         if n:
             break
     return Unitary2.exact([[a, b], [-b.conjugate(), a.conjugate()]], Fraction(1, 1) / n)
+
+
+def reference_unitary2(rng):
+    """``random_unitary2`` as it drew before: ``uniform(0, 2pi, size=3)`` for
+    the angles, then ``uniform(0, 1)``, the entries in ``cmath`` and the
+    unitary built by the constructor.  ``rng`` is a numpy ``Generator`` or an
+    int seed."""
+    import numpy as np
+
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    alpha, beta, phi = rng.uniform(0.0, 2.0 * math.pi, size=3)
+    theta = math.asin(math.sqrt(rng.uniform(0.0, 1.0)))
+    c, s = math.cos(theta), math.sin(theta)
+    phase = cmath.exp(1j * phi)
+    entries = (
+        phase * cmath.exp(1j * alpha) * c,
+        phase * cmath.exp(1j * beta) * s,
+        -phase * cmath.exp(-1j * beta) * s,
+        phase * cmath.exp(-1j * alpha) * c,
+    )
+    return Unitary2(entries, 1.0)
+
+
+def reference_approx_state(cls, rng):
+    """``randstates._approx_state`` as it built a state before: the normalized
+    numpy array's values as ``complex`` through ``cls.approx``."""
+    import numpy as np
+
+    v = rng.normal(size=cls.N_VALUES) + 1j * rng.normal(size=cls.N_VALUES)
+    v = v / np.linalg.norm(v)
+    return cls.approx(tuple(complex(z) for z in v))
 
 
 def reference_is_unitary(entries, scale2, tol=1e-12) -> bool:

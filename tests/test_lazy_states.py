@@ -1,8 +1,8 @@
 """States and unitaries built from their integer pairs, whose values are built on read.
 
 ``parse_state``, ``apply_local_3``/``_2``, the residuals of ``collapse``,
-``submatrix``, ``state_from_json`` and every exact ``randstates`` generator
-store a state as its reduced pairs and ``scale2``; ``random_rational_unitary2``,
+``submatrix``, ``state_from_json``, every exact ``randstates`` generator and
+the Haar states store a state as its reduced pairs and ``scale2``; ``random_rational_unitary2``,
 ``random_unitary2``, ``Unitary2.dagger`` and the ``--u1`` JSON reader do the
 same for a unitary (``_PairValues._from_pairs``, or its store step
 ``_from_checked_pairs`` for a residual).  Each must be indistinguishable from
@@ -52,6 +52,7 @@ from tritangle.cli import _unitary_from_json
 from tritangle.randstates import (
     mixed_pool,
     random_antipodal_state,
+    random_approx_bipartite,
     random_approx_tripartite,
     random_exact_bipartite,
     random_generic_state,
@@ -67,9 +68,11 @@ from tritangle.unitary import Unitary2, random_rational_unitary2, random_unitary
 from _util import (
     brute_apply_local,
     exact_states,
+    reference_approx_state,
     reference_gaussian_rational,
     reference_product_state,
     reference_rational_unitary2,
+    reference_unitary2,
 )
 
 
@@ -495,6 +498,50 @@ def test_pool_draws_on_ints_give_the_old_values():
                 assert state.amps == expected.amps and state.scale2 == expected.scale2
                 assert state.integer_form == expected.integer_form
             assert new.random() == old.random()
+
+
+#: Each Haar sampler, the construction it replaced and the field of the
+#: entries or amplitudes, which a value stored from its pairs builds on read.
+_OLD_HAAR = [
+    (random_unitary2, reference_unitary2, "entries"),
+    (random_approx_tripartite, lambda rng: reference_approx_state(TripartiteState, rng), "amps"),
+    (random_approx_bipartite, lambda rng: reference_approx_state(BipartiteState, rng), "amps"),
+]
+
+
+def test_haar_draws_give_the_old_values():
+    for seed in (0, 7, 424242):
+        for generate, old_generate, field in _OLD_HAAR:
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(500):
+                value, expected = generate(new), old_generate(old)
+                assert field not in value.__dict__  # stored from its pairs
+                assert repr(getattr(value, field)) == repr(getattr(expected, field))
+                assert repr(value.scale2) == repr(expected.scale2)
+                assert new.random() == old.random()  # the same number of draws
+        # An int seed: a new generator each call.
+        for n in range(500):
+            value, expected = random_unitary2(seed + n), reference_unitary2(seed + n)
+            assert repr(value.entries) == repr(expected.entries)
+            assert repr(value.scale2) == repr(expected.scale2)
+
+
+def test_int_values_of_a_double_value_are_stored_as_doubles():
+    for value, floats in [
+        (TripartiteState((1,) * 8, 1.0), TripartiteState((1.0,) * 8, 1.0)),
+        (TripartiteState((True, -3) + (0,) * 6, 1.0), TripartiteState((1.0, -3.0) + (0.0,) * 6, 1.0)),
+        (Unitary2((0, 1, -1, 0), 1.0), Unitary2((0.0, 1.0, -1.0, 0.0), 1.0)),
+        # A numpy integer would wrap: 2^40 squared is 2^80.
+        (TripartiteState(np.array([2**40] + [0] * 7), 1.0), TripartiteState((2.0**40,) + (0.0,) * 7, 1.0)),
+    ]:
+        assert value._ops is floats._ops and value._pairs == floats._pairs
+        assert all(type(part) is float for pair in value._pairs[0] for part in pair)
+
+
+def test_an_int_value_beyond_the_double_range_is_non_finite():
+    for values in ((10**400,) + (0,) * 7, (1,) * 7 + (-(10**400),)):
+        with pytest.raises(NonFinite, match="an int value is beyond the double range"):
+            TripartiteState(values, 1.0)
 
 
 #: sha256 of the kets of the first 300 states of ``mixed_pool(20240817)``,

@@ -35,7 +35,7 @@ from tritangle.randstates import (
 )
 from tritangle.scalars import _OPS, abs2
 from tritangle.states import SLICE_INDEX
-from tritangle.unitary import _LINES
+from tritangle.unitary import _LINES, UNITARITY_TOL
 from _util import (
     BIG,
     big_fracs,
@@ -71,6 +71,22 @@ def test_unitary_validation_approx():
     Unitary2.approx([[s, s], [-s, s]])
     with pytest.raises(ValueError):
         Unitary2.approx([[s, s], [s, s]])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_double_unitarity_decides_at_the_tolerance_edge(seed):
+    # scale2 set so that the first diagonal residual, scale2 (|m00|^2 + |m10|^2) - 1,
+    # is 0.1% under UNITARITY_TOL, then 0.1% over: rounding moves it by ~1e-16.
+    g = random_unitary2(seed)._pairs[0]
+    weights = [sum(Fraction(part) ** 2 for n in column for part in g[n]) for column in ((0, 2), (1, 3))]
+    for margin, unitary in ((0.999, True), (1.001, False)):
+        scale2 = (1.0 + margin * UNITARITY_TOL) / math.fsum(part * part for n in (0, 2) for part in g[n])
+        residuals = [Fraction(scale2) * w - 1 for w in weights]
+        assert abs(residuals[0] / Fraction(UNITARITY_TOL) - Fraction(margin)) < Fraction(1, 2000)
+        assert max(residuals) < UNITARITY_TOL if unitary else residuals[0] > UNITARITY_TOL
+        entries = tuple(complex(re, im) for re, im in g)
+        assert reference_is_unitary(entries, scale2) is unitary
+        assert _accepts(entries, scale2) is unitary
 
 
 def test_local_application_takes_one_unitary_per_qubit():

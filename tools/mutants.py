@@ -485,9 +485,31 @@ MUTANTS = (
     Mutant(
         "double-value-that-is-no-number-raises-attribute-error",
         "scalars.py",
-        "(z.real, z.imag) for z in values]), 1\n        except AttributeError:\n",
-        "(z.real, z.imag) for z in values]), 1\n        except LookupError:\n",
+        "_double_part(z.imag)) for z in values]), 1\n        except AttributeError:\n",
+        "_double_part(z.imag)) for z in values]), 1\n        except LookupError:\n",
         ("tests/test_lazy_states.py::test_from_pairs_checks_the_constructor_invariants",),
+    ),
+    Mutant(
+        "double-pairs-keep-ints",
+        "scalars.py",
+        '    if part.__class__ is float or not hasattr(part, "__index__"):\n',
+        "    if True:\n",
+        ("tests/test_lazy_states.py::test_int_values_of_a_double_value_are_stored_as_doubles",
+         "tests/test_lazy_states.py::test_an_int_value_beyond_the_double_range_is_non_finite"),
+    ),
+    Mutant(
+        "haar-draws-swapped",
+        "unitary.py",
+        "    alpha, beta, phi, u = rng.random(4).tolist()\n",
+        "    beta, alpha, phi, u = rng.random(4).tolist()\n",
+        ("tests/test_lazy_states.py::test_haar_draws_give_the_old_values",),
+    ),
+    Mutant(
+        "haar-state-parts-swapped",
+        "randstates.py",
+        "zip(v.real.tolist(), v.imag.tolist())",
+        "zip(v.imag.tolist(), v.real.tolist())",
+        ("tests/test_lazy_states.py::test_haar_draws_give_the_old_values",),
     ),
     Mutant(
         "json-exponent-unbounded",
