@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedIrrational,
 )
 from .ketparser import parse_state, state_to_ket
-from .scalars import DEFAULT_EPS, GaussianRational, _DoubleOps, _ExactOps, over_lcm
+from .scalars import DEFAULT_EPS, GaussianRational, _DoubleOps, _ExactOps, over_lcm, to_double
 from .states import (
     Axis,
     TripartiteState,
@@ -126,22 +126,18 @@ class _BadInput(TritangleError):
 def _read_part(part, exact):
     """One part of a ``--u1`` cell.  A text cell's part arrives as ``(text,
     (num, den))``, read as a rational with its cell: ``(num, den)`` if exact,
-    else the correctly rounded num / den, which raises NonFinite when it is
-    beyond the double range or nonzero and reads as 0.0.  Any other part is a
-    JSON value, read as a rational if exact."""
+    else its double (``to_double``), which raises NonFinite when it is beyond
+    the double range or nonzero and reads as 0.0.  Any other part is a JSON
+    value, read as a rational if exact."""
     if not isinstance(part, tuple):
         return _json_part(part, exact)
     text, (num, den) = part
     if exact:
         return num, den
-    try:
-        value = num / den
-    except OverflowError:
-        raise NonFinite(f"the text cell part {_clip(repr(text.strip()))} is beyond the double range") from None
+    what = f"the text cell part {_clip(repr(text.strip()))}"
+    value = to_double(num, what, den)
     if num and not value:
-        raise NonFinite(
-            f"the text cell part {_clip(repr(text.strip()))} is below the double range: it reads as 0.0"
-        )
+        raise NonFinite(f"{what} is below the double range: it reads as 0.0")
     return value
 
 

@@ -8,8 +8,9 @@ equality with zero is decidable.  The approximate backend is the built-in
 ``complex``.
 
 The two backends never mix silently.  Arithmetic between a
-``GaussianRational`` and a float or complex is rejected, and conversion is
-one-way via :meth:`GaussianRational.to_complex`.  The exact ops write and read
+``GaussianRational`` and a float or complex is rejected.  Every number enters
+the double backend through one function, :func:`to_double`, which raises
+:class:`NonFinite` beyond the double range.  The exact ops write and read
 ``Fraction`` slots directly, not through accessors that run as Python functions;
 CI on Python 3.10, 3.11, 3.12 and 3.13 guards the slot names.
 """
@@ -21,6 +22,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import repeat
+from numbers import Real
 from operator import le
 
 from .errors import NonFinite
@@ -168,10 +170,7 @@ class GaussianRational:
 
         Raises :class:`NonFinite` when a part lies beyond the double range.
         """
-        try:
-            return complex(float(self.re), float(self.im))
-        except OverflowError as exc:
-            raise NonFinite("an exact value is beyond the double range") from exc
+        return complex(to_double(self.re, "an exact value"), to_double(self.im, "an exact value"))
 
     def __repr__(self):
         return f"GaussianRational({self.re!s}, {self.im!s})"
@@ -209,13 +208,24 @@ def as_exact(value) -> GaussianRational:
     raise TypeError(f"cannot build an exact scalar from {value!r}")
 
 
+def to_double(x, what: str, d: int = 1) -> float:
+    """The correctly rounded double of x / d: any real x (an int, a bool, a Fraction, a
+    numpy scalar: ``numbers.Real``) over d = 1, or an int x over an int d > 0.  Beyond
+    the double range NonFinite says "<what> is beyond the double range"."""
+    try:
+        return float(x) if d == 1 else x / d
+    except OverflowError:
+        raise NonFinite(f"{what} is beyond the double range") from None
+
+
 def as_approx(value) -> complex:
-    """Coerce a number (or GaussianRational) to the double backend."""
+    """Coerce a number, an (re, im) pair or a GaussianRational to the double
+    backend, each part by ``to_double``: a string reads as ``float`` reads it."""
     if isinstance(value, GaussianRational):
         return value.to_complex()
-    if isinstance(value, tuple) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    return complex(value)
+    pair = isinstance(value, tuple) and len(value) == 2
+    re, im = value if pair else (getattr(value, "real", value), getattr(value, "imag", 0))
+    return complex(to_double(re, "a value"), to_double(im, "a value"))
 
 
 def is_fraction(value) -> bool:
@@ -239,16 +249,12 @@ def abs2(value):
 
 
 def _double_part(part):
-    """A part of a double-backend value: an integer (an ``int``, a ``bool`` or a
-    numpy integer, any type with ``__index__``) as its ``float``, so that no
-    kernel runs int arithmetic, which a numpy integer wraps on overflow, and
-    NonFinite if it is beyond the double range; any other part as it is."""
-    if part.__class__ is float or not hasattr(part, "__index__"):
+    """A part of a double-backend value: a real number (``numbers.Real``) as its double
+    (``to_double``), so no kernel runs int, Fraction or numpy arithmetic (a numpy integer
+    wraps on overflow); a part that is no number as it is, for the finite check to refuse."""
+    if part.__class__ is float or not isinstance(part, Real):
         return part
-    try:
-        return float(part)
-    except OverflowError:
-        raise NonFinite("an int value is beyond the double range") from None
+    return to_double(part, "an int value" if isinstance(part, int) else "a value")
 
 
 def require_finite(value, what: str):
@@ -400,16 +406,12 @@ class _DoubleOps:
 
     @staticmethod
     def pairs(values):
-        """Each value's (real, imag) over d = 1, an integer part as its double
+        """Each value's (real, imag) over d = 1, each part as its double
         (``_double_part``): one beyond the double range raises NonFinite.  A value
         with no parts is paired as (value, 0.0), on which the finite check raises
         math.isfinite's TypeError."""
-        try:
-            return tuple([(_double_part(z.real), _double_part(z.imag)) for z in values]), 1
-        except AttributeError:
-            return tuple([
-                (_double_part(getattr(z, "real", z)), _double_part(getattr(z, "imag", 0.0))) for z in values
-            ]), 1
+        return tuple([(_double_part(getattr(z, "real", z)), _double_part(getattr(z, "imag", 0.0)))
+                      for z in values]), 1
 
     @staticmethod
     def ratio(value):

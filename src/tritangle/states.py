@@ -64,6 +64,7 @@ from .scalars import (
     is_fraction,
     over_lcm,
     ratio_str,
+    to_double,
 )
 
 
@@ -266,14 +267,13 @@ class _PairValues(_Value):
 
     def to_approx(self):
         """Explicit one-way conversion to the double backend: each double is
-        ``part / d`` on the kept pairs, the correctly rounded ``float(Fraction(part, d))``."""
+        ``to_double(part, ..., d)`` on the kept pairs, ``float(Fraction(part, d))``."""
         if self._ops is _DoubleOps:
             return self
         g, d = self._pairs
-        try:
-            pairs, scale2 = tuple((re / d, im / d) for re, im in g), float(self.scale2)
-        except OverflowError as exc:
-            raise NonFinite("an exact value is beyond the double range") from exc
+        what = "an exact value"
+        pairs = tuple([(to_double(re, what, d), to_double(im, what, d)) for re, im in g])
+        scale2 = to_double(self.scale2, what)
         if not scale2:
             raise NonFinite("scale2 is below the double range: it converts to 0.0")
         return type(self)._from_pairs(_DoubleOps, pairs, 1, scale2)
@@ -305,7 +305,7 @@ class _StateOps(_PairValues):
 
     @classmethod
     def approx(cls, amps, scale2=1.0):
-        return cls(tuple(map(as_approx, amps)), float(scale2))
+        return cls(tuple(map(as_approx, amps)), to_double(scale2, "scale2"))
 
     @_kept
     def _weight(self):
@@ -430,10 +430,10 @@ _MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
 def _json_part(value, exact):
     """One rational part read from JSON: if exact, ``(num, den)`` of whatever
     ``Fraction(str(value))`` accepts, an int, a float or a string such as
-    ``" 3/4 "``, ``"0.5"`` or ``"1e3"`` (``_EXPONENT``); else ``float(value)``.
-    A JSON boolean is neither, and a nonzero number or string that reads as the
-    double 0.0 (``_json_float``, ``_underflows``) raises NonFinite as a double;
-    a message echoes the value cut short (``_clip``)."""
+    ``" 3/4 "``, ``"0.5"`` or ``"1e3"`` (``_EXPONENT``); else its double, an int's
+    by ``to_double``.  A JSON boolean is neither; as a double an int beyond the double
+    range, or a nonzero number or string that reads as 0.0 (``_json_float``,
+    ``_underflows``), raises NonFinite.  A message echoes the value cut short (``_clip``)."""
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
     exponent = exact and isinstance(value, str) and re.search(_EXPONENT, value)
@@ -443,6 +443,8 @@ def _json_part(value, exact):
             raise ValueError(f"{_clip(repr(value))} has an exponent beyond {_MAX_EXPONENT} in magnitude")
     if not exact and isinstance(value, _BelowDoubleRange):
         raise NonFinite(f"the JSON number {_clip(value.text)} is below the double range: it reads as 0.0")
+    if not exact and isinstance(value, int):  # a JSON boolean was refused above
+        return to_double(value, f"the JSON integer {_clip(str(value))}")
     try:
         part = Fraction(str(value)).as_integer_ratio() if exact else float(value)
     except ValueError:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import BackendMismatch
-from .scalars import _DoubleOps, _ExactOps, _ops_named, as_approx, as_exact, over_lcm
+from .scalars import _DoubleOps, _ExactOps, _ops_named, as_approx, as_exact, over_lcm, to_double
 from .states import BipartiteState, TripartiteState, _kept, _PairValues
 
 if TYPE_CHECKING:  # numpy is imported only where Haar sampling or to_matrix needs it
@@ -88,7 +88,7 @@ class Unitary2(_PairValues):
     @classmethod
     def approx(cls, rows, scale2=1.0) -> "Unitary2":
         (m00, m01), (m10, m11) = rows
-        return cls(tuple(as_approx(m) for m in (m00, m01, m10, m11)), float(scale2))
+        return cls(tuple(as_approx(m) for m in (m00, m01, m10, m11)), to_double(scale2, "scale2"))
 
     @classmethod
     def identity(cls, backend: str = "exact") -> "Unitary2":
@@ -100,12 +100,11 @@ class Unitary2(_PairValues):
         return Unitary2._from_pairs(self._ops, conj, d, self.scale2)
 
     def to_matrix(self) -> np.ndarray:
-        """Physical operator g*M as a dense complex array."""
+        """Physical operator g*M as a dense complex array, read off ``to_approx``."""
         import numpy as np
 
-        g = math.sqrt(float(self.scale2))
-        m = [as_approx(e) for e in self.entries]
-        return g * np.array([[m[0], m[1]], [m[2], m[3]]], dtype=complex)
+        u = self.to_approx()
+        return math.sqrt(u.scale2) * np.array(u.entries, dtype=complex).reshape(2, 2)
 
 
 def _combine_gauss(a0, a1, m):

@@ -488,10 +488,9 @@ def test_exact_display_beyond_the_double_range_exit3(expr, json_mode, capsys):
     [
         '{"matrix": [[1,1],[-1,1]], "sqrt_scale2": "x"}',
         '{"matrix": "ab"}',
-        '{"matrix": [[1.0, 0], [0, 1%s]]}' % ("0" * 400),  # no such double
         '{"matrix": [[true, 0], [0, 1.0]]}',  # a double matrix: the 1.0 decides
     ],
-    ids=["scale", "matrix", "huge-int", "bool"],
+    ids=["scale", "matrix", "bool"],
 )
 def test_malformed_unitary_number_exit2(u1, capsys):
     code, out, err = run(capsys, ["transform", "|000>", "--u1", u1])
@@ -500,14 +499,43 @@ def test_malformed_unitary_number_exit2(u1, capsys):
 
 @pytest.mark.parametrize(
     "amp, backend",
-    [(10**400, "approx"), ("1/0", "exact"), (True, "approx"), (True, "exact")],
-    ids=["huge-int", "zero-den", "bool-approx", "bool-exact"],
+    [("1/0", "exact"), (True, "approx"), (True, "exact")],
+    ids=["zero-den", "bool-approx", "bool-exact"],
 )
 def test_state_json_bad_number_exit2(tmp_path, capsys, amp, backend):
     path = tmp_path / "state.json"
     path.write_text(json.dumps({"amps": [[amp, 0]] + [[0, 0]] * 7, "backend": backend}))
     code, out, err = run(capsys, ["classify", "--json-state", str(path)])
     assert code == 2 and out == "" and "bad state JSON" in err
+
+
+#: A 401-digit JSON integer, beyond the double range as 1e400 is.
+_HUGE = 10**400
+_ONE = [[1, 0]] + [[0, 0]] * 7
+
+
+@pytest.mark.parametrize(
+    "state, u1",
+    [
+        ({"amps": [[_HUGE, 0]] + [[0, 0]] * 7, "backend": "approx"}, None),
+        ({"amps": _ONE, "scale2": _HUGE, "backend": "approx"}, None),
+        (None, {"matrix": [[1.0, 0], [0, _HUGE]]}),
+        (None, {"matrix": [[1.0, 0], [0, 1]], "sqrt_scale2": _HUGE}),
+    ],
+    ids=["state-part", "state-scale2", "u1-cell", "u1-root"],
+)
+def test_json_int_beyond_the_double_range_exit3(tmp_path, capsys, state, u1):
+    # A double part read from a JSON integer exits 3 and names the double
+    # range, as the same number written 1e400 does.
+    if state is None:
+        argv = ["transform", "--float", "|000>", "--u1", json.dumps(u1)]
+    else:
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        argv = ["classify", "--json-state", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: the JSON integer 1000") and "is beyond the double range" in err
 
 
 def test_check_sep_text_extracts_once(monkeypatch, capsys):

@@ -533,6 +533,12 @@ def test_int_values_of_a_double_value_are_stored_as_doubles():
         (Unitary2((0, 1, -1, 0), 1.0), Unitary2((0.0, 1.0, -1.0, 0.0), 1.0)),
         # A numpy integer would wrap: 2^40 squared is 2^80.
         (TripartiteState(np.array([2**40] + [0] * 7), 1.0), TripartiteState((2.0**40,) + (0.0,) * 7, 1.0)),
+        # A Fraction and numpy floats: each part its correctly rounded double.
+        (TripartiteState((Fraction(1, 3),) + (0,) * 6 + (1.0,), 1.0),
+         TripartiteState((1 / 3,) + (0.0,) * 6 + (1.0,), 1.0)),
+        (TripartiteState((np.float64(0.5),) + (0,) * 7, 1.0), TripartiteState((0.5,) + (0.0,) * 7, 1.0)),
+        (TripartiteState(np.array([0.5 + 0.25j] + [0] * 6 + [1j], dtype=np.complex64), 1.0),
+         TripartiteState((0.5 + 0.25j,) + (0.0,) * 6 + (1j,), 1.0)),
     ]:
         assert value._ops is floats._ops and value._pairs == floats._pairs
         assert all(type(part) is float for pair in value._pairs[0] for part in pair)
@@ -542,6 +548,8 @@ def test_an_int_value_beyond_the_double_range_is_non_finite():
     for values in ((10**400,) + (0,) * 7, (1,) * 7 + (-(10**400),)):
         with pytest.raises(NonFinite, match="an int value is beyond the double range"):
             TripartiteState(values, 1.0)
+    with pytest.raises(NonFinite, match="a value is beyond the double range"):
+        TripartiteState((Fraction(10**400),) + (0,) * 7, 1.0)
 
 
 #: sha256 of the kets of the first 300 states of ``mixed_pool(20240817)``,

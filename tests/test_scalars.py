@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tritangle import GaussianRational, NonFinite
-from tritangle.scalars import _OPS, _fraction, _gaussian, abs2, as_approx, as_exact, over_lcm
+from tritangle.scalars import _OPS, _fraction, _gaussian, abs2, as_approx, as_exact, over_lcm, to_double
 
 fracs = st.fractions(max_denominator=40)
 scalars = st.builds(GaussianRational, fracs, fracs)
@@ -51,6 +51,23 @@ def test_to_complex_past_the_double_range_is_nonfinite():
             z.to_complex()
     with pytest.raises(NonFinite):
         as_approx(GaussianRational(10**400))
+
+
+def test_to_double_rounds_every_real_and_names_its_input():
+    import numpy as np
+
+    for x, d, expected in [
+        (1, 3, 1 / 3), (-(10**400), 10**399 * 3, -10 / 3), (10**30 + 1, 1, 1e30), (True, 1, 1.0),
+        (Fraction(2, 3), 1, 2 / 3), (Fraction(10**400 + 1, 10**400), 1, 1.0),
+        (np.float32(0.1), 1, float(np.float32(0.1))), (np.int64(-7), 1, -7.0), (0.5, 1, 0.5),
+    ]:
+        value = to_double(x, "x", d)
+        assert type(value) is float and value == expected
+        if isinstance(x, (int, Fraction)):
+            assert value == float(Fraction(x) / d)  # correctly rounded
+    for x, d in [(10**400, 1), (-(10**400), 3), (Fraction(10**400, 3), 1), (10**400 * 7, 7)]:
+        with pytest.raises(NonFinite, match=r"\Athe part 7 is beyond the double range\Z"):
+            to_double(x, "the part 7", d)
 
 
 def test_backend_coercions():

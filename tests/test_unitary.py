@@ -13,6 +13,7 @@ from tritangle import (
     BackendMismatch,
     BipartiteState,
     GaussianRational,
+    NonFinite,
     TripartiteState,
     Unitary2,
     apply_local_2,
@@ -390,3 +391,30 @@ def test_double_unitarity_check_that_overflows_raises_value_error(m00, scale2):
     assert not reference_is_unitary((complex(m00), 0j, 0j, 1 + 0j), scale2)
     with pytest.raises(ValueError):
         Unitary2.approx([[m00, 0], [0, 1]], scale2)
+
+
+def test_double_entry_points_beyond_the_double_range_are_non_finite():
+    # Each is NonFinite, not the OverflowError of float(10**400).
+    huge, tiny = 10**400, Fraction(1, 10**400)
+    ghz = TripartiteState.approx((1.0,) + (0,) * 6 + (1.0,))
+    for build in (
+        lambda: TripartiteState.approx((huge,) + (0,) * 7),
+        lambda: TripartiteState.approx(((1, Fraction(-huge, 3)),) + (0,) * 7),
+        lambda: Unitary2.approx([[huge, 0], [0, 1]]),
+        lambda: ghz.scale(huge),
+        lambda: TripartiteState.approx((1.0,) + (0,) * 7, scale2=huge),
+        lambda: Unitary2.approx([[1.0, 0], [0, 1.0]], scale2=huge),
+        lambda: Unitary2.exact([[tiny, 0], [0, tiny]], huge * huge).to_matrix(),
+    ):
+        with pytest.raises(NonFinite, match="beyond the double range"):
+            build()
+
+
+def test_to_matrix_is_the_double_unitary_scaled():
+    rng = random.Random(11)
+    for u in [random_rational_unitary2(rng) for _ in range(50)] + [ghz_to_psi_unitary(), random_unitary2(3)]:
+        m00, m01, m10, m11 = [complex(float(e.re), float(e.im)) if isinstance(e, GaussianRational) else e
+                              for e in u.entries]
+        old = [[m00, m01], [m10, m11]]
+        m = u.to_matrix()
+        assert m.dtype == complex and m.tolist() == (math.sqrt(float(u.scale2)) * np.array(old)).tolist()

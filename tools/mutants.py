@@ -485,17 +485,31 @@ MUTANTS = (
     Mutant(
         "double-value-that-is-no-number-raises-attribute-error",
         "scalars.py",
-        "_double_part(z.imag)) for z in values]), 1\n        except AttributeError:\n",
-        "_double_part(z.imag)) for z in values]), 1\n        except LookupError:\n",
+        '_double_part(getattr(z, "real", z)), _double_part(getattr(z, "imag", 0.0))',
+        "_double_part(z.real), _double_part(z.imag)",
         ("tests/test_lazy_states.py::test_from_pairs_checks_the_constructor_invariants",),
     ),
     Mutant(
         "double-pairs-keep-ints",
         "scalars.py",
-        '    if part.__class__ is float or not hasattr(part, "__index__"):\n',
+        "    if part.__class__ is float or not isinstance(part, Real):\n",
         "    if True:\n",
         ("tests/test_lazy_states.py::test_int_values_of_a_double_value_are_stored_as_doubles",
          "tests/test_lazy_states.py::test_an_int_value_beyond_the_double_range_is_non_finite"),
+    ),
+    Mutant(
+        "as-approx-skips-the-conversion",
+        "scalars.py",
+        '    return complex(to_double(re, "a value"), to_double(im, "a value"))\n',
+        "    return complex(re, im)\n",
+        ("tests/test_unitary.py::test_double_entry_points_beyond_the_double_range_are_non_finite",),
+    ),
+    Mutant(
+        "json-int-part-reads-as-bad-input",
+        "states.py",
+        "    if not exact and isinstance(value, int):  # a JSON boolean was refused above\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_json_int_beyond_the_double_range_exit3",),
     ),
     Mutant(
         "haar-draws-swapped",
